@@ -7,12 +7,14 @@ The quantity of interest is the multivector
 taken over the overlap of the supports.  For vector-valued fields the
 integrand is a geometric product of two vectors, so the result carries only a
 scalar part (the L2 inner product) and a bivector part (the integrated wedge).
-Any odd-grade content indicates a bug or a broken field pair, so it is
-measured and reported instead of silently discarded.
 
-Linear and piecewise-constant fields integrate in closed form through box
-moments.  Pairs involving a sampled field use the midpoint rule on the
-sampled grid; two sampled fields must share their grid geometry exactly.
+Both parts are folds of one 3x3 cross moment K = integral of A B^T: the
+scalar is tr K and the bivector the antisymmetric part of K.  An outer
+rotation R of the first field acts on K as R K, which is what lets the
+detector integrate once per detection.  Linear and piecewise-constant fields
+integrate in closed form through box moments.  Pairs involving a sampled
+field use the midpoint rule on the sampled grid; two sampled fields must
+share their grid geometry exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .ga3 import Multivector, PolarForm, polar_decompose
 from .fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, VectorField,
-    evaluate_many, l2_norm, support,
+    evaluate_many, l2_norm, overlap_volumes, support,
 )
 
 
@@ -36,70 +38,68 @@ def _even_mv(scalar: float, biv: np.ndarray) -> Multivector:
     return Multivector(c)
 
 
-def _vector_product(a: np.ndarray, b: np.ndarray) -> Multivector:
-    """Geometric product of two 3-vectors: dot plus wedge."""
-    cross = np.cross(a, b)
-    return _even_mv(float(a @ b), np.array([cross[2], -cross[1], cross[0]]))
+def moment_parts(k: np.ndarray) -> tuple[float, np.ndarray]:
+    """Fold K[i, j] = integral of A_i B_j into the correlation's scalar part
+    and its bivector part (b12, b13, b23)."""
+    return float(np.trace(k)), np.array(
+        [k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1]])
 
 
-def _pair_from_moment_matrix(m: np.ndarray) -> Multivector:
-    """Fold M[i, j] = integral of A_i B_j into scalar and bivector parts."""
-    biv = np.array([m[0, 1] - m[1, 0], m[0, 2] - m[2, 0], m[1, 2] - m[2, 1]])
-    return _even_mv(float(np.trace(m)), biv)
+def _piecewise_linear_moment(a: PiecewiseConstantField,
+                             b: LinearVectorField) -> np.ndarray:
+    """Sum over cells of a_cell (B m1)^T, m1 the first moment of the cell's
+    overlap with b's box (zero for a cell outside it)."""
+    low, high, values = a.arrays()
+    low = np.maximum(low, b.box.low_array)
+    high = np.minimum(high, b.box.high_array)
+    volume = np.prod(np.maximum(high - low, 0.0), axis=1)
+    first = volume[:, None] * (low + high) / 2.0
+    return values.T @ first @ b.matrix.T
 
 
-def _correlate_linear_linear(a: LinearVectorField,
-                             b: LinearVectorField) -> Multivector:
-    overlap = a.box.intersect(b.box)
-    if overlap is None:
-        return Multivector.zero()
-    x = overlap.second_moment_matrix()
-    return _pair_from_moment_matrix(a.matrix @ x @ b.matrix.T)
-
-
-def _correlate_piecewise_piecewise(a: PiecewiseConstantField,
-                                   b: PiecewiseConstantField) -> Multivector:
-    total = Multivector.zero()
-    for box_a, va in a.cells:
-        for box_b, vb in b.cells:
-            overlap = box_a.intersect(box_b)
-            if overlap is not None:
-                total = total + overlap.volume() * _vector_product(va, vb)
-    return total
-
-
-def _correlate_piecewise_linear(a: PiecewiseConstantField,
-                                b: LinearVectorField,
-                                flipped: bool) -> Multivector:
-    total = Multivector.zero()
-    for box_a, va in a.cells:
-        overlap = box_a.intersect(b.box)
-        if overlap is None:
-            continue
-        vb = b.matrix @ overlap.first_moment()
-        term = _vector_product(vb, va) if flipped else _vector_product(va, vb)
-        total = total + term
-    return total
-
-
-def _correlate_on_grid(grid: SampledField, a: VectorField,
-                       b: VectorField) -> Multivector:
+def _grid_moment(grid: SampledField, a: VectorField,
+                 b: VectorField) -> np.ndarray:
     pts = grid.cell_centers()
     va = a.data if a is grid else evaluate_many(a, pts)
     vb = b.data if b is grid else evaluate_many(b, pts)
-    return _accumulate_products(va, vb, grid.cell_volume())
-
-
-def _accumulate_products(va: np.ndarray, vb: np.ndarray,
-                         weight: float) -> Multivector:
-    scalar = float(np.sum(va * vb))
-    cross = np.sum(np.cross(va, vb), axis=0)
-    return _even_mv(scalar * weight,
-                    weight * np.array([cross[2], -cross[1], cross[0]]))
+    return grid.cell_volume() * (va.T @ vb)
 
 
 def _same_grid(a: SampledField, b: SampledField) -> bool:
     return a.resolution == b.resolution and a.box == b.box
+
+
+def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
+    """3x3 matrix K = integral of a(y) b(y)^T over the common support.
+
+    Linear pairs give A X B^T with X the second moment of the overlap box,
+    piecewise pairs Va^T W Vb with W the cell-overlap volumes; a sampled
+    field integrates by the midpoint rule on its grid.  cross_moment(v, v)
+    is the self-moment S, whose trace is l2_norm(v)**2.
+    """
+    if isinstance(a, LinearVectorField) and isinstance(b, LinearVectorField):
+        overlap = a.box.intersect(b.box)
+        if overlap is None:
+            return np.zeros((3, 3))
+        return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
+    if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
+        low_a, high_a, va = a.arrays()
+        low_b, high_b, vb = b.arrays()
+        return va.T @ overlap_volumes(low_a, high_a, low_b, high_b) @ vb
+    if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
+        return _piecewise_linear_moment(a, b)
+    if isinstance(a, LinearVectorField) and isinstance(b, PiecewiseConstantField):
+        return _piecewise_linear_moment(b, a).T
+    if isinstance(a, SampledField) and isinstance(b, SampledField):
+        if not _same_grid(a, b):
+            raise ValueError("sampled fields must share an identical grid")
+        return a.cell_volume() * (a.data.T @ b.data)
+    if isinstance(a, SampledField):
+        return _grid_moment(a, a, b)
+    if isinstance(b, SampledField):
+        return _grid_moment(b, a, b)
+    raise TypeError(
+        f"cannot correlate {type(a).__name__} with {type(b).__name__}")
 
 
 def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
@@ -108,24 +108,7 @@ def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
     The first argument is the one that gets reversed; vectors are their own
     reverse, so swapping the arguments flips the sign of the bivector part.
     """
-    if isinstance(a, LinearVectorField) and isinstance(b, LinearVectorField):
-        return _correlate_linear_linear(a, b)
-    if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        return _correlate_piecewise_piecewise(a, b)
-    if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
-        return _correlate_piecewise_linear(a, b, flipped=False)
-    if isinstance(a, LinearVectorField) and isinstance(b, PiecewiseConstantField):
-        return _correlate_piecewise_linear(b, a, flipped=True)
-    if isinstance(a, SampledField) and isinstance(b, SampledField):
-        if not _same_grid(a, b):
-            raise ValueError("sampled fields must share an identical grid")
-        return _accumulate_products(a.data, b.data, a.cell_volume())
-    if isinstance(a, SampledField):
-        return _correlate_on_grid(a, a, b)
-    if isinstance(b, SampledField):
-        return _correlate_on_grid(b, a, b)
-    raise TypeError(
-        f"cannot correlate {type(a).__name__} with {type(b).__name__}")
+    return _even_mv(*moment_parts(cross_moment(a, b)))
 
 
 @dataclass(frozen=True)
@@ -192,10 +175,8 @@ def quadrature_correlate(a: VectorField, b: VectorField,
     slab = np.empty((n * n, 3))
     slab[:, 1] = yy.ravel()
     slab[:, 2] = zz.ravel()
-    total = Multivector.zero()
+    total = np.zeros((3, 3))
     for i in range(n):
         slab[:, 0] = lo[0] + (i + 0.5) * h[0]
-        va = evaluate_many(a, slab)
-        vb = evaluate_many(b, slab)
-        total = total + _accumulate_products(va, vb, cell_vol)
-    return total
+        total += evaluate_many(a, slab).T @ evaluate_many(b, slab)
+    return _even_mv(*moment_parts(cell_vol * total))

@@ -9,6 +9,12 @@ misalignment (it carries at most half of it, weighted by how much of the
 field's energy lies in the plane), so the loop walks the misalignment down
 monotonically.
 
+The passes run on the 3x3 cross moment K = integral of u v^T, integrated
+once per detection: the correlation of the current pattern is the fold of K
+(scalar tr K, bivector the antisymmetric part), and counter-rotating the
+pattern by R turns K into R K.  The steps accumulate into one rotor, and the
+pattern itself is rotated once, after the loop.
+
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
 |u - v| / |v|, is within epsilon as predicted to first order from the
@@ -41,11 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ga3 import (
-    E12, Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    compose_rotation, polar_decompose, rotation_rotor,
+    E12, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
+    polar_decompose, rotation_matrix, rotation_rotor, rotor_product,
+    rotor_rotation,
 )
-from .fields import VectorField, l2_norm, rotate_outer, self_moment
-from .correlation import correlate_at_origin
+from .fields import VectorField, rotate_outer
+from .correlation import correlate_at_origin, cross_moment, moment_parts
 
 
 @dataclass(frozen=True)
@@ -104,18 +111,17 @@ class DetectionReport:
     converged: bool
 
 
-def _argument_of(cor: Multivector) -> tuple[float, UnitBivector, bool]:
-    """Angle and plane of an even correlation value.
+def _argument_of(sc: float, biv: np.ndarray) -> tuple[float, UnitBivector, bool]:
+    """Angle and plane of the correlation with scalar sc and bivector biv.
 
     Mirrors the polar decomposition, including its zero-bivector fallback;
     the flag reports whether the value was real (no usable plane).
     """
-    c = cor.coeffs
-    sc = float(c[0])
-    bmag = math.sqrt(c[4] ** 2 + c[5] ** 2 + c[6] ** 2)
+    b12, b13, b23 = biv
+    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
     if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, abs(sc)):
         return (0.0 if sc >= 0.0 else math.pi), E12, True
-    plane = UnitBivector(c[4] / bmag, c[5] / bmag, c[6] / bmag)
+    plane = UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag)
     return math.atan2(bmag, sc), plane, False
 
 
@@ -132,7 +138,7 @@ class _MisfitModel:
     """
 
     def __init__(self, reference: VectorField):
-        moment = self_moment(reference)
+        moment = cross_moment(reference, reference)
         self.energy = float(np.trace(moment))
         if not math.isfinite(self.energy):
             raise ValueError("reference field energy is not finite")
@@ -142,10 +148,9 @@ class _MisfitModel:
         keep = w > 1e-12 * self.energy
         self.inertia_pinv = (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
 
-    def rotation(self, cor: Multivector) -> np.ndarray:
-        """Residual rotation vector omega read off a correlation value."""
-        c = cor.coeffs
-        return self.inertia_pinv @ np.array([-c[6], c[5], -c[4]])
+    def rotation(self, biv: np.ndarray) -> np.ndarray:
+        """Residual rotation vector omega read off a correlation bivector."""
+        return self.inertia_pinv @ np.array([-biv[2], biv[1], -biv[0]])
 
     def misfit(self, omega: np.ndarray) -> float:
         """Relative L2 misfit left by the residual rotation omega."""
@@ -153,7 +158,7 @@ class _MisfitModel:
                          / self.energy)
 
 
-def _certified_step(model: _MisfitModel, cor: Multivector, phi: float,
+def _certified_step(model: _MisfitModel, biv: np.ndarray, phi: float,
                     q: UnitBivector, epsilon: float
                     ) -> tuple[float, UnitBivector, bool]:
     """Step for a pass whose angle phi is within epsilon, and whether to stop.
@@ -166,7 +171,7 @@ def _certified_step(model: _MisfitModel, cor: Multivector, phi: float,
     epsilon: the full correction over-solves at loose tolerances, and the
     paper's steps alone can need more than max_iterations passes.
     """
-    omega = model.rotation(cor)
+    omega = model.rotation(biv)
     if model.misfit(omega + phi * q.normal()) <= epsilon:
         return phi, q, True
     before = model.misfit(omega)
@@ -181,16 +186,19 @@ def detect(reference: VectorField, pattern: VectorField,
     """Estimate the outer rotation mapping reference onto pattern.
 
     Runs are deterministic: identical inputs produce bit-identical reports.
-    Raises ValueError if either field has zero norm or the reference's
+    Raises ValueError if either field has zero norm or either field's
     energy is not finite.
     """
     model = _MisfitModel(reference)
-    if math.sqrt(model.energy) < 1e-300 or l2_norm(pattern) < 1e-300:
+    # the scalar part of a field's self-correlation is its energy
+    energy = correlate_at_origin(pattern, pattern).scalar
+    if not math.isfinite(energy):
+        raise ValueError("pattern field energy is not finite")
+    if math.sqrt(model.energy) < 1e-300 or math.sqrt(energy) < 1e-300:
         raise ValueError("cannot detect rotation against a zero field")
 
-    u = pattern
-    alpha = 0.0
-    plane = E12
+    k = cross_moment(pattern, reference)
+    net = (1.0, 0.0, 0.0, 0.0)
     iterations = 0
     converged = False
     trace: list[float] = []
@@ -198,25 +206,27 @@ def detect(reference: VectorField, pattern: VectorField,
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        cor = correlate_at_origin(u, reference)
-        phi, q, real_valued = _argument_of(cor)
+        sc, biv = moment_parts(k)
+        phi, q, real_valued = _argument_of(sc, biv)
         if iterations == 1:
             fire = (phi == 0.0) if config.literal_zero_disturbance else real_valued
             if fire:
                 phi = config.disturbance_angle
                 q = config.disturbance_plane
         if phi <= config.epsilon:
-            phi, q, converged = _certified_step(model, cor, phi, q,
+            phi, q, converged = _certified_step(model, biv, phi, q,
                                                 config.epsilon)
-        u = rotate_outer(u, q, phi)
-        alpha, plane = compose_rotation(alpha, plane, phi, q)
+        step = rotation_rotor(q, phi)
+        k = rotation_matrix(q, phi) @ k
+        net = rotor_product(step.components, net)
         trace.append(phi)
-        corrections.append(rotation_rotor(q, phi))
+        corrections.append(step)
 
+    alpha, undo = rotor_rotation(net)
     return DetectionReport(
         alpha=alpha,
-        plane=-plane,
-        corrected_pattern=u,
+        plane=-undo,
+        corrected_pattern=rotate_outer(pattern, undo, alpha),
         iterations=iterations,
         phi_trace=tuple(trace),
         corrections=tuple(corrections),

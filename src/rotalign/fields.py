@@ -69,28 +69,35 @@ class Box:
         return Box(tuple(lo), tuple(hi))
 
     def first_moment(self) -> np.ndarray:
-        """Integral of x over the box."""
-        lo, hi = self.low_array, self.high_array
-        m0 = hi - lo
-        m1 = (hi ** 2 - lo ** 2) / 2.0
-        vol = np.prod(m0)
-        return np.array([m1[i] * vol / m0[i] for i in range(3)])
+        """Integral of x over the box: its volume times its centre."""
+        return self.volume() * (self.low_array + self.high_array) / 2.0
 
     def second_moment_matrix(self) -> np.ndarray:
-        """Matrix X with X[i, j] = integral of x_i x_j over the box."""
+        """Matrix X with X[i, j] = integral of x_i x_j over the box.
+
+        The axes integrate independently: off the diagonal X is the volume
+        times the product of centre coordinates, and on it the volume times
+        the mean of x_i^2 over [lo, hi), (lo^2 + lo hi + hi^2) / 3.
+        """
         lo, hi = self.low_array, self.high_array
-        m0 = hi - lo
-        m1 = (hi ** 2 - lo ** 2) / 2.0
-        m2 = (hi ** 3 - lo ** 3) / 3.0
-        x = np.empty((3, 3))
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    x[i, i] = m2[i] * np.prod(np.delete(m0, i))
-                else:
-                    k = 3 - i - j
-                    x[i, j] = m1[i] * m1[j] * m0[k]
+        vol = self.volume()
+        centre = (lo + hi) / 2.0
+        x = vol * np.outer(centre, centre)
+        np.fill_diagonal(x, vol * (lo * lo + lo * hi + hi * hi) / 3.0)
         return x
+
+
+def overlap_volumes(low_a: np.ndarray, high_a: np.ndarray,
+                    low_b: np.ndarray, high_b: np.ndarray) -> np.ndarray:
+    """Volumes of the pairwise intersections of two lists of boxes.
+
+    Takes (n_a, 3) and (n_b, 3) corner arrays and returns the (n_a, n_b)
+    matrix of intersection volumes, 0 where the boxes are disjoint or only
+    touch (boxes are half-open).
+    """
+    extent = (np.minimum(high_a[:, None], high_b[None]) -
+              np.maximum(low_a[:, None], low_b[None]))
+    return np.prod(np.maximum(extent, 0.0), axis=-1)
 
 
 UNIT_BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
@@ -127,11 +134,18 @@ class PiecewiseConstantField:
             v = v.copy()
             v.flags.writeable = False
             cells.append((box, v))
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if cells[i][0].intersect(cells[j][0]) is not None:
-                    raise ValueError(f"cells {i} and {j} overlap")
         object.__setattr__(self, "cells", tuple(cells))
+        low, high, _ = self.arrays()
+        overlaps = np.argwhere(np.triu(overlap_volumes(low, high, low, high) > 0.0, 1))
+        if len(overlaps):
+            i, j = overlaps[0]
+            raise ValueError(f"cells {i} and {j} overlap")
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Low corners, high corners and values of the cells, each (n, 3)."""
+        return (np.array([box.low for box, _ in self.cells]).reshape(-1, 3),
+                np.array([box.high for box, _ in self.cells]).reshape(-1, 3),
+                np.array([v for _, v in self.cells]).reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -320,28 +334,6 @@ def _(field: PiecewiseConstantField) -> float:
 @l2_norm.register
 def _(field: SampledField) -> float:
     return float(np.sqrt(np.sum(field.data ** 2) * field.cell_volume()))
-
-
-@singledispatch
-def self_moment(field) -> np.ndarray:
-    """3x3 matrix S = integral of v(x) v(x)^T; its trace is l2_norm**2."""
-    raise TypeError(f"not a vector field: {type(field).__name__}")
-
-
-@self_moment.register
-def _(field: LinearVectorField) -> np.ndarray:
-    return field.matrix @ field.box.second_moment_matrix() @ field.matrix.T
-
-
-@self_moment.register
-def _(field: PiecewiseConstantField) -> np.ndarray:
-    return sum((box.volume() * np.outer(v, v) for box, v in field.cells),
-               np.zeros((3, 3)))
-
-
-@self_moment.register
-def _(field: SampledField) -> np.ndarray:
-    return field.cell_volume() * (field.data.T @ field.data)
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,8 @@ E23 = UnitBivector(0.0, 0.0, 1.0)
 class Rotor:
     """Even unit multivector scalar + bivector; acts on vectors by sandwich.
 
-    ``apply_to(v)`` computes R v reverse(R), so the rotor that rotates by
-    ``angle`` in ``plane`` is ``exp_bivector(plane, -angle / 2)``.
+    The sandwich is R v reverse(R), so the rotor that rotates by ``angle``
+    in ``plane`` is ``exp_bivector(plane, -angle / 2)``.
     """
 
     scalar: float
@@ -305,19 +305,6 @@ class Rotor:
         for name in ("scalar", "b12", "b13", "b23"):
             object.__setattr__(self, name, getattr(self, name) / mag)
 
-    @classmethod
-    def identity(cls) -> "Rotor":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_multivector(cls, m: Multivector) -> "Rotor":
-        """Accepts an even multivector of near-unit magnitude."""
-        c = m.coeffs
-        odd = math.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2 + c[7] ** 2)
-        if odd > 1e-9:
-            raise ValueError("multivector has odd-grade parts, not a rotor")
-        return cls(c[0], c[4], c[5], c[6])
-
     @property
     def bivector(self) -> np.ndarray:
         return np.array([self.b12, self.b13, self.b23])
@@ -331,20 +318,24 @@ class Rotor:
     def reverse(self) -> "Rotor":
         return Rotor(self.scalar, -self.b12, -self.b13, -self.b23)
 
-    def compose(self, other: "Rotor") -> "Rotor":
-        """Rotor for applying ``other`` first, then self."""
-        return Rotor.from_multivector(self.as_multivector() * other.as_multivector())
+    @property
+    def components(self) -> tuple[float, float, float, float]:
+        """(scalar, b12, b13, b23), the layout rotor_product works on."""
+        return (self.scalar, self.b12, self.b13, self.b23)
 
-    def apply_to(self, v) -> np.ndarray:
-        """Sandwich R v reverse(R) on a 3-vector."""
-        m = _gp(_gp(self.as_multivector().coeffs,
-                    Multivector.from_vector(v).coeffs),
-                self.reverse().as_multivector().coeffs)
-        return m[1:4].copy()
 
-    def rotation_matrix(self) -> np.ndarray:
-        """3x3 matrix M with M @ v == apply_to(v)."""
-        return np.column_stack([self.apply_to(e) for e in np.eye(3)])
+def rotor_product(a, b) -> tuple[float, float, float, float]:
+    """Geometric product of two even elements given as (scalar, b12, b13, b23).
+
+    The unit bivectors square to -1 and anticommute, e12 e13 = -e23,
+    e12 e23 = e13 and e13 e23 = -e12, so this is a quaternion product.
+    """
+    a0, a12, a13, a23 = a
+    b0, b12, b13, b23 = b
+    return (a0 * b0 - a12 * b12 - a13 * b13 - a23 * b23,
+            a0 * b12 + a12 * b0 - a13 * b23 + a23 * b13,
+            a0 * b13 + a13 * b0 + a12 * b23 - a23 * b12,
+            a0 * b23 + a23 * b0 - a12 * b13 + a13 * b12)
 
 
 def exp_bivector(plane: UnitBivector, angle: float) -> Rotor:
@@ -374,8 +365,20 @@ def sandwich(plane: UnitBivector, angle: float, v: Multivector) -> Multivector:
 
 
 def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
-    """Matrix of the rotation by ``angle`` in ``plane`` acting on 3-vectors."""
-    return rotation_rotor(plane, angle).rotation_matrix()
+    """Matrix of the rotation by ``angle`` in ``plane`` acting on 3-vectors.
+
+    The sandwich by rotation_rotor(plane, angle) in closed form: Rodrigues'
+    formula about the plane's right-handed normal n,
+    cos(angle) I + sin(angle) [n]x + (1 - cos(angle)) n n^T.
+    """
+    x, y, z = plane.b23, -plane.b13, plane.b12
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    return np.array([
+        [c + t * x * x, t * x * y - s * z, t * x * z + s * y],
+        [t * x * y + s * z, c + t * y * y, t * y * z - s * x],
+        [t * x * z - s * y, t * y * z + s * x, c + t * z * z],
+    ])
 
 
 @dataclass(frozen=True)
@@ -420,15 +423,34 @@ def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
     return PolarForm(math.atan2(bmag, sc), plane, magnitude)
 
 
+def rotor_rotation(r) -> tuple[float, UnitBivector]:
+    """Angle in [0, pi] and plane of the rotation by the rotor r.
+
+    r is (scalar, b12, b13, b23) and need not be normalized.  The rotor
+    cos(angle/2) - sin(angle/2) P rotates by angle in P; r and -r rotate
+    alike, so reading the one with a nonnegative scalar keeps the angle in
+    [0, pi].  A bivector part at rounding level (ZERO_BIVECTOR_RTOL) names
+    no plane: the angle is then 0 and the plane e12.
+    """
+    sc, b12, b13, b23 = r
+    if sc < 0.0:
+        sc, b12, b13, b23 = -sc, -b12, -b13, -b23
+    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
+    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, sc):
+        return 0.0, E12
+    return (2.0 * math.atan2(bmag, sc),
+            UnitBivector(-b12 / bmag, -b13 / bmag, -b23 / bmag))
+
+
 def compose_rotation(alpha: float, p: UnitBivector,
                      phi: float, q: UnitBivector) -> tuple[float, UnitBivector]:
     """Accumulate rotation (phi, q) onto (alpha, p).
 
-    Multiplies e^{(alpha/2) p} e^{(phi/2) q} and reads the combined angle and
-    plane back off the polar form.  The result angle is kept in [0, pi] by
-    flipping the plane orientation when the raw composed angle exceeds pi.
-    A phi of exactly 0 returns (alpha, p) unchanged, so repeated identity
-    accumulation stays exact.
+    Multiplies the rotation rotors, (alpha, p) first, and reads the combined
+    angle and plane with rotor_rotation, so the result angle is kept in
+    [0, pi] by flipping the plane orientation when the raw composed angle
+    exceeds pi.  A phi of exactly 0 returns (alpha, p) unchanged, so
+    repeated identity accumulation stays exact.
     """
     eps = 1e-12
     if not -eps <= alpha <= math.pi + eps:
@@ -439,12 +461,5 @@ def compose_rotation(alpha: float, p: UnitBivector,
         return alpha, p
     if alpha == 0.0:
         return phi, q
-    prod = exp_bivector(p, alpha / 2.0).as_multivector() * \
-        exp_bivector(q, phi / 2.0).as_multivector()
-    pf = polar_decompose(prod)
-    beta = 2.0 * pf.angle
-    plane = pf.plane
-    if beta > math.pi:
-        beta = 2.0 * math.pi - beta
-        plane = -plane
-    return beta, plane
+    return rotor_rotation(rotor_product(rotation_rotor(q, phi).components,
+                                        rotation_rotor(p, alpha).components))

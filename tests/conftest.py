@@ -61,3 +61,19 @@ def midpoint_correlate(eval_a, eval_b, low, high, resolution):
                 b[1:4] = eval_b(y)
                 total += oracle_product(a, b) * cell_vol
     return total
+
+
+def midpoint_moment(eval_a, eval_b, low, high, resolution):
+    """Midpoint-rule integral of the 3x3 matrix A(y) B(y)^T over a box,
+    with the same explicit loops as midpoint_correlate."""
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    res = np.asarray(resolution, dtype=int)
+    h = (high - low) / res
+    total = np.zeros((3, 3))
+    for i in range(res[0]):
+        for j in range(res[1]):
+            for k in range(res[2]):
+                y = low + (np.array([i, j, k]) + 0.5) * h
+                total += np.outer(eval_a(y), eval_b(y))
+    return total * float(np.prod(h))

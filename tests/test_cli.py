@@ -8,7 +8,7 @@ import pytest
 
 from rotalign import cli
 from rotalign.cli import main
-from rotalign.fields import PiecewiseConstantField, Box, save_field
+from rotalign.fields import LinearVectorField, PiecewiseConstantField, Box, save_field
 
 import rotalign.correlation
 
@@ -104,6 +104,16 @@ def test_detect_malformed_file(tmp_path, halves_pair, capsys):
     assert "error:" in out.err
 
 
+def test_detect_rejects_non_finite_pattern(tmp_path, halves_pair, capsys):
+    ref, _ = halves_pair
+    bad = tmp_path / "nan.json"
+    save_field(LinearVectorField(np.full((3, 3), np.nan)), bad)
+    code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    assert "pattern field energy is not finite" in capsys.readouterr().err
+
+
 def test_bench_csv_deterministic(capsys):
     argv = ["bench", "--epsilons", "0.1,0.01", "--trials", "5", "--seed", "3"]
     assert main(argv) == 0
@@ -146,11 +156,11 @@ def test_verify_passes(capsys):
 
 def test_verify_catches_a_broken_product(capsys, monkeypatch):
     """Corrupting the correlation integrand must not go unnoticed."""
-    true_product = rotalign.correlation._vector_product
+    true_moment = rotalign.correlation.cross_moment
 
     def skewed(a, b):
-        return true_product(a, 1.001 * b)
+        return 1.001 * true_moment(a, b)
 
-    monkeypatch.setattr(rotalign.correlation, "_vector_product", skewed)
+    monkeypatch.setattr(rotalign.correlation, "cross_moment", skewed)
     assert main(["verify"]) != 0
     assert "FAIL" in capsys.readouterr().out

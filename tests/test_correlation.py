@@ -9,15 +9,17 @@ import pytest
 from rotalign.ga3 import (
     E12, E13, Multivector, UnitBivector, exp_bivector, polar_decompose,
 )
+from rotalign.ga3 import rotation_matrix
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, UNIT_BOX,
-    decompose, l2_norm, normalize, rotate_outer, sample, scale,
+    decompose, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
 )
 from rotalign.correlation import (
-    correlate_at_origin, normalized_correlation, quadrature_correlate,
+    correlate_at_origin, cross_moment, normalized_correlation,
+    quadrature_correlate,
 )
 
-from conftest import midpoint_correlate
+from conftest import midpoint_correlate, midpoint_moment
 
 RNG = np.random.default_rng(4242)
 
@@ -248,3 +250,63 @@ def test_sampled_against_exact_field_uses_sampling_grid():
     rhs = correlate_at_origin(sa, sa)
     # evaluating the analytic field on the same centers gives the same sums
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the cross moment behind every correlation
+
+def moment_kinds():
+    """One field of each kind on the unit box.  The piecewise cells and the
+    grid line up with a 4^3 midpoint grid, on which the midpoint rule is
+    exact for every pair except linear times linear."""
+    pw = PiecewiseConstantField((
+        (Box((0.0, -1.0, -1.0), (1.0, 1.0, 1.0)), RNG.uniform(-1, 1, 3)),
+        (Box((-1.0, -1.0, -1.0), (0.0, 0.5, 1.0)), RNG.uniform(-1, 1, 3)),
+        (Box((-0.5, 0.5, -1.0), (0.0, 1.0, 0.5)), RNG.uniform(-1, 1, 3)),
+    ))
+    grid = sample(random_linear(), UNIT_BOX, (4, 4, 4))
+    return {"linear": random_linear(), "piecewise": pw, "grid": grid}
+
+
+@pytest.mark.parametrize("kind_a", ["linear", "piecewise", "grid"])
+@pytest.mark.parametrize("kind_b", ["linear", "piecewise", "grid"])
+def test_cross_moment_matches_midpoint_oracle(kind_a, kind_b):
+    fields = moment_kinds()
+    a, b = fields[kind_a], fields[kind_b]
+    want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
+                           (-1, -1, -1), (1, 1, 1), (4, 4, 4))
+    if kind_a == kind_b == "linear":
+        want += midpoint_linear_shortfall(a, b, 8.0, (0.5, 0.5, 0.5))
+    assert np.allclose(cross_moment(a, b), want, rtol=0.0, atol=1e-12)
+
+
+def midpoint_linear_shortfall(a, b, volume, h):
+    """What the midpoint rule misses on a linear pair over grid-aligned
+    cells: only x_i^2 is not linear per cell, and it falls short by the
+    variance h_i^2 / 12 of x_i over a cell."""
+    return a.matrix @ np.diag(volume * np.asarray(h) ** 2 / 12.0) @ b.matrix.T
+
+
+def test_cross_moment_of_partly_overlapping_linear_boxes():
+    a = random_linear()
+    b = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+                          Box((-0.5, -1.0, 0.0), (1.5, 0.5, 1.0)))
+    # the overlap [-0.5, 1) x [-1, 0.5) x [0, 1) lies on the grid lines
+    want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
+                           (-1.0, -1.0, -1.0), (1.5, 1.0, 1.0), (10, 8, 8))
+    want += midpoint_linear_shortfall(a, b, 2.25, (0.25, 0.25, 0.25))
+    assert np.allclose(cross_moment(a, b), want, rtol=0.0, atol=1e-12)
+    far = LinearVectorField(np.eye(3), Box((1, 1, 1), (2, 2, 2)))
+    assert not np.any(cross_moment(a, far))
+
+
+@pytest.mark.parametrize("kind_a", ["linear", "piecewise", "grid"])
+@pytest.mark.parametrize("kind_b", ["linear", "piecewise", "grid"])
+def test_cross_moment_is_rotation_equivariant(kind_a, kind_b):
+    fields = moment_kinds()
+    u, v = fields[kind_a], fields[kind_b]
+    for _ in range(5):
+        p, angle = random_plane(), RNG.uniform(0, math.pi)
+        lhs = cross_moment(rotate_outer(u, p, angle), v)
+        rhs = rotation_matrix(p, angle) @ cross_moment(u, v)
+        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)

@@ -1,5 +1,6 @@
 """Detector tests: worked detection runs, the disturbance branch in both
-modes, convergence/monotonicity behavior, and the residual-angle helper."""
+modes, convergence/monotonicity behavior, the residual-angle helper, and the
+moment-matrix loop locked to the paper's loop on rotated fields."""
 
 import math
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, UnitBivector, polar_decompose, rotation_matrix, rotation_rotor,
+    E12, E13, Multivector, UnitBivector, compose_rotation, polar_decompose,
+    rotation_matrix, rotation_rotor, rotor_product, rotor_rotation,
 )
-from rotalign.correlation import correlate_at_origin
+from rotalign.correlation import correlate_at_origin, cross_moment, moment_parts
+from rotalign.experiments import draw_trial
 from rotalign.fields import (
-    Box, LinearVectorField, PiecewiseConstantField, UNIT_BOX,
+    Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     evaluate, l2_norm, normalize, rotate_outer, sample, scale,
 )
 from rotalign.detector import (
-    DetectionConfig, DetectionReport, detect, residual_angle,
+    DetectionConfig, DetectionReport, _MisfitModel, _argument_of,
+    _certified_step, detect, residual_angle,
 )
 
 RNG = np.random.default_rng(909)
@@ -201,13 +205,17 @@ def relative_misfit(a, b):
 
 
 def phi_only_detection(reference, pattern, epsilon):
-    """The paper's loop with the bare exit phi <= epsilon, no disturbance."""
-    u, trace = pattern, []
+    """The paper's loop with the bare exit phi <= epsilon, no disturbance,
+    run on the cross moment with the arithmetic detect uses."""
+    k, net, trace = cross_moment(pattern, reference), (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
-        pf = polar_decompose(correlate_at_origin(u, reference))
-        u = rotate_outer(u, pf.plane, pf.angle)
+        sc, biv = moment_parts(k)
+        pf = polar_decompose(Multivector(np.r_[sc, 0.0, 0.0, 0.0, biv, 0.0]))
+        k = rotation_matrix(pf.plane, pf.angle) @ k
+        net = rotor_product(rotation_rotor(pf.plane, pf.angle).components, net)
         trace.append(pf.angle)
-    return u, tuple(trace)
+    angle, undo = rotor_rotation(net)
+    return rotate_outer(pattern, undo, angle), tuple(trace)
 
 
 def field_with_singular_values(*values):
@@ -271,6 +279,15 @@ def test_detect_rejects_zero_fields():
         detect(FIELD_A, scale(FIELD_A, 0.0), DetectionConfig(epsilon=1e-3))
 
 
+def test_detect_rejects_non_finite_patterns():
+    for matrix in (np.full((3, 3), np.nan), np.full((3, 3), np.inf),
+                   1e308 * np.eye(3)):
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="pattern field energy is not finite"):
+            detect(LinearVectorField(np.eye(3)), LinearVectorField(matrix),
+                   DetectionConfig(epsilon=1e-3))
+
+
 def test_detect_rejects_non_finite_references():
     for matrix in (np.full((3, 3), np.nan), 1e308 * np.eye(3)):
         with np.errstate(all="ignore"), \
@@ -286,6 +303,87 @@ def test_config_validation():
         DetectionConfig(epsilon=1e-3, max_iterations=0)
     with pytest.raises(ValueError):
         DetectionConfig(epsilon=1e-3, disturbance_angle=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the moment-matrix loop against the paper's loop on rotated fields
+
+def field_form_detection(reference, pattern, config):
+    """The paper's loop as written: every pass correlates the rotated pattern
+    with correlate_at_origin, rotates it with rotate_outer and accumulates the
+    step with compose_rotation.  Returns the fields of a DetectionReport."""
+    model = _MisfitModel(reference)
+    u, alpha, plane, trace, converged = pattern, 0.0, E12, [], False
+    while not converged and len(trace) < config.max_iterations:
+        cor = correlate_at_origin(u, reference)
+        phi, q, real_valued = _argument_of(cor.scalar, cor.bivector)
+        if not trace and real_valued:
+            phi, q = config.disturbance_angle, config.disturbance_plane
+        if phi <= config.epsilon:
+            phi, q, converged = _certified_step(model, cor.bivector, phi, q,
+                                                config.epsilon)
+        u = rotate_outer(u, q, phi)
+        alpha, plane = compose_rotation(alpha, plane, phi, q)
+        trace.append(phi)
+    return alpha, -plane, u, tuple(trace), converged
+
+
+def field_values(field):
+    if isinstance(field, LinearVectorField):
+        return field.matrix
+    if isinstance(field, PiecewiseConstantField):
+        return field.arrays()[2]
+    return field.data
+
+
+def assert_same_detection(reference, pattern, epsilon):
+    config = DetectionConfig(epsilon=epsilon)
+    report = detect(reference, pattern, config)
+    alpha, plane, corrected, trace, converged = field_form_detection(
+        reference, pattern, config)
+    assert report.iterations == len(trace)
+    assert report.converged == converged
+    assert np.max(np.abs(np.subtract(report.phi_trace, trace))) <= 1e-12
+    assert abs(report.alpha - alpha) <= 1e-12
+    assert np.max(np.abs(report.plane.components - plane.components)) <= 1e-12
+    assert np.max(np.abs(field_values(report.corrected_pattern) -
+                         field_values(corrected))) <= 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001, 1e-6])
+def test_moment_loop_matches_field_loop_on_seeded_linear_trials(epsilon):
+    for index in range(50):
+        spec = draw_trial(0, index, epsilon)
+        assert_same_detection(
+            spec.field, rotate_outer(spec.field, spec.plane, spec.angle), epsilon)
+
+
+def test_moment_loop_matches_field_loop_on_piecewise_pairs():
+    rng = np.random.default_rng(31)
+    edges = [np.linspace(-1.0, 1.0, n + 1) for n in (3, 3, 2)]
+    boxes = [Box((edges[0][i], edges[1][j], edges[2][k]),
+                 (edges[0][i + 1], edges[1][j + 1], edges[2][k + 1]))
+             for i in range(3) for j in range(3) for k in range(2)]
+    for _ in range(10):
+        v = PiecewiseConstantField(tuple(
+            (box, rng.uniform(-1.0, 1.0, 3)) for box in boxes))
+        pattern = rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)),
+                               rng.uniform(0.0, math.pi * (1 - 1e-9)))
+        assert_same_detection(v, pattern, 1e-6)
+
+
+def test_moment_loop_matches_field_loop_on_grids():
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        v = SampledField(UNIT_BOX, (5, 4, 3), rng.uniform(-1.0, 1.0, (60, 3)))
+        pattern = rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)),
+                               rng.uniform(0.0, 3.0))
+        assert_same_detection(v, pattern, 1e-6)
+    # mixed pair: a linear reference against its rotated copy sampled on a grid
+    lin = LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)))
+    plane = UnitBivector.from_normal(rng.standard_normal(3))
+    pattern = sample(rotate_outer(lin, plane, 1.7), UNIT_BOX, (6, 6, 6))
+    assert_same_detection(lin, pattern, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     decompose, evaluate, evaluate_many, from_dict, l2_norm, load_field,
     normalize, plane_projection_matrix, rotate_outer, sample, save_field,
-    scale, self_moment, support, to_dict,
+    scale, support, to_dict,
 )
+from rotalign.correlation import cross_moment
 
 RNG = np.random.default_rng(77)
 
@@ -111,6 +112,40 @@ def test_overlapping_cells_rejected():
         ))
 
 
+def first_overlap_by_loop(boxes):
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            if boxes[i].intersect(boxes[j]) is not None:
+                return i, j
+    return None
+
+
+def test_overlap_check_names_the_first_pair_the_loop_finds():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(200):
+        lows = rng.integers(0, 6, (6, 3)).astype(float)
+        boxes = [Box(tuple(lo), tuple(lo + rng.integers(1, 3, 3)))
+                 for lo in lows]
+        cells = tuple((box, (1.0, 0.0, 0.0)) for box in boxes)
+        first = first_overlap_by_loop(boxes)
+        seen.add(first is None)
+        if first is None:
+            PiecewiseConstantField(cells)
+        else:
+            with pytest.raises(ValueError,
+                               match=f"^cells {first[0]} and {first[1]} overlap$"):
+                PiecewiseConstantField(cells)
+    assert seen == {True, False}
+
+
+def test_cells_touching_at_a_face_edge_or_corner_are_disjoint():
+    corners = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1)]
+    f = PiecewiseConstantField(tuple(
+        (Box(c, tuple(x + 1 for x in c)), (1.0, 0.0, 0.0)) for c in corners))
+    assert len(f.cells) == 5
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -145,7 +180,7 @@ def midpoint_self_moment(field, box, resolution):
 def test_self_moment_of_linear_field_against_midpoint_sum():
     f = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
                           Box((-1.0, -0.5, 0.0), (0.5, 1.0, 2.0)))
-    s = self_moment(f)
+    s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
     # the midpoint rule is off by O(h^2) on a quadratic integrand
     want = midpoint_self_moment(f, f.box, (24, 24, 24))
@@ -157,7 +192,7 @@ def test_self_moment_of_piecewise_field_against_midpoint_sum():
         (Box((0, -1, -1), (1, 1, 1)), RNG.uniform(-1, 1, 3)),
         (Box((-1, -1, -1), (0, 1, 0)), RNG.uniform(-1, 1, 3)),
     ))
-    s = self_moment(f)
+    s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
     # cells aligned with the grid make the sum exact
     want = midpoint_self_moment(f, UNIT_BOX, (4, 4, 4))
@@ -167,7 +202,7 @@ def test_self_moment_of_piecewise_field_against_midpoint_sum():
 def test_self_moment_of_sampled_field_against_midpoint_sum():
     box = Box((-1.0, 0.0, -0.5), (1.0, 1.5, 0.5))
     g = sample(random_linear(), box, (4, 5, 6))
-    s = self_moment(g)
+    s = cross_moment(g, g)
     assert math.isclose(np.trace(s), l2_norm(g) ** 2, rel_tol=1e-12)
     want = midpoint_self_moment(g, box, (4, 5, 6))
     assert np.allclose(s, want, rtol=0.0, atol=1e-12)

@@ -12,7 +12,8 @@ from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector,
     compose_rotation, exp_bivector, geometric_product, grade,
-    polar_decompose, reverse, rotation_matrix, sandwich,
+    polar_decompose, reverse, rotation_matrix, rotation_rotor, rotor_product,
+    rotor_rotation, sandwich,
 )
 
 from conftest import oracle_product
@@ -233,6 +234,38 @@ def test_rotation_matrix_properties():
         assert math.isclose(np.linalg.det(m), 1.0, abs_tol=1e-12)
         want = Rotation.from_rotvec(angle * p.normal()).as_matrix()
         assert np.allclose(m, want, atol=1e-12)
+
+
+def test_rotation_matrix_is_rodrigues_about_the_normal():
+    for _ in range(100):
+        p = random_plane()
+        angle = RNG.uniform(0, math.pi)
+        x, y, z = p.normal()
+        cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        want = (np.eye(3) + math.sin(angle) * cross +
+                (1.0 - math.cos(angle)) * cross @ cross)
+        assert np.max(np.abs(rotation_matrix(p, angle) - want)) <= 1e-15
+
+
+def test_rotor_product_against_oracle():
+    for _ in range(100):
+        a, b = RNG.uniform(-2, 2, 4), RNG.uniform(-2, 2, 4)
+        want = oracle_product(np.r_[a[0], 0, 0, 0, a[1:], 0],
+                              np.r_[b[0], 0, 0, 0, b[1:], 0])
+        assert np.allclose(rotor_product(a, b), want[[0, 4, 5, 6]], atol=1e-12)
+        assert np.allclose(want[[1, 2, 3, 7]], 0.0, atol=1e-12)
+
+
+def test_rotor_rotation_reads_both_signs_of_a_rotor():
+    for _ in range(100):
+        p = random_plane()
+        angle = RNG.uniform(0, math.pi)
+        r = np.array(rotation_rotor(p, angle).components)
+        for sign in (1.0, -1.0):
+            got_angle, got_plane = rotor_rotation(sign * 3.0 * r)
+            assert math.isclose(got_angle, angle, abs_tol=1e-12)
+            assert np.allclose(got_plane.components, p.components, atol=1e-9)
+    assert rotor_rotation((2.0, 0.0, 0.0, 0.0)) == (0.0, E12)
 
 
 # ---------------------------------------------------------------------------
