@@ -8,26 +8,21 @@ taken over the overlap of the supports.  For vector-valued fields the
 integrand is a geometric product of two vectors, so the result carries only a
 scalar part (the L2 inner product) and a bivector part (the integrated wedge).
 
-Both parts are folds of one 3x3 cross moment K = integral of A B^T: the
-scalar is tr K and the bivector the antisymmetric part of K.  An outer
-rotation R of the first field acts on K as R K, which is what lets the
-detector integrate once per detection.  Linear and piecewise-constant fields
-integrate in closed form through box moments.  Pairs involving a sampled
-field use the midpoint rule on the sampled grid; two sampled fields must
-share their grid geometry exactly.
+Both parts are folds of one 3x3 cross moment K = integral of A B^T
+(fields.cross_moment): the scalar is tr K and the bivector the antisymmetric
+part of K.  An outer rotation R of the first field acts on K as R K, which
+is what lets the detector integrate once per detection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ga3 import Multivector, PolarForm, polar_decompose
 from .fields import (
-    Box, LinearVectorField, PiecewiseConstantField, SampledField, VectorField,
-    evaluate_many, l2_norm, overlap_volumes, support,
+    Box, VectorField, cross_moment, evaluate_many, l2_norm, support,
 )
 
 
@@ -45,63 +40,6 @@ def moment_parts(k: np.ndarray) -> tuple[float, np.ndarray]:
         [k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1]])
 
 
-def _piecewise_linear_moment(a: PiecewiseConstantField,
-                             b: LinearVectorField) -> np.ndarray:
-    """Sum over cells of a_cell (B m1)^T, m1 the first moment of the cell's
-    overlap with b's box (zero for a cell outside it)."""
-    low, high, values = a.arrays()
-    low = np.maximum(low, b.box.low_array)
-    high = np.minimum(high, b.box.high_array)
-    volume = np.prod(np.maximum(high - low, 0.0), axis=1)
-    first = volume[:, None] * (low + high) / 2.0
-    return values.T @ first @ b.matrix.T
-
-
-def _grid_moment(grid: SampledField, a: VectorField,
-                 b: VectorField) -> np.ndarray:
-    pts = grid.cell_centers()
-    va = a.data if a is grid else evaluate_many(a, pts)
-    vb = b.data if b is grid else evaluate_many(b, pts)
-    return grid.cell_volume() * (va.T @ vb)
-
-
-def _same_grid(a: SampledField, b: SampledField) -> bool:
-    return a.resolution == b.resolution and a.box == b.box
-
-
-def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
-    """3x3 matrix K = integral of a(y) b(y)^T over the common support.
-
-    Linear pairs give A X B^T with X the second moment of the overlap box,
-    piecewise pairs Va^T W Vb with W the cell-overlap volumes; a sampled
-    field integrates by the midpoint rule on its grid.  cross_moment(v, v)
-    is the self-moment S, whose trace is l2_norm(v)**2.
-    """
-    if isinstance(a, LinearVectorField) and isinstance(b, LinearVectorField):
-        overlap = a.box.intersect(b.box)
-        if overlap is None:
-            return np.zeros((3, 3))
-        return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
-    if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        low_a, high_a, va = a.arrays()
-        low_b, high_b, vb = b.arrays()
-        return va.T @ overlap_volumes(low_a, high_a, low_b, high_b) @ vb
-    if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
-        return _piecewise_linear_moment(a, b)
-    if isinstance(a, LinearVectorField) and isinstance(b, PiecewiseConstantField):
-        return _piecewise_linear_moment(b, a).T
-    if isinstance(a, SampledField) and isinstance(b, SampledField):
-        if not _same_grid(a, b):
-            raise ValueError("sampled fields must share an identical grid")
-        return a.cell_volume() * (a.data.T @ b.data)
-    if isinstance(a, SampledField):
-        return _grid_moment(a, a, b)
-    if isinstance(b, SampledField):
-        return _grid_moment(b, a, b)
-    raise TypeError(
-        f"cannot correlate {type(a).__name__} with {type(b).__name__}")
-
-
 def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
     """Zero-lag geometric cross correlation, reverse(A) times B integrated.
 
@@ -113,17 +51,11 @@ def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Raw and norm-scaled correlation plus its polar reading.
-
-    odd_residue is the Euclidean norm of the grade-1 and grade-3 coefficients
-    of the normalized correlation; it should sit at rounding level for any
-    genuine pair of vector fields.
-    """
+    """Raw and norm-scaled correlation plus its polar reading."""
 
     raw: Multivector
     normalized: Multivector
     polar: PolarForm
-    odd_residue: float
 
 
 def normalized_correlation(a: VectorField, b: VectorField) -> CorrelationResult:
@@ -138,13 +70,10 @@ def normalized_correlation(a: VectorField, b: VectorField) -> CorrelationResult:
         raise ValueError("cannot normalize the correlation of a zero field")
     raw = correlate_at_origin(a, b)
     normalized = raw / (na * nb)
-    c = normalized.coeffs
-    odd = math.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2 + c[7] ** 2)
-    even = _even_mv(c[0], c[4:7].copy())
-    if even.norm() <= 1e-12:
+    if normalized.norm() <= 1e-12:
         raise ValueError("correlation is zero; the fields are orthogonal")
     return CorrelationResult(raw=raw, normalized=normalized,
-                             polar=polar_decompose(even), odd_residue=odd)
+                             polar=polar_decompose(normalized))
 
 
 def _bounding_box(a: VectorField, b: VectorField) -> Box:

@@ -30,8 +30,9 @@ so that the predicted misfit lands at epsilon.
 Two degenerate starts need care.  A real-valued first correlation carries no
 plane information: either the pattern already matches (phi = 0) or it sits at
 the antipodal half-turn where the bivector part cancels.  Both are handled by
-injecting a fixed disturbance rotation on the first pass and letting the loop
-take it back out again.
+injecting a fixed disturbance rotation, DISTURBANCE_ANGLE in
+DISTURBANCE_PLANE, on the first pass and letting the loop take it back out
+again.
 
 The report states the *generating* rotation: rotating the reference by
 (plane, alpha) reproduces the input pattern.  The applied corrections undo
@@ -42,17 +43,20 @@ its orientation flipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ga3 import (
-    E12, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    polar_decompose, rotation_matrix, rotation_rotor, rotor_product,
-    rotor_rotation,
+    E12, Rotor, UnitBivector, argument, rotation_matrix, rotation_rotor,
+    rotor_product, rotor_rotation,
 )
-from .fields import VectorField, rotate_outer
-from .correlation import correlate_at_origin, cross_moment, moment_parts
+from .fields import VectorField, cross_moment, rotate_outer
+from .correlation import correlate_at_origin, moment_parts
+
+# The rotation injected on the first pass when the correlation is real.
+DISTURBANCE_ANGLE = math.pi / 4
+DISTURBANCE_PLANE = E12
 
 
 @dataclass(frozen=True)
@@ -61,27 +65,17 @@ class DetectionConfig:
 
     epsilon is the exit tolerance: the loop stops once the argument angle phi
     is within it and the corrected pattern's relative L2 misfit, predicted
-    to first order, is within it too.  The disturbance is the fixed rotation
-    injected when the first correlation comes out real-valued; by default it
-    fires for any real value (the antipodal case produces a negative real
-    correlation and would otherwise stall), while literal_zero_disturbance
-    restricts it to a nonnegative real first correlation, the narrowest
-    reading of the rule.
+    to first order, is within it too.
     """
 
     epsilon: float
     max_iterations: int = 1000
-    disturbance_angle: float = math.pi / 4
-    disturbance_plane: UnitBivector = field(default_factory=lambda: E12)
-    literal_zero_disturbance: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.disturbance_angle <= math.pi:
-            raise ValueError("disturbance_angle must lie in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -109,20 +103,6 @@ class DetectionReport:
     phi_trace: tuple[float, ...]
     corrections: tuple[Rotor, ...]
     converged: bool
-
-
-def _argument_of(sc: float, biv: np.ndarray) -> tuple[float, UnitBivector, bool]:
-    """Angle and plane of the correlation with scalar sc and bivector biv.
-
-    Mirrors the polar decomposition, including its zero-bivector fallback;
-    the flag reports whether the value was real (no usable plane).
-    """
-    b12, b13, b23 = biv
-    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
-    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, abs(sc)):
-        return (0.0 if sc >= 0.0 else math.pi), E12, True
-    plane = UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag)
-    return math.atan2(bmag, sc), plane, False
 
 
 class _MisfitModel:
@@ -207,12 +187,9 @@ def detect(reference: VectorField, pattern: VectorField,
     while not converged and iterations < config.max_iterations:
         iterations += 1
         sc, biv = moment_parts(k)
-        phi, q, real_valued = _argument_of(sc, biv)
-        if iterations == 1:
-            fire = (phi == 0.0) if config.literal_zero_disturbance else real_valued
-            if fire:
-                phi = config.disturbance_angle
-                q = config.disturbance_plane
+        phi, q, real_valued = argument(sc, biv)
+        if iterations == 1 and real_valued:
+            phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
         if phi <= config.epsilon:
             phi, q, converged = _certified_step(model, biv, phi, q,
                                                 config.epsilon)
@@ -234,21 +211,16 @@ def detect(reference: VectorField, pattern: VectorField,
     )
 
 
-def residual_angle(v: VectorField, u: VectorField, applied,
-                   true_plane: UnitBivector, true_angle: float) -> float:
+def residual_angle(applied, true_plane: UnitBivector,
+                   true_angle: float) -> float:
     """Rotation angle left after applying corrections to a known misalignment.
 
-    v and u name the pair under correction (u built as rotate_outer(v,
-    true_plane, true_angle)); the returned angle depends only on the rotors.
-    Composes the net value rotor, the true generating rotor followed by every
-    applied correction in application order, and returns the canonical angle
-    in [0, pi] of that net rotation; 0 means the corrections undo the
-    misalignment exactly.
+    Composes the net rotor, the true generating rotation (true_plane,
+    true_angle) followed by every applied correction rotor in application
+    order, and returns the angle in [0, pi] of that net rotation; 0 means
+    the corrections undo the misalignment exactly.
     """
-    net = rotation_rotor(true_plane, true_angle).as_multivector()
+    net = rotation_rotor(true_plane, true_angle).components
     for c in applied:
-        net = c.as_multivector() * net
-    beta = 2.0 * polar_decompose(net).angle
-    if beta > math.pi:
-        beta = 2.0 * math.pi - beta
-    return beta
+        net = rotor_product(c.components, net)
+    return rotor_rotation(net)[0]

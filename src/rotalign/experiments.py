@@ -14,7 +14,6 @@ execution order and any subset of trials can be reproduced in isolation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -142,7 +141,3 @@ def stats_to_dict(epsilon: float, stats: TrialStats) -> dict:
         "avg_iters": stats.average_iterations,
         "n_nonconverged": stats.n_nonconverged,
     }
-
-
-def stats_to_json(epsilon: float, stats: TrialStats) -> str:
-    return json.dumps(stats_to_dict(epsilon, stats))

@@ -10,13 +10,18 @@ Rotation acts on the *values* only (an outer rotation): the support is left
 alone and every sample v(x) becomes R v(x) reverse(R).  Box membership is
 half-open, low <= x < high, so adjacent cells never double-count a face.
 
-Integrals of linear and piecewise fields are closed-form through per-axis
-moments; sampled fields integrate by the midpoint rule on their own grid.
+Every integral the package needs is a fold of one 3x3 cross moment
+K = integral of a(y) b(y)^T (cross_moment): the L2 norm is sqrt(tr K(v, v)),
+and the correlation folds K into the algebra.  Linear and piecewise fields
+integrate in closed form through box moments; a sampled field integrates by
+the midpoint rule on its own grid, and two sampled fields must share their
+grid geometry exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import singledispatch
 
@@ -37,6 +42,8 @@ class Box:
         hi = tuple(float(x) for x in self.high)
         if len(lo) != 3 or len(hi) != 3:
             raise ValueError("box corners must be 3-vectors")
+        if not all(math.isfinite(x) for x in lo + hi):
+            raise ValueError("box corners must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ValueError(f"degenerate box {lo} .. {hi}")
         object.__setattr__(self, "low", lo)
@@ -67,10 +74,6 @@ class Box:
         if np.any(hi <= lo):
             return None
         return Box(tuple(lo), tuple(hi))
-
-    def first_moment(self) -> np.ndarray:
-        """Integral of x over the box: its volume times its centre."""
-        return self.volume() * (self.low_array + self.high_array) / 2.0
 
     def second_moment_matrix(self) -> np.ndarray:
         """Matrix X with X[i, j] = integral of x_i x_j over the box.
@@ -288,7 +291,7 @@ def _(field: SampledField, pts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# support and norms
+# support
 
 @singledispatch
 def support(field) -> Box:
@@ -313,27 +316,65 @@ def _(field: SampledField) -> Box:
     return field.box
 
 
-@singledispatch
-def l2_norm(field) -> float:
+# ---------------------------------------------------------------------------
+# the cross moment
+
+def _piecewise_linear_moment(a: PiecewiseConstantField,
+                             b: LinearVectorField) -> np.ndarray:
+    """Sum over cells of a_cell (B m1)^T, m1 the first moment of the cell's
+    overlap with b's box (zero for a cell outside it)."""
+    low, high, values = a.arrays()
+    low = np.maximum(low, b.box.low_array)
+    high = np.minimum(high, b.box.high_array)
+    volume = np.prod(np.maximum(high - low, 0.0), axis=1)
+    first = volume[:, None] * (low + high) / 2.0
+    return values.T @ first @ b.matrix.T
+
+
+def _grid_moment(grid: SampledField, a: VectorField,
+                 b: VectorField) -> np.ndarray:
+    pts = grid.cell_centers()
+    va = a.data if a is grid else evaluate_many(a, pts)
+    vb = b.data if b is grid else evaluate_many(b, pts)
+    return grid.cell_volume() * (va.T @ vb)
+
+
+def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
+    """3x3 matrix K = integral of a(y) b(y)^T over the common support.
+
+    Linear pairs give A X B^T with X the second moment of the overlap box,
+    piecewise pairs Va^T W Vb with W the cell-overlap volumes; a sampled
+    field integrates by the midpoint rule on its grid.  cross_moment(v, v)
+    is the self-moment S, whose trace is l2_norm(v)**2.
+    """
+    if isinstance(a, LinearVectorField) and isinstance(b, LinearVectorField):
+        overlap = a.box.intersect(b.box)
+        if overlap is None:
+            return np.zeros((3, 3))
+        return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
+    if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
+        low_a, high_a, va = a.arrays()
+        low_b, high_b, vb = b.arrays()
+        return va.T @ overlap_volumes(low_a, high_a, low_b, high_b) @ vb
+    if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
+        return _piecewise_linear_moment(a, b)
+    if isinstance(a, LinearVectorField) and isinstance(b, PiecewiseConstantField):
+        return _piecewise_linear_moment(b, a).T
+    if isinstance(a, SampledField) and isinstance(b, SampledField):
+        if a.resolution != b.resolution or a.box != b.box:
+            raise ValueError("sampled fields must share an identical grid")
+        return a.cell_volume() * (a.data.T @ b.data)
+    if isinstance(a, SampledField):
+        return _grid_moment(a, a, b)
+    if isinstance(b, SampledField):
+        return _grid_moment(b, a, b)
+    raise TypeError(
+        f"cannot correlate {type(a).__name__} with {type(b).__name__}")
+
+
+def l2_norm(field: VectorField) -> float:
     """L2 norm, sqrt of the integral of |v(x)|^2 over the support."""
-    raise TypeError(f"not a vector field: {type(field).__name__}")
-
-
-@l2_norm.register
-def _(field: LinearVectorField) -> float:
-    x = field.box.second_moment_matrix()
-    return float(np.sqrt(np.trace(field.matrix @ x @ field.matrix.T)))
-
-
-@l2_norm.register
-def _(field: PiecewiseConstantField) -> float:
-    return float(np.sqrt(sum(box.volume() * float(v @ v)
-                             for box, v in field.cells)))
-
-
-@l2_norm.register
-def _(field: SampledField) -> float:
-    return float(np.sqrt(np.sum(field.data ** 2) * field.cell_volume()))
+    return float(np.sqrt(np.trace(cross_moment(field, field))))
 
 
 # ---------------------------------------------------------------------------

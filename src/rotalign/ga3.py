@@ -27,8 +27,8 @@ GRADES = np.array([len(b) for b in _BLADES])
 # Reversion flips sign on grades 2 and 3.
 _REVERSE_SIGNS = np.where((GRADES * (GRADES - 1) // 2) % 2 == 0, 1.0, -1.0)
 
-# Relative tolerance below which a bivector part counts as zero in the polar
-# decomposition (measured against max(1, |scalar part|)).
+# Relative tolerance below which a bivector part counts as zero in argument()
+# (measured against max(1, |scalar part|)).
 ZERO_BIVECTOR_RTOL = 1e-12
 
 
@@ -305,10 +305,6 @@ class Rotor:
         for name in ("scalar", "b12", "b13", "b23"):
             object.__setattr__(self, name, getattr(self, name) / mag)
 
-    @property
-    def bivector(self) -> np.ndarray:
-        return np.array([self.b12, self.b13, self.b23])
-
     def as_multivector(self) -> Multivector:
         c = np.zeros(8)
         c[0] = self.scalar
@@ -381,6 +377,23 @@ def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
     ])
 
 
+def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
+    """Argument angle and plane of the even element sc + biv.
+
+    biv is (b12, b13, b23).  The angle atan2(|biv|, sc) lies in [0, pi] and
+    the plane is the normalized bivector.  A bivector at or below
+    ZERO_BIVECTOR_RTOL * max(1, |sc|) names no plane: the angle is then 0
+    for a nonnegative sc and pi otherwise, the plane e12, and the flag that
+    reports a real value is True.
+    """
+    b12, b13, b23 = biv
+    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
+    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, abs(sc)):
+        return (0.0 if sc >= 0.0 else math.pi), E12, True
+    plane = UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag)
+    return math.atan2(bmag, sc), plane, False
+
+
 @dataclass(frozen=True)
 class PolarForm:
     """Polar data of an even multivector: magnitude * e^{angle * plane}."""
@@ -399,11 +412,7 @@ class PolarForm:
 def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
     """Split an even multivector into magnitude, argument angle and plane.
 
-    angle = atan2(|<m>_2|, <m>_0) lies in [0, pi]; the plane is the normalized
-    grade-2 part.  When the bivector part vanishes (relative tolerance
-    ZERO_BIVECTOR_RTOL against max(1, |scalar|)) there is no preferred plane:
-    e12 is returned with angle 0 for a nonnegative scalar and pi otherwise.
-
+    The angle and plane are argument() of the scalar and grade-2 parts.
     Raises ValueError for the zero multivector or one with odd-grade content
     beyond odd_rtol relative to its norm.
     """
@@ -414,32 +423,24 @@ def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
     odd = math.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2 + c[7] ** 2)
     if odd > odd_rtol * max(1.0, total):
         raise ValueError(f"multivector has odd-grade parts (|odd| = {odd})")
-    sc = c[0]
-    bmag = math.sqrt(c[4] ** 2 + c[5] ** 2 + c[6] ** 2)
-    magnitude = math.hypot(sc, bmag)
-    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, abs(sc)):
-        return PolarForm(0.0 if sc >= 0.0 else math.pi, E12, magnitude)
-    plane = UnitBivector(c[4] / bmag, c[5] / bmag, c[6] / bmag)
-    return PolarForm(math.atan2(bmag, sc), plane, magnitude)
+    angle, plane, _ = argument(c[0], c[4:7])
+    magnitude = math.hypot(c[0], math.sqrt(c[4] ** 2 + c[5] ** 2 + c[6] ** 2))
+    return PolarForm(angle, plane, magnitude)
 
 
 def rotor_rotation(r) -> tuple[float, UnitBivector]:
     """Angle in [0, pi] and plane of the rotation by the rotor r.
 
     r is (scalar, b12, b13, b23) and need not be normalized.  The rotor
-    cos(angle/2) - sin(angle/2) P rotates by angle in P; r and -r rotate
-    alike, so reading the one with a nonnegative scalar keeps the angle in
-    [0, pi].  A bivector part at rounding level (ZERO_BIVECTOR_RTOL) names
-    no plane: the angle is then 0 and the plane e12.
+    cos(angle/2) - sin(angle/2) P rotates by angle in P, so the rotation is
+    twice the argument of its reverse; r and -r rotate alike, and reading
+    the one with a nonnegative scalar keeps the angle in [0, pi].
     """
     sc, b12, b13, b23 = r
     if sc < 0.0:
         sc, b12, b13, b23 = -sc, -b12, -b13, -b23
-    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
-    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, sc):
-        return 0.0, E12
-    return (2.0 * math.atan2(bmag, sc),
-            UnitBivector(-b12 / bmag, -b13 / bmag, -b23 / bmag))
+    half, plane, _ = argument(sc, (-b12, -b13, -b23))
+    return 2.0 * half, plane
 
 
 def compose_rotation(alpha: float, p: UnitBivector,

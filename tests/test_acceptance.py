@@ -126,8 +126,7 @@ def test_criterion_4_residual_monotonicity(convergence_trials, capsys):
         # Same recurrence residual_angle evaluates, kept incremental so the
         # scan stays linear in the step count; the last value is cross-checked
         # against the public function below.
-        prev = residual_angle(spec.field, pattern, (),
-                              spec.plane, spec.angle)
+        prev = residual_angle((), spec.plane, spec.angle)
         net = rotation_rotor(spec.plane, spec.angle).as_multivector()
         cur = prev
         for c in rep.corrections:
@@ -137,8 +136,7 @@ def test_criterion_4_residual_monotonicity(convergence_trials, capsys):
                 cur = 2.0 * math.pi - cur
             worst_increase = max(worst_increase, cur - prev)
             prev = cur
-        full = residual_angle(spec.field, pattern, rep.corrections,
-                              spec.plane, spec.angle)
+        full = residual_angle(rep.corrections, spec.plane, spec.angle)
         assert abs(cur - full) <= 1e-12
     seconds = detect_seconds + (time.perf_counter() - t0)
     ok = worst_increase <= 1e-9 and seconds < 30.0

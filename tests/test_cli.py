@@ -114,6 +114,20 @@ def test_detect_rejects_non_finite_pattern(tmp_path, halves_pair, capsys):
     assert "pattern field energy is not finite" in capsys.readouterr().err
 
 
+def test_detect_rejects_a_non_finite_box_corner(tmp_path, halves_pair, capsys):
+    ref, _ = halves_pair
+    bad = tmp_path / "nan_box.json"
+    bad.write_text(json.dumps({"piecewise": [
+        {"box": {"low": [0, 0, 0], "high": [1, 1, 1]}, "vector": [1, 0, 0]},
+        {"box": {"low": [0.5, 0.5, math.nan], "high": [2, 2, 2]},
+         "vector": [0, 1, 0]},
+    ]}))
+    code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    assert "box corners must be finite" in capsys.readouterr().err
+
+
 def test_bench_csv_deterministic(capsys):
     argv = ["bench", "--epsilons", "0.1,0.01", "--trials", "5", "--seed", "3"]
     assert main(argv) == 0

@@ -1,6 +1,7 @@
-"""Detector tests: worked detection runs, the disturbance branch in both
-modes, convergence/monotonicity behavior, the residual-angle helper, and the
-moment-matrix loop locked to the paper's loop on rotated fields."""
+"""Detector tests: worked detection runs, the disturbance branch at the
+half-turn, convergence/monotonicity behavior, the known failure modes, the
+residual-angle helper, and the moment-matrix loop locked to the paper's loop
+on rotated fields."""
 
 import math
 
@@ -8,18 +9,19 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, Multivector, UnitBivector, compose_rotation, polar_decompose,
-    rotation_matrix, rotation_rotor, rotor_product, rotor_rotation,
+    E12, E13, Multivector, UnitBivector, argument, compose_rotation,
+    polar_decompose, rotation_matrix, rotation_rotor, rotor_product,
+    rotor_rotation,
 )
-from rotalign.correlation import correlate_at_origin, cross_moment, moment_parts
+from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
-    evaluate, l2_norm, normalize, rotate_outer, sample, scale,
+    cross_moment, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
 )
 from rotalign.detector import (
-    DetectionConfig, DetectionReport, _MisfitModel, _argument_of,
-    _certified_step, detect, residual_angle,
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, DetectionReport,
+    _MisfitModel, _certified_step, detect, residual_angle,
 )
 
 RNG = np.random.default_rng(909)
@@ -92,7 +94,7 @@ def test_detect_planar_case_is_one_shot():
 
 
 # ---------------------------------------------------------------------------
-# the antipodal half-turn and the two disturbance readings
+# the antipodal half-turn and the disturbance
 
 def lopsided_field():
     # 3:1 parallel-to-perpendicular energy split for the e13 plane
@@ -121,18 +123,6 @@ def test_near_half_turn_recovers():
     assert np.allclose(report.plane.components, E13.components, atol=1e-6)
 
 
-def test_half_turn_literal_mode_stalls():
-    # the narrow phi == 0 reading skips the disturbance for a negative real
-    # correlation; the fallback plane then drives a spurious exit
-    v = lopsided_field()
-    pattern = rotate_outer(v, E13, math.pi)
-    cfg = DetectionConfig(epsilon=1e-6, literal_zero_disturbance=True)
-    report = detect(v, pattern, cfg)
-    assert report.phi_trace[0] == math.pi
-    pts = RNG.uniform(-1, 1, (100, 3))
-    assert field_distance(report.corrected_pattern, v, pts) > 1.0
-
-
 # ---------------------------------------------------------------------------
 # random-trial properties
 
@@ -156,7 +146,7 @@ def test_residual_sequence_monotone():
         alpha = RNG.uniform(0, math.pi * (1 - 1e-9))
         pattern = rotate_outer(v, p, alpha)
         report = detect(v, pattern, DetectionConfig(epsilon=1e-6))
-        residuals = [residual_angle(v, pattern, report.corrections[:k], p, alpha)
+        residuals = [residual_angle(report.corrections[:k], p, alpha)
                      for k in range(report.iterations + 1)]
         assert math.isclose(residuals[0], alpha, abs_tol=1e-12)
         for before, after in zip(residuals, residuals[1:]):
@@ -296,13 +286,42 @@ def test_detect_rejects_non_finite_references():
                    DetectionConfig(epsilon=1e-3))
 
 
+# The two known failure modes (ROADMAP item 3).  Each test asserts the
+# correct outcome and fails on the current detector; strict xfail turns a fix
+# into a failure that asks for the marker to go.
+
+def seeded_detection(index, epsilon):
+    spec = draw_trial(0, index, epsilon)
+    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+    report = detect(spec.field, pattern, DetectionConfig(epsilon=epsilon))
+    return spec, report
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: the first-order certificate linearises about the "
+    "identity and passes a false exit at the half-turn"))
+def test_no_converged_exit_at_the_half_turn():
+    # seed-0 trial 242 at eps = 1e-3, angle 3.14136: stops converged after
+    # 4 passes with the residual rotation still 3.1411 rad
+    spec, report = seeded_detection(242, 1e-3)
+    residual = residual_angle(report.corrections, spec.plane, spec.angle)
+    assert not (report.converged and residual > 0.1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: on a nearly rank-one reference the paper's steps never "
+    "bring phi within eps, so the certified exit is not reached"))
+def test_nearly_rank_one_trial_converges():
+    # seed-0 trial 1627 at eps = 1e-6 stops at 1000 passes
+    _, report = seeded_detection(1627, 1e-6)
+    assert report.converged
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DetectionConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         DetectionConfig(epsilon=1e-3, max_iterations=0)
-    with pytest.raises(ValueError):
-        DetectionConfig(epsilon=1e-3, disturbance_angle=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +335,9 @@ def field_form_detection(reference, pattern, config):
     u, alpha, plane, trace, converged = pattern, 0.0, E12, [], False
     while not converged and len(trace) < config.max_iterations:
         cor = correlate_at_origin(u, reference)
-        phi, q, real_valued = _argument_of(cor.scalar, cor.bivector)
+        phi, q, real_valued = argument(cor.scalar, cor.bivector)
         if not trace and real_valued:
-            phi, q = config.disturbance_angle, config.disturbance_plane
+            phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
         if phi <= config.epsilon:
             phi, q, converged = _certified_step(model, cor.bivector, phi, q,
                                                 config.epsilon)
@@ -390,24 +409,19 @@ def test_moment_loop_matches_field_loop_on_grids():
 # residual_angle
 
 def test_residual_angle_examples():
-    v = LinearVectorField(np.eye(3))
     p = random_plane()
     alpha = 1.234
-    u = rotate_outer(v, p, alpha)
-    assert math.isclose(residual_angle(v, u, [], p, alpha), alpha,
-                        abs_tol=1e-12)
+    assert math.isclose(residual_angle([], p, alpha), alpha, abs_tol=1e-12)
     full = rotation_rotor(-p, alpha)
-    assert residual_angle(v, u, [full], p, alpha) <= 1e-12
+    assert residual_angle([full], p, alpha) <= 1e-12
     half = rotation_rotor(-p, alpha / 2)
-    assert math.isclose(residual_angle(v, u, [half], p, alpha), alpha / 2,
+    assert math.isclose(residual_angle([half], p, alpha), alpha / 2,
                         abs_tol=1e-12)
 
 
 def test_residual_angle_folds_beyond_pi():
-    v = LinearVectorField(np.eye(3))
     p = random_plane()
     # over-correcting in the wrong direction past pi wraps back
     wrong = rotation_rotor(p, 2.0)
-    u = rotate_outer(v, p, 2.0)
-    got = residual_angle(v, u, [wrong], p, 2.0)
+    got = residual_angle([wrong], p, 2.0)
     assert math.isclose(got, 2 * math.pi - 4.0, abs_tol=1e-12)

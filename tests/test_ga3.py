@@ -10,8 +10,8 @@ from scipy.spatial.transform import Rotation
 
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
-    Multivector, PolarForm, Rotor, UnitBivector,
-    compose_rotation, exp_bivector, geometric_product, grade,
+    Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
+    argument, compose_rotation, exp_bivector, geometric_product, grade,
     polar_decompose, reverse, rotation_matrix, rotation_rotor, rotor_product,
     rotor_rotation, sandwich,
 )
@@ -316,6 +316,33 @@ def test_polar_zero_bivector_fallback_threshold():
     pf = polar_decompose(mv(s=5.0, e23=1e-13))
     assert pf.angle == 0.0
     assert np.allclose(pf.plane.components, E12.components)
+
+
+# (sc, biv, angle, plane, real_valued): the one polar read.  The zero
+# threshold is ZERO_BIVECTOR_RTOL * max(1, |sc|), so both sides of it are
+# probed at |sc| = 5 and |sc| <= 1.
+RTOL = ZERO_BIVECTOR_RTOL
+ARGUMENT_TABLE = [
+    (2.0, (0.0, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), True),
+    (-2.0, (0.0, 0.0, 0.0), math.pi, (1.0, 0.0, 0.0), True),
+    (5.0, (0.0, 0.0, 0.99 * RTOL * 5.0), 0.0, (1.0, 0.0, 0.0), True),
+    (-5.0, (0.0, 0.99 * RTOL * 5.0, 0.0), math.pi, (1.0, 0.0, 0.0), True),
+    (0.5, (0.99 * RTOL, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), True),
+    (5.0, (0.0, 0.0, 1.01 * RTOL * 5.0), math.atan2(1.01 * RTOL * 5.0, 5.0),
+     (0.0, 0.0, 1.0), False),
+    (1.0, (3.0, -4.0, 12.0), math.atan2(13.0, 1.0),
+     (3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0), False),
+    (-1.0, (0.0, 2.0, 0.0), math.atan2(2.0, -1.0), (0.0, 1.0, 0.0), False),
+    (0.0, (0.0, 0.0, -0.5), math.pi / 2, (0.0, 0.0, -1.0), False),
+]
+
+
+@pytest.mark.parametrize("sc, biv, angle, plane, real_valued", ARGUMENT_TABLE)
+def test_argument_table(sc, biv, angle, plane, real_valued):
+    got_angle, got_plane, got_real = argument(sc, biv)
+    assert got_real is real_valued
+    assert math.isclose(got_angle, angle, rel_tol=1e-15, abs_tol=0.0)
+    assert np.allclose(got_plane.components, plane, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
