@@ -26,18 +26,19 @@ from .fields import (
 )
 
 
-def _even_mv(scalar: float, biv: np.ndarray) -> Multivector:
+def _even_mv(scalar: float, biv: tuple[float, float, float]) -> Multivector:
     c = np.zeros(8)
     c[0] = scalar
     c[4:7] = biv
     return Multivector(c)
 
 
-def moment_parts(k: np.ndarray) -> tuple[float, np.ndarray]:
+def moment_parts(k: np.ndarray) -> tuple[float, tuple[float, float, float]]:
     """Fold K[i, j] = integral of A_i B_j into the correlation's scalar part
-    and its bivector part (b12, b13, b23)."""
-    return float(np.trace(k)), np.array(
-        [k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1]])
+    and its bivector part (b12, b13, b23), read as plain floats: tr K summed
+    in the order np.trace uses, and the antisymmetric part of K."""
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = k.tolist()
+    return k00 + k11 + k22, (k01 - k10, k02 - k20, k12 - k21)
 
 
 def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:

@@ -128,7 +128,7 @@ class _MisfitModel:
         keep = w > 1e-12 * self.energy
         self.inertia_pinv = (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
 
-    def rotation(self, biv: np.ndarray) -> np.ndarray:
+    def rotation(self, biv: tuple[float, float, float]) -> np.ndarray:
         """Residual rotation vector omega read off a correlation bivector."""
         return self.inertia_pinv @ np.array([-biv[2], biv[1], -biv[0]])
 
@@ -138,8 +138,8 @@ class _MisfitModel:
                          / self.energy)
 
 
-def _certified_step(model: _MisfitModel, biv: np.ndarray, phi: float,
-                    q: UnitBivector, epsilon: float
+def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
+                    phi: float, q: UnitBivector, epsilon: float
                     ) -> tuple[float, UnitBivector, bool]:
     """Step for a pass whose angle phi is within epsilon, and whether to stop.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import singledispatch
+from functools import cached_property, singledispatch
 
 import numpy as np
 
@@ -122,33 +122,53 @@ class LinearVectorField:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewiseConstantField:
-    """Constant 3-vector per box; the boxes must have disjoint interiors."""
+    """Constant 3-vector per box; the boxes must have disjoint interiors.
 
-    cells: tuple[tuple[Box, np.ndarray], ...]
+    Built from (Box, value) pairs and stored as three read-only (n, 3)
+    arrays: the cells' low corners, high corners and values.  The overlap
+    check runs here, once: rotate_outer, scale and decompose share the
+    checked corner arrays.
+    """
 
-    def __post_init__(self):
-        cells = []
-        for box, value in self.cells:
+    low: np.ndarray
+    high: np.ndarray
+    values: np.ndarray
+
+    def __init__(self, cells):
+        cells = tuple(cells)
+        values = []
+        for _, value in cells:
             v = np.asarray(value, dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"cell value must be a 3-vector, got {v.shape}")
-            v = v.copy()
-            v.flags.writeable = False
-            cells.append((box, v))
-        object.__setattr__(self, "cells", tuple(cells))
-        low, high, _ = self.arrays()
+            values.append(v)
+        low = np.array([box.low for box, _ in cells]).reshape(-1, 3)
+        high = np.array([box.high for box, _ in cells]).reshape(-1, 3)
         overlaps = np.argwhere(np.triu(overlap_volumes(low, high, low, high) > 0.0, 1))
         if len(overlaps):
             i, j = overlaps[0]
             raise ValueError(f"cells {i} and {j} overlap")
+        self._store(low, high, np.array(values).reshape(-1, 3))
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Low corners, high corners and values of the cells, each (n, 3)."""
-        return (np.array([box.low for box, _ in self.cells]).reshape(-1, 3),
-                np.array([box.high for box, _ in self.cells]).reshape(-1, 3),
-                np.array([v for _, v in self.cells]).reshape(-1, 3))
+    def _store(self, low, high, values) -> None:
+        for name, a in (("low", low), ("high", high), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def _with_values(self, values: np.ndarray) -> "PiecewiseConstantField":
+        """The field with new (n, 3) values on the same, checked, cells."""
+        field = object.__new__(PiecewiseConstantField)
+        field._store(self.low, self.high, values)
+        return field
+
+    @cached_property
+    def cells(self) -> tuple[tuple[Box, np.ndarray], ...]:
+        """The (Box, value) pairs, built from the arrays on first use and
+        kept: one Box per cell costs more than several detection passes."""
+        return tuple((Box(lo, hi), v) for lo, hi, v in
+                     zip(self.low.tolist(), self.high.tolist(), self.values))
 
 
 @dataclass(frozen=True)
@@ -239,10 +259,7 @@ def _(field: LinearVectorField, x) -> np.ndarray:
 
 @evaluate.register
 def _(field: PiecewiseConstantField, x) -> np.ndarray:
-    for box, value in field.cells:
-        if box.contains(x):
-            return value.copy()
-    return np.zeros(3)
+    return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
 
 
 @evaluate.register
@@ -273,8 +290,8 @@ def _(field: LinearVectorField, pts: np.ndarray) -> np.ndarray:
 @evaluate_many.register
 def _(field: PiecewiseConstantField, pts: np.ndarray) -> np.ndarray:
     out = np.zeros_like(pts)
-    for box, value in field.cells:
-        out[box.contains_many(pts)] = value
+    for lo, hi, v in zip(field.low, field.high, field.values):
+        out[np.all((pts >= lo) & (pts < hi), axis=1)] = v
     return out
 
 
@@ -306,9 +323,7 @@ def _(field: LinearVectorField) -> Box:
 
 @support.register
 def _(field: PiecewiseConstantField) -> Box:
-    lo = np.min([b.low_array for b, _ in field.cells], axis=0)
-    hi = np.max([b.high_array for b, _ in field.cells], axis=0)
-    return Box(tuple(lo), tuple(hi))
+    return Box(tuple(field.low.min(axis=0)), tuple(field.high.max(axis=0)))
 
 
 @support.register
@@ -323,12 +338,11 @@ def _piecewise_linear_moment(a: PiecewiseConstantField,
                              b: LinearVectorField) -> np.ndarray:
     """Sum over cells of a_cell (B m1)^T, m1 the first moment of the cell's
     overlap with b's box (zero for a cell outside it)."""
-    low, high, values = a.arrays()
-    low = np.maximum(low, b.box.low_array)
-    high = np.minimum(high, b.box.high_array)
+    low = np.maximum(a.low, b.box.low_array)
+    high = np.minimum(a.high, b.box.high_array)
     volume = np.prod(np.maximum(high - low, 0.0), axis=1)
     first = volume[:, None] * (low + high) / 2.0
-    return values.T @ first @ b.matrix.T
+    return a.values.T @ first @ b.matrix.T
 
 
 def _grid_moment(grid: SampledField, a: VectorField,
@@ -353,9 +367,11 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
             return np.zeros((3, 3))
         return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
     if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        low_a, high_a, va = a.arrays()
-        low_b, high_b, vb = b.arrays()
-        return va.T @ overlap_volumes(low_a, high_a, low_b, high_b) @ vb
+        if np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high):
+            # same disjoint cells: W is diagonal, the cell volumes
+            volume = np.prod(a.high - a.low, axis=1)
+            return np.ascontiguousarray((a.values * volume[:, None]).T) @ b.values
+        return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
     if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
         return _piecewise_linear_moment(a, b)
     if isinstance(a, LinearVectorField) and isinstance(b, PiecewiseConstantField):
@@ -385,8 +401,7 @@ def _map_values(field: VectorField, m: np.ndarray) -> VectorField:
     if isinstance(field, LinearVectorField):
         return LinearVectorField(m @ field.matrix, field.box)
     if isinstance(field, PiecewiseConstantField):
-        return PiecewiseConstantField(
-            tuple((box, m @ v) for box, v in field.cells))
+        return field._with_values(field.values @ m.T)
     if isinstance(field, SampledField):
         return SampledField(field.box, field.resolution, field.data @ m.T)
     raise TypeError(f"not a vector field: {type(field).__name__}")
@@ -439,8 +454,10 @@ def to_dict(field: VectorField) -> dict:
         return {"linear": {"matrix": field.matrix.tolist(),
                            "box": _box_to_dict(field.box)}}
     if isinstance(field, PiecewiseConstantField):
-        return {"piecewise": [{"box": _box_to_dict(box), "vector": v.tolist()}
-                              for box, v in field.cells]}
+        return {"piecewise": [{"box": {"low": lo, "high": hi}, "vector": v}
+                              for lo, hi, v in zip(field.low.tolist(),
+                                                   field.high.tolist(),
+                                                   field.values.tolist())]}
     if isinstance(field, SampledField):
         return {"grid": {"box": _box_to_dict(field.box),
                          "resolution": list(field.resolution),

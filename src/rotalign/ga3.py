@@ -240,12 +240,12 @@ class UnitBivector:
     b23: float
 
     def __post_init__(self):
-        mag = math.sqrt(self.b12 ** 2 + self.b13 ** 2 + self.b23 ** 2)
+        b12, b13, b23 = self.b12, self.b13, self.b23
+        mag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
         if abs(mag - 1.0) > 1e-9:
             raise ValueError(f"bivector magnitude {mag} is not 1")
-        object.__setattr__(self, "b12", self.b12 / mag)
-        object.__setattr__(self, "b13", self.b13 / mag)
-        object.__setattr__(self, "b23", self.b23 / mag)
+        d = self.__dict__
+        d["b12"], d["b13"], d["b23"] = b12 / mag, b13 / mag, b23 / mag
 
     @classmethod
     def from_components(cls, b12: float, b13: float, b23: float) -> "UnitBivector":
@@ -299,11 +299,13 @@ class Rotor:
     b23: float
 
     def __post_init__(self):
-        mag = math.sqrt(self.scalar ** 2 + self.b12 ** 2 + self.b13 ** 2 + self.b23 ** 2)
+        sc, b12, b13, b23 = self.scalar, self.b12, self.b13, self.b23
+        mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
         if abs(mag - 1.0) > 1e-9:
             raise ValueError(f"rotor magnitude {mag} is not 1")
-        for name in ("scalar", "b12", "b13", "b23"):
-            object.__setattr__(self, name, getattr(self, name) / mag)
+        d = self.__dict__
+        d["scalar"], d["b12"], d["b13"], d["b23"] = (
+            sc / mag, b12 / mag, b13 / mag, b23 / mag)
 
     def as_multivector(self) -> Multivector:
         c = np.zeros(8)

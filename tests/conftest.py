@@ -4,9 +4,15 @@ The algebra oracle represents Cl(3,0) by 2x2 complex matrices (e_i mapped to
 the Pauli matrix sigma_i), so multiplication is plain matrix multiplication
 and never touches the package's generated table.  The integration oracle is a
 brute-force midpoint sum written with explicit loops over a modest grid.
+The overlap_calls fixture counts the package's O(n^2) cell-pair matrices.
 """
 
+import math
+
 import numpy as np
+import pytest
+
+from rotalign import fields
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
 _I2 = np.eye(2, dtype=complex)
@@ -77,3 +83,28 @@ def midpoint_moment(eval_a, eval_b, low, high, resolution):
                 y = low + (np.array([i, j, k]) + 0.5) * h
                 total += np.outer(eval_a(y), eval_b(y))
     return total * float(np.prod(h))
+
+
+def jittered_split(rng, split):
+    """Low and high corners, each (n, 3), of the cells of a split of
+    [-1, 1]^3 into split[0] x split[1] x split[2] cells at random edges."""
+    edges = [np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, n - 1)), [1.0]))
+             for n in split]
+    idx = np.stack(np.unravel_index(np.arange(math.prod(split)), split), axis=1)
+    low = np.stack([edges[a][idx[:, a]] for a in range(3)], axis=1)
+    high = np.stack([edges[a][idx[:, a] + 1] for a in range(3)], axis=1)
+    return low, high
+
+
+@pytest.fixture
+def overlap_calls(monkeypatch):
+    """Record the cell-pair count of each fields.overlap_volumes call."""
+    calls = []
+    original = fields.overlap_volumes
+
+    def counted(low_a, high_a, low_b, high_b):
+        calls.append(len(low_a) * len(low_b))
+        return original(low_a, high_a, low_b, high_b)
+
+    monkeypatch.setattr(fields, "overlap_volumes", counted)
+    return calls

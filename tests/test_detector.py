@@ -24,6 +24,8 @@ from rotalign.detector import (
     _MisfitModel, _certified_step, detect, residual_angle,
 )
 
+from conftest import jittered_split
+
 RNG = np.random.default_rng(909)
 
 
@@ -351,7 +353,7 @@ def field_values(field):
     if isinstance(field, LinearVectorField):
         return field.matrix
     if isinstance(field, PiecewiseConstantField):
-        return field.arrays()[2]
+        return field.values
     return field.data
 
 
@@ -403,6 +405,46 @@ def test_moment_loop_matches_field_loop_on_grids():
     plane = UnitBivector.from_normal(rng.standard_normal(3))
     pattern = sample(rotate_outer(lin, plane, 1.7), UNIT_BOX, (6, 6, 6))
     assert_same_detection(lin, pattern, 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the piecewise hot path, guarded by counts rather than timings
+
+def shared_cell_pair(rng):
+    """An 18-cell reference and its rotated copy, built like a registered
+    pair: the same cell corners, as distinct arrays."""
+    low, high = jittered_split(rng, (3, 3, 2))
+    values = rng.uniform(-1.0, 1.0, (18, 3))
+    plane = UnitBivector.from_normal(rng.standard_normal(3))
+    rotated = values @ rotation_matrix(plane, 2.0).T
+    return tuple(PiecewiseConstantField(tuple(
+        (Box(tuple(lo), tuple(hi)), v) for lo, hi, v in zip(low, high, vals)))
+        for vals in (values, rotated))
+
+
+def test_detect_on_shared_cells_builds_no_cell_pair_matrix(overlap_calls):
+    reference, pattern = shared_cell_pair(np.random.default_rng(33))
+    assert overlap_calls == [18 * 18, 18 * 18]  # one check per constructor
+    overlap_calls.clear()
+    report = detect(reference, pattern, DetectionConfig(epsilon=1e-6))
+    assert report.converged
+    # neither the three integrals nor the final rotate_outer's re-check
+    assert overlap_calls == []
+    corrected = report.corrected_pattern
+    assert corrected.low is pattern.low and corrected.high is pattern.high
+
+
+def test_piecewise_field_is_read_only():
+    field, _ = shared_cell_pair(np.random.default_rng(34))
+    assert len(field.cells) == 18
+    assert all(np.array_equal(v, field.values[i])
+               for i, (_, v) in enumerate(field.cells))
+    for a in (field.low, field.high, field.values):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    for name in ("low", "high", "values", "cells"):
+        with pytest.raises(AttributeError):
+            setattr(field, name, None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from rotalign.ga3 import E12, E13, E23, UnitBivector, rotation_matrix
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     cross_moment, decompose, evaluate, evaluate_many, from_dict, l2_norm,
-    load_field, normalize, plane_projection_matrix, rotate_outer, sample,
-    save_field, scale, support, to_dict,
+    load_field, normalize, overlap_volumes, plane_projection_matrix,
+    rotate_outer, sample, save_field, scale, support, to_dict,
 )
+
+from conftest import jittered_split, midpoint_moment
 
 RNG = np.random.default_rng(77)
 
@@ -32,6 +34,17 @@ def random_plane():
 
 def random_linear():
     return LinearVectorField(RNG.uniform(-1, 1, (3, 3)))
+
+
+def piecewise_on(low, high, values):
+    return PiecewiseConstantField(tuple(
+        (Box(tuple(lo), tuple(hi)), v) for lo, hi, v in zip(low, high, values)))
+
+
+def overlap_matrix_moment(a, b):
+    """cross_moment of two piecewise fields through the full cell-overlap
+    matrix, Va^T W Vb, whatever their cells."""
+    return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +175,64 @@ def test_cells_touching_at_a_face_edge_or_corner_are_disjoint():
     assert len(f.cells) == 5
 
 
+def test_piecewise_evaluation_matches_the_cell_loop():
+    rng = np.random.default_rng(6)
+    low, high = jittered_split(rng, (3, 3, 2))
+    f = piecewise_on(low, high, rng.uniform(-1, 1, (18, 3)))
+    # cell corners sit on faces shared by up to eight cells
+    pts = np.concatenate([rng.uniform(-1.2, 1.2, (300, 3)), low, high])
+    want = np.zeros_like(pts)
+    for box, value in f.cells:
+        want[box.contains_many(pts)] = value
+    assert np.array_equal(evaluate_many(f, pts), want)
+    assert np.array_equal([evaluate(f, p) for p in pts], want)
+
+
+# ---------------------------------------------------------------------------
+# the piecewise cross moment: one diagonal sum on shared cells
+
+def test_moment_on_shared_cells_equals_the_overlap_matrix_form(overlap_calls):
+    rng = np.random.default_rng(7)
+    for split in ((3, 3, 2), (1, 4, 5), (2, 2, 2)):
+        low, high = jittered_split(rng, split)
+        n = len(low)
+        a = piecewise_on(low, high, rng.uniform(-1, 1, (n, 3)))
+        # the same cells as distinct arrays, as registered field pairs have
+        b = piecewise_on(low.copy(), high.copy(), rng.uniform(-1, 1, (n, 3)))
+        rotated = rotate_outer(a, UnitBivector.from_normal(rng.standard_normal(3)),
+                               rng.uniform(0, math.pi))
+        pairs = ((a, b), (b, a), (a, a), (a, rotated), (rotated, b))
+        overlap_calls.clear()
+        got = [cross_moment(x, y) for x, y in pairs]
+        assert overlap_calls == []
+        for (x, y), k in zip(pairs, got):
+            assert np.array_equal(k, overlap_matrix_moment(x, y))
+
+
+def test_moment_on_different_cells_takes_the_overlap_matrix(overlap_calls):
+    rng = np.random.default_rng(9)
+    # every edge lies on the 8^3 midpoint grid, so the oracle is exact
+    a = PiecewiseConstantField((
+        (Box((-1, -1, -1), (0, 1, 1)), rng.uniform(-1, 1, 3)),
+        (Box((0, -1, -1), (1, 0.5, 1)), rng.uniform(-1, 1, 3)),
+    ))
+    partial = PiecewiseConstantField((
+        (Box((-0.5, -1, -1), (0.5, 1, 0)), rng.uniform(-1, 1, 3)),
+        (Box((0.5, 0.5, -1), (1, 1, 1)), rng.uniform(-1, 1, 3)),
+    ))
+    touching = PiecewiseConstantField((
+        (Box((0, 0.5, -1), (1, 1, 1)), rng.uniform(-1, 1, 3)),
+        (Box((-1, -1, -1), (0, 1, 1)), rng.uniform(-1, 1, 3)),
+    ))
+    for b in (partial, touching):
+        overlap_calls.clear()
+        k = cross_moment(a, b)
+        assert overlap_calls == [4]
+        want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
+                               (-1, -1, -1), (1, 1, 1), (8, 8, 8))
+        assert np.allclose(k, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -213,6 +284,19 @@ def test_self_moment_of_piecewise_field_against_midpoint_sum():
     # cells aligned with the grid make the sum exact
     want = midpoint_self_moment(f, UNIT_BOX, (4, 4, 4))
     assert np.allclose(s, want, rtol=0.0, atol=1e-12)
+
+
+def test_piecewise_norm_is_linear_in_the_cell_count(overlap_calls):
+    rng = np.random.default_rng(8)
+    low, high = jittered_split(rng, (10, 10, 10))
+    f = piecewise_on(low, high, rng.uniform(-1, 1, (1000, 3)))
+    assert overlap_calls == [1000 * 1000]  # the constructor's overlap check
+    overlap_calls.clear()
+    s, norm = cross_moment(f, f), l2_norm(f)
+    assert overlap_calls == []
+    want = overlap_matrix_moment(f, f)
+    assert np.array_equal(s, want)
+    assert norm == float(np.sqrt(np.trace(want)))
 
 
 def test_self_moment_of_sampled_field_against_midpoint_sum():
