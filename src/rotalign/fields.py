@@ -9,6 +9,7 @@ Three representations cover the use cases:
 Rotation acts on the *values* only (an outer rotation): the support is left
 alone and every sample v(x) becomes R v(x) reverse(R).  Box membership is
 half-open, low <= x < high, so adjacent cells never double-count a face.
+Fields compare and hash by identity; a Box compares by its corners.
 
 Every integral the package needs is a fold of one 3x3 cross moment
 K = integral of a(y) b(y)^T (cross_moment): the L2 norm is sqrt(tr K(v, v)),
@@ -27,7 +28,7 @@ from functools import cached_property, singledispatch
 
 import numpy as np
 
-from .ga3 import Multivector, UnitBivector, grade, rotation_matrix
+from .ga3 import UnitBivector, rotation_matrix
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ class Box:
             np.all(pts < self.high_array, axis=1)
 
     def intersect(self, other: "Box") -> "Box | None":
+        if other == self:
+            return self  # the same corners, and the moment cached on them
         lo = np.maximum(self.low_array, other.low_array)
         hi = np.minimum(self.high_array, other.high_array)
         if np.any(hi <= lo):
@@ -76,17 +79,22 @@ class Box:
         return Box(tuple(lo), tuple(hi))
 
     def second_moment_matrix(self) -> np.ndarray:
-        """Matrix X with X[i, j] = integral of x_i x_j over the box.
+        """Read-only matrix X with X[i, j] = integral of x_i x_j over the box,
+        computed on first use and kept (equality and hash read only the
+        corners)."""
+        return self._second_moment
 
-        The axes integrate independently: off the diagonal X is the volume
-        times the product of centre coordinates, and on it the volume times
-        the mean of x_i^2 over [lo, hi), (lo^2 + lo hi + hi^2) / 3.
-        """
+    @cached_property
+    def _second_moment(self) -> np.ndarray:
+        # The axes integrate independently: off the diagonal X is the volume
+        # times the product of centre coordinates, and on it the volume times
+        # the mean of x_i^2 over [lo, hi), (lo^2 + lo hi + hi^2) / 3.
         lo, hi = self.low_array, self.high_array
         vol = self.volume()
         centre = (lo + hi) / 2.0
         x = vol * np.outer(centre, centre)
         np.fill_diagonal(x, vol * (lo * lo + lo * hi + hi * hi) / 3.0)
+        x.flags.writeable = False
         return x
 
 
@@ -106,7 +114,7 @@ def overlap_volumes(low_a: np.ndarray, high_a: np.ndarray,
 UNIT_BOX = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearVectorField:
     """v(x) = matrix @ x inside the box, zero outside."""
 
@@ -122,7 +130,7 @@ class LinearVectorField:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PiecewiseConstantField:
     """Constant 3-vector per box; the boxes must have disjoint interiors.
 
@@ -171,7 +179,7 @@ class PiecewiseConstantField:
                      zip(self.low.tolist(), self.high.tolist(), self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """Samples at the cell centers of a regular grid over a box.
 
@@ -226,18 +234,10 @@ class PlaneDecomposition:
 
 
 def plane_projection_matrix(plane: UnitBivector) -> np.ndarray:
-    """Matrix projecting a vector onto the plane.
-
-    Built from the contraction identity: the in-plane part of v is
-    <<v P>_1 (-P)>_1 (the unit bivector inverts to -P).
-    """
-    pm = plane.as_multivector()
-    cols = []
-    for e in np.eye(3):
-        v = Multivector.from_vector(e)
-        contracted = grade(v * pm, 1)
-        cols.append(grade(contracted * (-pm), 1).vector)
-    return np.column_stack(cols)
+    """Matrix projecting a vector onto the plane, I - n n^T for the plane's
+    unit normal n."""
+    n = plane.normal()
+    return np.eye(3) - np.outer(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,6 @@ class Multivector:
     def bivector(self) -> np.ndarray:
         return self.coeffs[4:7].copy()
 
-    @property
-    def trivector(self) -> float:
-        return float(self.coeffs[7])
-
     def grade(self, k: int) -> "Multivector":
         """Project onto grade k (0 <= k <= 3)."""
         if not 0 <= k <= 3:

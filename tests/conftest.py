@@ -4,7 +4,8 @@ The algebra oracle represents Cl(3,0) by 2x2 complex matrices (e_i mapped to
 the Pauli matrix sigma_i), so multiplication is plain matrix multiplication
 and never touches the package's generated table.  The integration oracle is a
 brute-force midpoint sum written with explicit loops over a modest grid.
-The overlap_calls fixture counts the package's O(n^2) cell-pair matrices.
+The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
+and box_constructions the Box objects the package builds.
 """
 
 import math
@@ -85,6 +86,13 @@ def midpoint_moment(eval_a, eval_b, low, high, resolution):
     return total * float(np.prod(h))
 
 
+def midpoint_linear_shortfall(a, b, volume, h):
+    """What the midpoint rule misses on a linear pair over grid-aligned
+    cells: only x_i^2 is not linear per cell, and it falls short by the
+    variance h_i^2 / 12 of x_i over a cell."""
+    return a.matrix @ np.diag(volume * np.asarray(h) ** 2 / 12.0) @ b.matrix.T
+
+
 def jittered_split(rng, split):
     """Low and high corners, each (n, 3), of the cells of a split of
     [-1, 1]^3 into split[0] x split[1] x split[2] cells at random edges."""
@@ -108,3 +116,17 @@ def overlap_calls(monkeypatch):
 
     monkeypatch.setattr(fields, "overlap_volumes", counted)
     return calls
+
+
+@pytest.fixture
+def box_constructions(monkeypatch):
+    """Record the corners of each fields.Box built while installed."""
+    built = []
+    original = fields.Box.__post_init__
+
+    def counted(box):
+        original(box)
+        built.append((box.low, box.high))
+
+    monkeypatch.setattr(fields.Box, "__post_init__", counted)
+    return built

@@ -18,7 +18,7 @@ from rotalign.correlation import (
     correlate_at_origin, normalized_correlation, quadrature_correlate,
 )
 
-from conftest import midpoint_correlate, midpoint_moment
+from conftest import midpoint_correlate, midpoint_linear_shortfall, midpoint_moment
 
 RNG = np.random.default_rng(4242)
 
@@ -276,13 +276,6 @@ def test_cross_moment_matches_midpoint_oracle(kind_a, kind_b):
     if kind_a == kind_b == "linear":
         want += midpoint_linear_shortfall(a, b, 8.0, (0.5, 0.5, 0.5))
     assert np.allclose(cross_moment(a, b), want, rtol=0.0, atol=1e-12)
-
-
-def midpoint_linear_shortfall(a, b, volume, h):
-    """What the midpoint rule misses on a linear pair over grid-aligned
-    cells: only x_i^2 is not linear per cell, and it falls short by the
-    variance h_i^2 / 12 of x_i over a cell."""
-    return a.matrix @ np.diag(volume * np.asarray(h) ** 2 / 12.0) @ b.matrix.T
 
 
 def test_cross_moment_of_partly_overlapping_linear_boxes():

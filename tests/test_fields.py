@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from rotalign.ga3 import E12, E13, E23, UnitBivector, rotation_matrix
+from rotalign.ga3 import (
+    E12, E13, E23, Multivector, UnitBivector, grade, rotation_matrix,
+)
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     cross_moment, decompose, evaluate, evaluate_many, from_dict, l2_norm,
@@ -14,7 +16,10 @@ from rotalign.fields import (
     rotate_outer, sample, save_field, scale, support, to_dict,
 )
 
-from conftest import jittered_split, midpoint_moment
+from rotalign.detector import DetectionConfig, detect
+from rotalign.experiments import draw_trial, run_trial
+
+from conftest import jittered_split, midpoint_linear_shortfall, midpoint_moment
 
 RNG = np.random.default_rng(77)
 
@@ -88,6 +93,28 @@ def test_box_moments():
     # diag entries: int x^2 * area of the other two axes
     assert math.isclose(b.second_moment_matrix()[0, 0], (1 / 3) * 6, abs_tol=1e-12)
     assert math.isclose(b.second_moment_matrix()[0, 1], 0.5 * 2.0 * 3.0, abs_tol=1e-12)
+
+
+def test_box_moment_is_cached_read_only_and_closed_form():
+    b = Box((-0.3, 0.1, -2.0), (1.7, 0.9, 0.5))
+    x = b.second_moment_matrix()
+    assert x is b.second_moment_matrix()
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0, 0] = 0.0
+    lo, hi = np.array(b.low), np.array(b.high)
+    first = (hi ** 2 - lo ** 2) / 2.0  # integral of x_i along axis i
+    second = (hi ** 3 - lo ** 3) / 3.0  # integral of x_i^2 along axis i
+    want = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            rest = math.prod(hi[k] - lo[k] for k in range(3) if k not in (i, j))
+            want[i, j] = (second[i] if i == j else first[i] * first[j]) * rest
+    assert np.allclose(x, want, rtol=1e-13, atol=0.0)
+    # the cached moment leaves value equality and the hash alone
+    twin = Box(b.low, b.high)
+    assert twin == b and hash(twin) == hash(b) and twin in {b}
+    assert b != Box(b.low, (1.7, 0.9, 0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +261,63 @@ def test_moment_on_different_cells_takes_the_overlap_matrix(overlap_calls):
 
 
 # ---------------------------------------------------------------------------
+# the linear cross moment: equal boxes integrate on their cached moment
+
+def intersect_path_moment(a, b):
+    """A X B^T with X the moment of a fresh Box on the overlap's corners,
+    as Box.intersect builds it for boxes that differ."""
+    low = np.maximum(a.box.low_array, b.box.low_array)
+    high = np.minimum(a.box.high_array, b.box.high_array)
+    return a.matrix @ Box(tuple(low), tuple(high)).second_moment_matrix() @ b.matrix.T
+
+
+def test_linear_moment_on_equal_boxes_equals_the_intersect_path(box_constructions):
+    box = Box((-0.3, 0.1, -2.0), (1.7, 0.9, 0.5))
+    a = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), box)
+    # an equal box as a distinct object, and a rotated copy sharing a's box
+    twin = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), Box(box.low, box.high))
+    rotated = rotate_outer(a, random_plane(), 2.1)
+    pairs = ((a, a), (a, twin), (twin, a), (a, rotated), (rotated, twin))
+    box_constructions.clear()
+    got = [cross_moment(x, y) for x, y in pairs]
+    assert box_constructions == []
+    for (x, y), k in zip(pairs, got):
+        assert np.array_equal(k, intersect_path_moment(x, y))
+
+
+def test_linear_moment_on_partly_overlapping_boxes_after_caching():
+    a = LinearVectorField(RNG.uniform(-1, 1, (3, 3)))
+    b = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+                          Box((-0.5, -1.0, 0.0), (1.5, 0.5, 1.0)))
+    inner = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+                              Box((-0.5, -0.5, 0.0), (0.5, 1.0, 0.5)))
+    for f in (a, b, inner):
+        cross_moment(f, f)  # every box has cached its own moment
+    # each overlap lies on the lines of a midpoint grid of spacing 1/4
+    cases = ((b, (1.5, 1.0, 1.0), (10, 8, 8), 2.25),
+             (inner, (1.0, 1.0, 1.0), (8, 8, 8), 0.75))
+    for other, high, resolution, volume in cases:
+        want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(other, y),
+                               (-1.0, -1.0, -1.0), high, resolution)
+        want += midpoint_linear_shortfall(a, other, volume, (0.25, 0.25, 0.25))
+        assert np.allclose(cross_moment(a, other), want, rtol=0.0, atol=1e-12)
+        assert np.allclose(cross_moment(other, a), want.T, rtol=0.0, atol=1e-12)
+
+
+def test_linear_detection_on_one_box_builds_no_box(box_constructions):
+    box = Box((-0.3, 0.1, -2.0), (1.7, 0.9, 0.5))
+    reference = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), box)
+    pattern = rotate_outer(reference, random_plane(), 1.3)
+    specs = [draw_trial(0, i, eps) for i, eps in enumerate((0.1, 0.01, 0.001, 1e-6))]
+    box_constructions.clear()
+    report = detect(reference, pattern, DetectionConfig(epsilon=1e-6))
+    for spec in specs:
+        run_trial(spec)
+    assert report.converged
+    assert box_constructions == []
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 def test_two_halves_norm():
@@ -359,15 +443,39 @@ def test_rotate_linear_is_matrix_product():
                        rotation_matrix(p, angle) @ f.matrix, atol=1e-14)
 
 
+def test_fields_compare_and_hash_by_identity():
+    pairs = (
+        (LinearVectorField(np.eye(3)), LinearVectorField(np.eye(3))),
+        (two_halves_field(), two_halves_field()),
+        (SampledField(UNIT_BOX, (1, 1, 2), np.ones((2, 3))),
+         SampledField(UNIT_BOX, (1, 1, 2), np.ones((2, 3)))),
+    )
+    for f, g in pairs:
+        assert f == f and not f != f
+        assert f != g and not f == g
+        assert hash(f) == hash(f)
+        assert len({f, g, f}) == 2
+
+
 # ---------------------------------------------------------------------------
 # plane decomposition
+
+def contraction_projection(plane):
+    """Columns: the in-plane part of each basis vector v by the contraction
+    identity <<v P>_1 (-P)>_1 (the unit bivector P inverts to -P)."""
+    pm = plane.as_multivector()
+    cols = []
+    for e in np.eye(3):
+        contracted = grade(Multivector.from_vector(e) * pm, 1)
+        cols.append(grade(contracted * (-pm), 1).vector)
+    return np.column_stack(cols)
+
 
 def test_projection_matrix_matches_normal_form():
     for _ in range(50):
         p = random_plane()
-        n = p.normal()
-        assert np.allclose(plane_projection_matrix(p),
-                           np.eye(3) - np.outer(n, n), atol=1e-12)
+        assert np.allclose(plane_projection_matrix(p), contraction_projection(p),
+                           atol=1e-12)
 
 
 def test_decompose_examples():
