@@ -45,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ga3 import (
     E12, Rotor, UnitBivector, argument, rotation_matrix, rotation_rotor,
     rotor_product, rotor_rotation,
@@ -106,36 +104,69 @@ class DetectionReport:
 
 
 class _MisfitModel:
-    """First-order misfit of a rotated copy of the reference.
+    """First-order misfit of a rotated copy of the reference, in closed form.
 
     For u = R v with R the rotation by the small vector omega, the bivector
     of correlate_at_origin(u, v) is dual to a = (tr S I - S) omega, and
-    |u - v|^2 / |v|^2 = omega^T (tr S I - S) omega / tr S, with S the
-    reference's self-moment.  tr S I - S is the inertia tensor of the
-    reference's values; it is singular only when S has rank <= 1, and a
-    pseudo-inverse then drops the rotation about the only value direction,
-    which moves no value and so costs no misfit.
+    |u - v|^2 / |v|^2 = omega^T J omega with J = I - S / tr S, S the
+    reference's self-moment.  J is scale-free: its eigenvalues lie in [0, 1],
+    so no finite energy overflows, and scaling both fields by a power of two
+    changes no bit of omega.  omega = J^+ a / tr S, with J^+ the inverse of
+    J by cofactors when J's smallest eigenvalue, read as det J over the sum
+    of its principal 2x2 minors, exceeds 1e-12 (rounding leaves an invisible
+    axis at about 1e-16, either sign).  Otherwise S has rank <= 1 and J^+ is
+    I - u u^T, with u the unit direction of S's largest column: it drops the
+    rotation about the only value direction, which moves no value and so
+    costs no misfit.  All of it is 3x3 algebra on Python floats; S is read
+    from its lower triangle.
     """
 
     def __init__(self, reference: VectorField):
-        moment = cross_moment(reference, reference)
-        self.energy = float(np.trace(moment))
-        if not math.isfinite(self.energy):
+        (s00, _, _), (s10, s11, _), (s20, s21, s22) = (
+            cross_moment(reference, reference).tolist())
+        energy = s00 + s11 + s22
+        if not math.isfinite(energy):
             raise ValueError("reference field energy is not finite")
-        self.inertia = self.energy * np.eye(3) - moment
-        w, vecs = np.linalg.eigh(self.inertia)
-        # rounding leaves an invisible axis at about 1e-16 tr S, either sign
-        keep = w > 1e-12 * self.energy
-        self.inertia_pinv = (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
+        if math.sqrt(energy) < 1e-300:
+            raise ValueError("cannot detect rotation against a zero field")
+        self.energy = energy
+        j00, j01, j02 = 1.0 - s00 / energy, -s10 / energy, -s20 / energy
+        j11, j12, j22 = 1.0 - s11 / energy, -s21 / energy, 1.0 - s22 / energy
+        self.j = (j00, j01, j02, j11, j12, j22)
+        c00, c01, c02 = (j11 * j22 - j12 * j12, j02 * j12 - j01 * j22,
+                         j01 * j12 - j02 * j11)
+        c11, c12, c22 = (j00 * j22 - j02 * j02, j01 * j02 - j00 * j12,
+                         j00 * j11 - j01 * j01)
+        det = j00 * c00 + j01 * c01 + j02 * c02
+        if det > 1e-12 * (c00 + c11 + c22):
+            self.pinv = (c00 / det, c01 / det, c02 / det,
+                         c11 / det, c12 / det, c22 / det)
+        else:
+            columns = ((s00, s10, s20), (s10, s11, s21), (s20, s21, s22))
+            x, y, z = max(columns, key=lambda c: math.hypot(*c))
+            size = math.hypot(x, y, z)
+            x, y, z = x / size, y / size, z / size
+            self.pinv = (1.0 - x * x, -x * y, -x * z,
+                         1.0 - y * y, -y * z, 1.0 - z * z)
 
-    def rotation(self, biv: tuple[float, float, float]) -> np.ndarray:
+    def rotation(self, biv) -> tuple[float, float, float]:
         """Residual rotation vector omega read off a correlation bivector."""
-        return self.inertia_pinv @ np.array([-biv[2], biv[1], -biv[0]])
+        b12, b13, b23 = biv
+        e = self.energy
+        x, y, z = -b23 / e, b13 / e, -b12 / e
+        p00, p01, p02, p11, p12, p22 = self.pinv
+        return (p00 * x + p01 * y + p02 * z,
+                p01 * x + p11 * y + p12 * z,
+                p02 * x + p12 * y + p22 * z)
 
-    def misfit(self, omega: np.ndarray) -> float:
+    def misfit(self, omega) -> float:
         """Relative L2 misfit left by the residual rotation omega."""
-        return math.sqrt(max(float(omega @ self.inertia @ omega), 0.0)
-                         / self.energy)
+        x, y, z = omega
+        j00, j01, j02, j11, j12, j22 = self.j
+        quad = (x * (j00 * x + j01 * y + j02 * z)
+                + y * (j01 * x + j11 * y + j12 * z)
+                + z * (j02 * x + j12 * y + j22 * z))
+        return math.sqrt(max(quad, 0.0))
 
 
 def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
@@ -149,16 +180,19 @@ def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
     the Gauss-Newton correction about -omega, shortened to
     (1 - epsilon / misfit) |omega| so that the predicted misfit lands at
     epsilon: the full correction over-solves at loose tolerances, and the
-    paper's steps alone can need more than max_iterations passes.
+    paper's steps alone can need more than max_iterations passes.  omega,
+    the misfits and the plane dual to -omega are Python float arithmetic.
     """
-    omega = model.rotation(biv)
-    if model.misfit(omega + phi * q.normal()) <= epsilon:
+    x, y, z = model.rotation(biv)
+    if model.misfit((x + phi * q.b23, y - phi * q.b13,
+                     z + phi * q.b12)) <= epsilon:
         return phi, q, True
-    before = model.misfit(omega)
+    before = model.misfit((x, y, z))
     if before <= epsilon:
         return 0.0, q, True
-    angle = (1.0 - epsilon / before) * float(np.linalg.norm(omega))
-    return angle, UnitBivector.from_normal(-omega), False
+    size = math.hypot(x, y, z)
+    plane = UnitBivector(-z / size, y / size, -x / size)
+    return (1.0 - epsilon / before) * size, plane, False
 
 
 def detect(reference: VectorField, pattern: VectorField,
@@ -174,7 +208,7 @@ def detect(reference: VectorField, pattern: VectorField,
     energy = correlate_at_origin(pattern, pattern).scalar
     if not math.isfinite(energy):
         raise ValueError("pattern field energy is not finite")
-    if math.sqrt(model.energy) < 1e-300 or math.sqrt(energy) < 1e-300:
+    if math.sqrt(energy) < 1e-300:
         raise ValueError("cannot detect rotation against a zero field")
 
     k = cross_moment(pattern, reference)

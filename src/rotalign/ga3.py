@@ -28,7 +28,7 @@ GRADES = np.array([len(b) for b in _BLADES])
 _REVERSE_SIGNS = np.where((GRADES * (GRADES - 1) // 2) % 2 == 0, 1.0, -1.0)
 
 # Relative tolerance below which a bivector part counts as zero in argument()
-# (measured against max(1, |scalar part|)).
+# (measured against |scalar part|, so the rule is scale-invariant).
 ZERO_BIVECTOR_RTOL = 1e-12
 
 
@@ -380,13 +380,15 @@ def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
 
     biv is (b12, b13, b23).  The angle atan2(|biv|, sc) lies in [0, pi] and
     the plane is the normalized bivector.  A bivector at or below
-    ZERO_BIVECTOR_RTOL * max(1, |sc|) names no plane: the angle is then 0
-    for a nonnegative sc and pi otherwise, the plane e12, and the flag that
-    reports a real value is True.
+    ZERO_BIVECTOR_RTOL * |sc| names no plane: the angle is then 0 for a
+    nonnegative sc and pi otherwise, the plane e12, and the flag that
+    reports a real value is True.  The rule and |biv| (math.hypot, which
+    neither overflows nor underflows) are scale-invariant, so scaling sc and
+    biv by a power of two changes no bit of the result.
     """
     b12, b13, b23 = biv
-    bmag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
-    if bmag <= ZERO_BIVECTOR_RTOL * max(1.0, abs(sc)):
+    bmag = math.hypot(b12, b13, b23)
+    if bmag <= ZERO_BIVECTOR_RTOL * abs(sc):
         return (0.0 if sc >= 0.0 else math.pi), E12, True
     plane = UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag)
     return math.atan2(bmag, sc), plane, False
@@ -399,12 +401,6 @@ class PolarForm:
     angle: float
     plane: UnitBivector
     magnitude: float
-
-    def reconstruct(self) -> Multivector:
-        c = np.zeros(8)
-        c[0] = self.magnitude * math.cos(self.angle)
-        c[4:7] = self.magnitude * math.sin(self.angle) * self.plane.components
-        return Multivector(c)
 
 
 def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:

@@ -8,7 +8,10 @@ import pytest
 
 from rotalign import cli
 from rotalign.cli import main
-from rotalign.fields import LinearVectorField, PiecewiseConstantField, Box, save_field
+from rotalign.fields import (
+    Box, LinearVectorField, PiecewiseConstantField, rotate_outer, save_field,
+)
+from rotalign.ga3 import UnitBivector
 
 import rotalign.correlation
 
@@ -73,6 +76,26 @@ def test_detect_writes_output_file(halves_pair, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(out_file.read_text())
     assert math.isclose(doc["alpha"], math.pi / 2, abs_tol=1e-5)
+
+
+def test_detect_on_a_huge_linear_pair(tmp_path, capsys):
+    # values near 2^260 square to about 1e156, so the energies stay finite;
+    # the polar read and the certificate must not overflow on the way
+    matrix = 2.0 ** 260 * np.array([[0.3, -0.8, 0.5],
+                                    [0.9, 0.1, -0.4],
+                                    [-0.2, 0.6, 0.7]])
+    reference = LinearVectorField(matrix)
+    plane = UnitBivector.from_components(1.0, 2.0, -2.0)
+    ref, pat = tmp_path / "ref.json", tmp_path / "pat.json"
+    save_field(reference, ref)
+    save_field(rotate_outer(reference, plane, 1.2), pat)
+    code = main(["detect", "--reference", str(ref), "--pattern", str(pat),
+                 "--epsilon", "1e-6", "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is True
+    assert math.isclose(doc["alpha"], 1.2, abs_tol=1e-5)
+    assert np.allclose(doc["plane_bivector"], plane.components, atol=1e-5)
 
 
 def test_detect_non_convergence_exit_code(halves_pair, capsys):

@@ -14,7 +14,7 @@ from rotalign.ga3 import (
     rotor_rotation,
 )
 from rotalign.correlation import correlate_at_origin, moment_parts
-from rotalign.experiments import draw_trial
+from rotalign.experiments import draw_trial, run_trials
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     cross_moment, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
@@ -249,6 +249,119 @@ def test_certified_exit_on_a_rank_one_field():
     report = detect(v, pattern, DetectionConfig(epsilon=eps))
     assert report.converged
     assert relative_misfit(report.corrected_pattern, v) <= 1.01 * eps
+
+
+# ---------------------------------------------------------------------------
+# the closed-form certificate, its scale rule and its LAPACK-free path
+
+def eigh_model(reference):
+    """The certificate's former formula, kept as the reference for the closed
+    form: a LAPACK eigh pseudo-inverse of tr S I - S that keeps eigenvalues
+    above 1e-12 tr S.  Returns the (rotation, misfit) pair of _MisfitModel."""
+    moment = cross_moment(reference, reference)
+    energy = float(np.trace(moment))
+    inertia = energy * np.eye(3) - moment
+    w, vecs = np.linalg.eigh(inertia)
+    keep = w > 1e-12 * energy
+    pinv = (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
+
+    def rotation(biv):
+        return pinv @ np.array([-biv[2], biv[1], -biv[0]])
+
+    def misfit(omega):
+        return math.sqrt(max(float(omega @ inertia @ omega), 0.0) / energy)
+
+    return rotation, misfit
+
+
+def axis_cells(*cells):
+    """Piecewise field of unit-section cells laid along e1: (length, value)
+    pairs, so that every entry of S is exact."""
+    boxes, start = [], 0.0
+    for length, value in cells:
+        boxes.append((Box((start, 0.0, 0.0), (start + length, 1.0, 1.0)), value))
+        start += length
+    return PiecewiseConstantField(tuple(boxes))
+
+
+def certificate_fields():
+    rng = np.random.default_rng(41)
+    planar = rng.uniform(-1.0, 1.0, (3, 3))
+    planar[2, :] = 0.0
+    turn = rotation_matrix(UnitBivector.from_components(1.0, -2.0, 0.5), 0.8)
+    return {
+        "full rank": LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3))),
+        "nearly rank one": field_with_singular_values(1.9, 0.3, 0.2),
+        "rank two": LinearVectorField(turn @ planar),
+        "rank one": LinearVectorField(np.outer(rng.uniform(-1.0, 1.0, 3),
+                                               rng.uniform(-1.0, 1.0, 3))),
+        # tr S = 1 and S diagonal, so J is exact; its smallest eigenvalue is
+        # 2^-43 = 1.1e-13 (dropped) and 3 * 2^-38 = 1.1e-11 (kept)
+        "J at 1e-13": axis_cells((1.0 - 2.0 ** -43, (0.0, -1.0, 0.0)),
+                                 (1.0, (2.0 ** -22, 0.0, 0.0)),
+                                 (1.0, (0.0, 0.0, 2.0 ** -22))),
+        "J at 1e-11": axis_cells((1.0 - 3 * 2.0 ** -38, (0.0, 0.0, 1.0)),
+                                 (2.0, (-2.0 ** -19, 0.0, 0.0)),
+                                 (1.0, (0.0, 2.0 ** -19, 0.0))),
+    }
+
+
+@pytest.mark.parametrize("name", list(certificate_fields()))
+def test_closed_form_certificate_matches_the_eigh_pseudo_inverse(name):
+    field = certificate_fields()[name]
+    model = _MisfitModel(field)
+    rotation, misfit = eigh_model(field)
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        biv = rng.standard_normal(3) * model.energy
+        want = rotation(biv)
+        got = np.array(model.rotation(tuple(biv)))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        omega = rng.standard_normal(3)
+        assert math.isclose(model.misfit(tuple(omega)), misfit(omega),
+                            rel_tol=1e-12, abs_tol=0.0)
+
+
+def scaled_detections(k):
+    config = DetectionConfig(epsilon=1e-3)
+    reports = []
+    for index in range(50):
+        spec = draw_trial(0, index, 1e-3)
+        pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+        report = detect(scale(spec.field, 2.0 ** k), scale(pattern, 2.0 ** k),
+                        config)
+        reports.append((report.iterations, report.converged,
+                        report.phi_trace, report.alpha, report.plane))
+    return reports
+
+
+@pytest.mark.parametrize("k", [-300, -40, -18, 250, 300])
+def test_detection_is_equivariant_under_power_of_two_scaling(k):
+    # a power of two scales every integral exactly, and the detector reads
+    # only scale-free quantities, so nothing may change by a single bit
+    assert scaled_detections(k) == scaled_detections(0)
+
+
+LAPACK = ("eigh", "eigvalsh", "svd", "solve", "inv", "pinv", "lstsq")
+
+
+def test_no_detection_calls_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(43)
+    linear = LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)))
+    rank_one = LinearVectorField(np.outer([0.0, 0.0, 1.0], [0.5, -1.0, 1.5]))
+    piecewise, _ = shared_cell_pair(rng)
+    grid = SampledField(UNIT_BOX, (5, 4, 3), rng.uniform(-1.0, 1.0, (60, 3)))
+    plane = UnitBivector.from_normal(rng.standard_normal(3))
+    for field in (linear, rank_one, piecewise, grid):
+        report = detect(field, rotate_outer(field, plane, 1.3),
+                        DetectionConfig(epsilon=1e-6))
+        assert report.converged
+    assert run_trials(20, 1e-3, 0).n_nonconverged == 0
 
 
 # ---------------------------------------------------------------------------

