@@ -33,11 +33,12 @@ def _even_mv(scalar: float, biv: tuple[float, float, float]) -> Multivector:
     return Multivector(c)
 
 
-def moment_parts(k: np.ndarray) -> tuple[float, tuple[float, float, float]]:
-    """Fold K[i, j] = integral of A_i B_j into the correlation's scalar part
-    and its bivector part (b12, b13, b23), read as plain floats: tr K summed
-    in the order np.trace uses, and the antisymmetric part of K."""
-    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = k.tolist()
+def moment_parts(k) -> tuple[float, tuple[float, float, float]]:
+    """Fold K[i, j] = integral of A_i B_j, given as nine floats in row-major
+    order (cross_moment(a, b).ravel().tolist()), into the correlation's
+    scalar part and its bivector part (b12, b13, b23): tr K summed in the
+    order np.trace uses, and the antisymmetric part of K."""
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
     return k00 + k11 + k22, (k01 - k10, k02 - k20, k12 - k21)
 
 
@@ -47,7 +48,7 @@ def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
     The first argument is the one that gets reversed; vectors are their own
     reverse, so swapping the arguments flips the sign of the bivector part.
     """
-    return _even_mv(*moment_parts(cross_moment(a, b)))
+    return _even_mv(*moment_parts(cross_moment(a, b).ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,4 +110,4 @@ def quadrature_correlate(a: VectorField, b: VectorField,
     for i in range(n):
         slab[:, 0] = lo[0] + (i + 0.5) * h[0]
         total += evaluate_many(a, slab).T @ evaluate_many(b, slab)
-    return _even_mv(*moment_parts(cell_vol * total))
+    return _even_mv(*moment_parts((cell_vol * total).ravel().tolist()))

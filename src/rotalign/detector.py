@@ -12,8 +12,10 @@ monotonically.
 The passes run on the 3x3 cross moment K = integral of u v^T, integrated
 once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
-pattern by R turns K into R K.  The steps accumulate into one rotor, and the
-pattern itself is rotated once, after the loop.
+pattern by R turns K into R K.  detect_moments is that loop, a pure function
+of K and the reference's self-moment S held as nine Python floats each; the
+steps accumulate into one rotor, and detect rotates the pattern once, after
+the loop.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -46,8 +48,8 @@ import math
 from dataclasses import dataclass
 
 from .ga3 import (
-    E12, Rotor, UnitBivector, argument, rotation_matrix, rotation_rotor,
-    rotor_product, rotor_rotation,
+    E12, Rotor, UnitBivector, argument, matrix_product, rotation_entries,
+    rotation_rotor, rotor_product, rotor_rotation,
 )
 from .fields import VectorField, cross_moment, rotate_outer
 from .correlation import correlate_at_origin, moment_parts
@@ -103,6 +105,22 @@ class DetectionReport:
     converged: bool
 
 
+@dataclass(frozen=True)
+class MomentDetection:
+    """Outcome of detect_moments: the loop's part of a DetectionReport.
+
+    net is the product of the corrections as (scalar, b12, b13, b23), the
+    rotor that undoes the generating rotation; phi_trace, corrections,
+    iterations and converged are as in DetectionReport.
+    """
+
+    net: tuple[float, float, float, float]
+    phi_trace: tuple[float, ...]
+    corrections: tuple[Rotor, ...]
+    iterations: int
+    converged: bool
+
+
 class _MisfitModel:
     """First-order misfit of a rotated copy of the reference, in closed form.
 
@@ -117,13 +135,12 @@ class _MisfitModel:
     axis at about 1e-16, either sign).  Otherwise S has rank <= 1 and J^+ is
     I - u u^T, with u the unit direction of S's largest column: it drops the
     rotation about the only value direction, which moves no value and so
-    costs no misfit.  All of it is 3x3 algebra on Python floats; S is read
-    from its lower triangle.
+    costs no misfit.  All of it is 3x3 algebra on Python floats; S is given
+    as nine floats, row-major, and read from its lower triangle.
     """
 
-    def __init__(self, reference: VectorField):
-        (s00, _, _), (s10, s11, _), (s20, s21, s22) = (
-            cross_moment(reference, reference).tolist())
+    def __init__(self, s):
+        s00, _, _, s10, s11, _, s20, s21, s22 = s
         energy = s00 + s11 + s22
         if not math.isfinite(energy):
             raise ValueError("reference field energy is not finite")
@@ -195,23 +212,18 @@ def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
     return (1.0 - epsilon / before) * size, plane, False
 
 
-def detect(reference: VectorField, pattern: VectorField,
-           config: DetectionConfig) -> DetectionReport:
-    """Estimate the outer rotation mapping reference onto pattern.
+def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
+    """The detection loop on the cross moment K = integral of u v^T and the
+    reference's self-moment S = integral of v v^T.
 
-    Runs are deterministic: identical inputs produce bit-identical reports.
-    Raises ValueError if either field has zero norm or either field's
-    energy is not finite.
+    k and s are 3x3 matrices given as nine floats in row-major order.  Every
+    pass is float arithmetic: the fold of K (moment_parts), the polar read
+    (argument), the certified step, K <- R K with R from rotation_entries,
+    and the step's rotor multiplied into the net rotor.  Raises ValueError
+    if tr S is zero or not finite.
     """
-    model = _MisfitModel(reference)
-    # the scalar part of a field's self-correlation is its energy
-    energy = correlate_at_origin(pattern, pattern).scalar
-    if not math.isfinite(energy):
-        raise ValueError("pattern field energy is not finite")
-    if math.sqrt(energy) < 1e-300:
-        raise ValueError("cannot detect rotation against a zero field")
-
-    k = cross_moment(pattern, reference)
+    model = _MisfitModel(s)
+    epsilon = config.epsilon
     net = (1.0, 0.0, 0.0, 0.0)
     iterations = 0
     converged = False
@@ -224,24 +236,46 @@ def detect(reference: VectorField, pattern: VectorField,
         phi, q, real_valued = argument(sc, biv)
         if iterations == 1 and real_valued:
             phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
-        if phi <= config.epsilon:
-            phi, q, converged = _certified_step(model, biv, phi, q,
-                                                config.epsilon)
+        if phi <= epsilon:
+            phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
         step = rotation_rotor(q, phi)
-        k = rotation_matrix(q, phi) @ k
+        k = matrix_product(rotation_entries(q, phi), k)
         net = rotor_product(step.components, net)
         trace.append(phi)
         corrections.append(step)
 
-    alpha, undo = rotor_rotation(net)
+    return MomentDetection(net, tuple(trace), tuple(corrections), iterations,
+                           converged)
+
+
+def detect(reference: VectorField, pattern: VectorField,
+           config: DetectionConfig) -> DetectionReport:
+    """Estimate the outer rotation mapping reference onto pattern.
+
+    Integrates S and K once each, runs detect_moments on them and rotates
+    the pattern once by the net correction.  Runs are deterministic:
+    identical inputs produce bit-identical reports.  Raises ValueError if
+    either field has zero norm or either field's energy is not finite.
+    """
+    s = cross_moment(reference, reference).ravel().tolist()
+    # the scalar part of a field's self-correlation is its energy
+    energy = correlate_at_origin(pattern, pattern).scalar
+    if not math.isfinite(energy):
+        raise ValueError("pattern field energy is not finite")
+    if math.sqrt(energy) < 1e-300:
+        raise ValueError("cannot detect rotation against a zero field")
+    k = cross_moment(pattern, reference).ravel().tolist()
+
+    loop = detect_moments(k, s, config)
+    alpha, undo = rotor_rotation(loop.net)
     return DetectionReport(
         alpha=alpha,
         plane=-undo,
         corrected_pattern=rotate_outer(pattern, undo, alpha),
-        iterations=iterations,
-        phi_trace=tuple(trace),
-        corrections=tuple(corrections),
-        converged=converged,
+        iterations=loop.iterations,
+        phi_trace=loop.phi_trace,
+        corrections=loop.corrections,
+        converged=loop.converged,
     )
 
 

@@ -9,7 +9,8 @@ Three representations cover the use cases:
 Rotation acts on the *values* only (an outer rotation): the support is left
 alone and every sample v(x) becomes R v(x) reverse(R).  Box membership is
 half-open, low <= x < high, so adjacent cells never double-count a face.
-Fields compare and hash by identity; a Box compares by its corners.
+Constructors reject non-finite corners and values.  Fields compare and
+hash by identity; a Box compares by its corners.
 
 Every integral the package needs is a fold of one 3x3 cross moment
 K = integral of a(y) b(y)^T (cross_moment): the L2 norm is sqrt(tr K(v, v)),
@@ -125,6 +126,8 @@ class LinearVectorField:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"matrix must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix values must be finite")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -135,8 +138,8 @@ class PiecewiseConstantField:
     """Constant 3-vector per box; the boxes must have disjoint interiors.
 
     Built from (Box, value) pairs and stored as three read-only (n, 3)
-    arrays: the cells' low corners, high corners and values.  The overlap
-    check runs here, once: rotate_outer, scale and decompose share the
+    arrays: the cells' low corners, high corners and values.  The value and
+    overlap checks run here, once: rotate_outer, scale and decompose share the
     checked corner arrays.
     """
 
@@ -152,13 +155,17 @@ class PiecewiseConstantField:
             if v.shape != (3,):
                 raise ValueError(f"cell value must be a 3-vector, got {v.shape}")
             values.append(v)
+        values = np.array(values).reshape(-1, 3)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"cell {int(np.argmin(finite))} value must be finite")
         low = np.array([box.low for box, _ in cells]).reshape(-1, 3)
         high = np.array([box.high for box, _ in cells]).reshape(-1, 3)
         overlaps = np.argwhere(np.triu(overlap_volumes(low, high, low, high) > 0.0, 1))
         if len(overlaps):
             i, j = overlaps[0]
             raise ValueError(f"cells {i} and {j} overlap")
-        self._store(low, high, np.array(values).reshape(-1, 3))
+        self._store(low, high, values)
 
     def _store(self, low, high, values) -> None:
         for name, a in (("low", low), ("high", high), ("values", values)):
@@ -199,6 +206,8 @@ class SampledField:
         n = res[0] * res[1] * res[2]
         if d.shape != (n, 3):
             raise ValueError(f"data shape {d.shape} does not match resolution {res}")
+        if not np.isfinite(d).all():
+            raise ValueError("data values must be finite")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "resolution", res)

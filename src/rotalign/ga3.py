@@ -238,15 +238,17 @@ class UnitBivector:
     def __post_init__(self):
         b12, b13, b23 = self.b12, self.b13, self.b23
         mag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
-        if abs(mag - 1.0) > 1e-9:
+        if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
             raise ValueError(f"bivector magnitude {mag} is not 1")
         d = self.__dict__
         d["b12"], d["b13"], d["b23"] = b12 / mag, b13 / mag, b23 / mag
 
     @classmethod
     def from_components(cls, b12: float, b13: float, b23: float) -> "UnitBivector":
-        """Normalize arbitrary components; rejects the zero bivector."""
-        mag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
+        """Normalize arbitrary components; rejects the zero bivector.
+
+        |B| is math.hypot, which neither overflows nor underflows."""
+        mag = math.hypot(b12, b13, b23)
         if mag == 0.0:
             raise ValueError("cannot normalize a zero bivector")
         return cls(b12 / mag, b13 / mag, b23 / mag)
@@ -297,7 +299,7 @@ class Rotor:
     def __post_init__(self):
         sc, b12, b13, b23 = self.scalar, self.b12, self.b13, self.b23
         mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
-        if abs(mag - 1.0) > 1e-9:
+        if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
             raise ValueError(f"rotor magnitude {mag} is not 1")
         d = self.__dict__
         d["scalar"], d["b12"], d["b13"], d["b23"] = (
@@ -358,8 +360,9 @@ def sandwich(plane: UnitBivector, angle: float, v: Multivector) -> Multivector:
                            r.reverse().as_multivector().coeffs))
 
 
-def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
-    """Matrix of the rotation by ``angle`` in ``plane`` acting on 3-vectors.
+def rotation_entries(plane: UnitBivector, angle: float) -> tuple[float, ...]:
+    """Matrix of the rotation by ``angle`` in ``plane`` as nine floats,
+    row-major.
 
     The sandwich by rotation_rotor(plane, angle) in closed form: Rodrigues'
     formula about the plane's right-handed normal n,
@@ -368,11 +371,32 @@ def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
     x, y, z = plane.b23, -plane.b13, plane.b12
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
-    return np.array([
-        [c + t * x * x, t * x * y - s * z, t * x * z + s * y],
-        [t * x * y + s * z, c + t * y * y, t * y * z - s * x],
-        [t * x * z - s * y, t * y * z + s * x, c + t * z * z],
-    ])
+    return (c + t * x * x, t * x * y - s * z, t * x * z + s * y,
+            t * x * y + s * z, c + t * y * y, t * y * z - s * x,
+            t * x * z - s * y, t * y * z + s * x, c + t * z * z)
+
+
+def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
+    """rotation_entries(plane, angle) as a 3x3 array."""
+    return np.array(rotation_entries(plane, angle)).reshape(3, 3)
+
+
+def matrix_product(a, b) -> tuple[float, ...]:
+    """Product a b of two 3x3 matrices given as nine floats, row-major.
+
+    Each entry is summed left to right over the shared index.
+    """
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22)
 
 
 def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
@@ -408,18 +432,18 @@ def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
 
     The angle and plane are argument() of the scalar and grade-2 parts.
     Raises ValueError for the zero multivector or one with odd-grade content
-    beyond odd_rtol relative to its norm.
+    beyond odd_rtol relative to its norm.  Norms are math.hypot, so the
+    rules are scale-invariant like argument()'s.
     """
-    c = m.coeffs
-    total = float(np.linalg.norm(c))
+    c = m.coeffs.tolist()
+    total = math.hypot(*c)
     if total == 0.0:
         raise ValueError("polar form of the zero multivector is undefined")
-    odd = math.sqrt(c[1] ** 2 + c[2] ** 2 + c[3] ** 2 + c[7] ** 2)
-    if odd > odd_rtol * max(1.0, total):
+    odd = math.hypot(c[1], c[2], c[3], c[7])
+    if odd > odd_rtol * total:
         raise ValueError(f"multivector has odd-grade parts (|odd| = {odd})")
     angle, plane, _ = argument(c[0], c[4:7])
-    magnitude = math.hypot(c[0], math.sqrt(c[4] ** 2 + c[5] ** 2 + c[6] ** 2))
-    return PolarForm(angle, plane, magnitude)
+    return PolarForm(angle, plane, math.hypot(c[0], c[4], c[5], c[6]))
 
 
 def rotor_rotation(r) -> tuple[float, UnitBivector]:

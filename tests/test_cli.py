@@ -128,11 +128,29 @@ def test_detect_malformed_file(tmp_path, halves_pair, capsys):
 
 
 def test_detect_rejects_non_finite_pattern(tmp_path, halves_pair, capsys):
+    # the loader accepts the NaN literal; the field constructor rejects it
     ref, _ = halves_pair
     bad = tmp_path / "nan.json"
-    save_field(LinearVectorField(np.full((3, 3), np.nan)), bad)
+    bad.write_text(json.dumps({"linear": {
+        "matrix": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]}}}))
+    assert "NaN" in bad.read_text()
     code = main(["detect", "--reference", ref, "--pattern", str(bad),
                  "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "matrix values must be finite" in out.err
+
+
+def test_detect_rejects_an_overflowing_pattern(tmp_path, halves_pair, capsys):
+    # finite values whose energy overflows are caught by detect itself
+    ref, _ = halves_pair
+    bad = tmp_path / "huge.json"
+    save_field(LinearVectorField(1e308 * np.eye(3)), bad)
+    with np.errstate(all="ignore"):
+        code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                     "--epsilon", "0.1"])
     assert code == 2
     assert "pattern field energy is not finite" in capsys.readouterr().err
 

@@ -10,8 +10,8 @@ import pytest
 
 from rotalign.ga3 import (
     E12, E13, Multivector, UnitBivector, argument, compose_rotation,
-    polar_decompose, rotation_matrix, rotation_rotor, rotor_product,
-    rotor_rotation,
+    matrix_product, polar_decompose, rotation_entries, rotation_matrix,
+    rotation_rotor, rotor_product, rotor_rotation,
 )
 from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, run_trials
@@ -19,9 +19,13 @@ from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
     cross_moment, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
 )
+import rotalign.correlation
+import rotalign.detector
+import rotalign.fields
+import rotalign.ga3
 from rotalign.detector import (
     DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, DetectionReport,
-    _MisfitModel, _certified_step, detect, residual_angle,
+    _MisfitModel, _certified_step, detect, detect_moments, residual_angle,
 )
 
 from conftest import jittered_split
@@ -192,6 +196,11 @@ def test_detect_on_sampled_fields():
 # ---------------------------------------------------------------------------
 # the certified exit
 
+def self_moment(field):
+    """S = cross_moment(field, field) as the nine floats detect reads."""
+    return cross_moment(field, field).ravel().tolist()
+
+
 def relative_misfit(a, b):
     return l2_norm(LinearVectorField(a.matrix - b.matrix)) / l2_norm(b)
 
@@ -199,11 +208,12 @@ def relative_misfit(a, b):
 def phi_only_detection(reference, pattern, epsilon):
     """The paper's loop with the bare exit phi <= epsilon, no disturbance,
     run on the cross moment with the arithmetic detect uses."""
-    k, net, trace = cross_moment(pattern, reference), (1.0, 0.0, 0.0, 0.0), []
+    k = cross_moment(pattern, reference).ravel().tolist()
+    net, trace = (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
         sc, biv = moment_parts(k)
         pf = polar_decompose(Multivector(np.r_[sc, 0.0, 0.0, 0.0, biv, 0.0]))
-        k = rotation_matrix(pf.plane, pf.angle) @ k
+        k = matrix_product(rotation_entries(pf.plane, pf.angle), k)
         net = rotor_product(rotation_rotor(pf.plane, pf.angle).components, net)
         trace.append(pf.angle)
     angle, undo = rotor_rotation(net)
@@ -309,7 +319,7 @@ def certificate_fields():
 @pytest.mark.parametrize("name", list(certificate_fields()))
 def test_closed_form_certificate_matches_the_eigh_pseudo_inverse(name):
     field = certificate_fields()[name]
-    model = _MisfitModel(field)
+    model = _MisfitModel(self_moment(field))
     rotation, misfit = eigh_model(field)
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -365,6 +375,91 @@ def test_no_detection_calls_lapack(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# detect_moments: the loop on hand-made moments, with no fields
+
+def floats(matrix):
+    return np.asarray(matrix, dtype=float).ravel().tolist()
+
+
+def hand_made_s():
+    """A full-rank self-moment S = M M^T."""
+    m = np.array([[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.5, 0.2, 0.6]])
+    return m @ m.T
+
+
+def test_detect_moments_recovers_the_rotation_of_k_equal_r_s():
+    # u = R0 v gives K = integral of u v^T = R0 S
+    s = hand_made_s()
+    plane = UnitBivector.from_components(1.0, -2.0, 0.5)
+    eps = 1e-8
+    for angle in (0.3, 1.7, 3.0):
+        k = rotation_matrix(plane, angle) @ s
+        loop = detect_moments(floats(k), floats(s), DetectionConfig(epsilon=eps))
+        assert loop.converged
+        assert loop.iterations == len(loop.phi_trace) == len(loop.corrections)
+        # the certified quantity: the relative L2 misfit left on u = R0 v,
+        # |(Rc R0 - I) v| / |v| for the net correction Rc
+        alpha, undo = rotor_rotation(loop.net)
+        d = rotation_matrix(undo, alpha) @ rotation_matrix(plane, angle) - np.eye(3)
+        assert math.sqrt(np.trace(d @ s @ d.T) / np.trace(s)) <= 1.01 * eps
+        assert math.isclose(alpha, angle, abs_tol=10 * eps)
+
+
+def test_detect_moments_takes_the_disturbance_on_a_real_valued_k():
+    s = hand_made_s()
+    loop = detect_moments(floats(s), floats(s), DetectionConfig(epsilon=1e-6))
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE
+    assert loop.corrections[0] == rotation_rotor(DISTURBANCE_PLANE,
+                                                 DISTURBANCE_ANGLE)
+    assert loop.converged
+    assert rotor_rotation(loop.net)[0] <= 1e-6
+
+
+def test_detect_moments_exits_on_pass_one_when_k_is_within_epsilon():
+    s = hand_made_s()
+    plane = UnitBivector.from_components(2.0, 1.0, -1.0)
+    k = rotation_matrix(plane, 1e-8) @ s
+    loop = detect_moments(floats(k), floats(s), DetectionConfig(epsilon=1e-6))
+    assert loop.converged and loop.iterations == 1
+    assert 0.0 < loop.phi_trace[0] <= 1e-6
+    assert residual_angle(loop.corrections, plane, 1e-8) < 1e-8
+
+
+def test_detect_moments_rejects_a_zero_or_non_finite_s():
+    config = DetectionConfig(epsilon=1e-3)
+    with pytest.raises(ValueError, match="zero field"):
+        detect_moments(floats(np.eye(3)), [0.0] * 9, config)
+    with pytest.raises(ValueError, match="not finite"):
+        detect_moments(floats(np.eye(3)), [math.inf, 0, 0, 0, 1, 0, 0, 0, 1],
+                       config)
+
+
+class NoNumpy:
+    """Stands in for numpy in a module: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
+def test_detect_moments_uses_no_numpy(monkeypatch):
+    s = hand_made_s()
+    plane = UnitBivector.from_components(1.0, 2.0, -2.0)
+    # the paper's loop, the disturbance (angle 0: K = S is real) and, on a
+    # nearly rank-one S, the certificate's shortened Gauss-Newton steps
+    cases = [(floats(rotation_matrix(plane, angle) @ s), floats(s), epsilon)
+             for angle, epsilon in ((2.5, 1e-6), (0.9, 0.1), (0.0, 1e-3))]
+    thin = field_with_singular_values(1.9, 0.3, 0.2)
+    cases.append((floats(cross_moment(rotate_outer(thin, E13, 1.0), thin)),
+                  self_moment(thin), 1e-6))
+    want = [detect_moments(k, s, DetectionConfig(epsilon=e)) for k, s, e in cases]
+    for module in (rotalign.ga3, rotalign.correlation, rotalign.fields,
+                   rotalign.detector):
+        monkeypatch.setattr(module, "np", NoNumpy(), raising=False)
+    got = [detect_moments(k, s, DetectionConfig(epsilon=e)) for k, s, e in cases]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
 # failure modes and config
 
 def test_non_convergence_reports_partial_state():
@@ -384,21 +479,21 @@ def test_detect_rejects_zero_fields():
         detect(FIELD_A, scale(FIELD_A, 0.0), DetectionConfig(epsilon=1e-3))
 
 
+# NaN and inf values never reach detect: the field constructors reject them
+# (tests/test_fields.py).  Finite values can still overflow an energy.
+
 def test_detect_rejects_non_finite_patterns():
-    for matrix in (np.full((3, 3), np.nan), np.full((3, 3), np.inf),
-                   1e308 * np.eye(3)):
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="pattern field energy is not finite"):
-            detect(LinearVectorField(np.eye(3)), LinearVectorField(matrix),
-                   DetectionConfig(epsilon=1e-3))
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="pattern field energy is not finite"):
+        detect(LinearVectorField(np.eye(3)), LinearVectorField(1e308 * np.eye(3)),
+               DetectionConfig(epsilon=1e-3))
 
 
 def test_detect_rejects_non_finite_references():
-    for matrix in (np.full((3, 3), np.nan), 1e308 * np.eye(3)):
-        with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match="not finite"):
-            detect(LinearVectorField(matrix), LinearVectorField(np.eye(3)),
-                   DetectionConfig(epsilon=1e-3))
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="reference field energy is not finite"):
+        detect(LinearVectorField(1e308 * np.eye(3)), LinearVectorField(np.eye(3)),
+               DetectionConfig(epsilon=1e-3))
 
 
 # The two known failure modes (ROADMAP item 3).  Each test asserts the
@@ -446,7 +541,7 @@ def field_form_detection(reference, pattern, config):
     """The paper's loop as written: every pass correlates the rotated pattern
     with correlate_at_origin, rotates it with rotate_outer and accumulates the
     step with compose_rotation.  Returns the fields of a DetectionReport."""
-    model = _MisfitModel(reference)
+    model = _MisfitModel(self_moment(reference))
     u, alpha, plane, trace, converged = pattern, 0.0, E12, [], False
     while not converged and len(trace) < config.max_iterations:
         cor = correlate_at_origin(u, reference)

@@ -70,6 +70,38 @@ def test_box_rejects_non_finite_corners(bad):
         Box((0.0, 0.0, 0.0), (1.0, 1.0, bad))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fields_reject_non_finite_values(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix values must be finite"):
+        LinearVectorField(matrix)
+    with pytest.raises(ValueError, match="^cell 1 value must be finite$"):
+        PiecewiseConstantField((
+            (Box((0, 0, 0), (1, 1, 1)), (1.0, 0.0, 0.0)),
+            (Box((1, 0, 0), (2, 1, 1)), (0.0, bad, 0.0)),
+        ))
+    data = np.ones((8, 3))
+    data[5, 0] = bad
+    with pytest.raises(ValueError, match="data values must be finite"):
+        SampledField(UNIT_BOX, (2, 2, 2), data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_dict_rejects_non_finite_values(bad):
+    box = {"low": [0, 0, 0], "high": [1, 1, 1]}
+    docs = {
+        "matrix values": {"linear": {"matrix": [[1, 0, 0], [0, bad, 0], [0, 0, 1]],
+                                     "box": box}},
+        "cell 0 value": {"piecewise": [{"box": box, "vector": [bad, 0, 0]}]},
+        "data values": {"grid": {"box": box, "resolution": [1, 1, 1],
+                                 "data": [[0, 0, bad]]}},
+    }
+    for what, doc in docs.items():
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            from_dict(doc)
+
+
 def test_box_membership_half_open():
     b = Box((0, -1, -1), (1, 1, 1))
     assert b.contains((0.0, 0.0, 0.0))

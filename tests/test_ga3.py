@@ -12,8 +12,8 @@ from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
     argument, compose_rotation, exp_bivector, geometric_product, grade,
-    polar_decompose, reverse, rotation_matrix, rotation_rotor, rotor_product,
-    rotor_rotation, sandwich,
+    matrix_product, polar_decompose, reverse, rotation_entries,
+    rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
 from conftest import oracle_product
@@ -148,6 +148,26 @@ def test_unit_bivector_validation():
     assert np.allclose(p.components, [0.6, 0.0, 0.8])
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e-200, 1e200, 1e307])
+def test_unit_bivector_from_components_at_extreme_scales(scale):
+    # |B| is taken without squaring, so neither overflow nor underflow
+    p = UnitBivector.from_components(scale, -2.0 * scale, 2.0 * scale)
+    assert np.allclose(p.components, [1 / 3, -2 / 3, 2 / 3], rtol=0.0,
+                       atol=1e-15)
+    with pytest.raises(ValueError, match="zero bivector"):
+        UnitBivector.from_components(0.0, -0.0, 0.0)
+
+
+def test_unit_bivector_and_rotor_reject_non_finite_components():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            UnitBivector.from_components(bad, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            UnitBivector(math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            Rotor(1.0, math.nan, 0.0, 0.0)
+
+
 def test_unit_bivector_normal_roundtrip():
     for _ in range(50):
         p = random_plane()
@@ -247,6 +267,25 @@ def test_rotation_matrix_is_rodrigues_about_the_normal():
         assert np.max(np.abs(rotation_matrix(p, angle) - want)) <= 1e-15
 
 
+def test_rotation_matrix_is_the_float_entries():
+    for _ in range(20):
+        p = random_plane()
+        angle = RNG.uniform(0, math.pi)
+        m = rotation_matrix(p, angle)
+        assert m.shape == (3, 3)
+        assert m.ravel().tolist() == list(rotation_entries(p, angle))
+
+
+def test_matrix_product_sums_left_to_right():
+    for _ in range(20):
+        a, b = RNG.uniform(-2, 2, (3, 3)), RNG.uniform(-2, 2, (3, 3))
+        got = matrix_product(a.ravel().tolist(), b.ravel().tolist())
+        want = [sum((a[i, 0] * b[0, j], a[i, 1] * b[1, j], a[i, 2] * b[2, j]),
+                    0.0) for i in range(3) for j in range(3)]
+        assert list(got) == [float(w) for w in want]
+        assert np.allclose(np.reshape(got, (3, 3)), a @ b, rtol=0.0, atol=1e-15)
+
+
 def test_rotor_product_against_oracle():
     for _ in range(100):
         a, b = RNG.uniform(-2, 2, 4), RNG.uniform(-2, 2, 4)
@@ -296,6 +335,29 @@ def test_polar_errors():
         polar_decompose(Multivector.zero())
     with pytest.raises(ValueError):
         polar_decompose(mv(s=1, e1=0.5))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -40, 0, 40, 600, 1000])
+def test_polar_rules_are_scale_invariant(k):
+    # 2^k scales every norm exactly, so the zero check, the odd-grade check
+    # and the reading change by no bit
+    scale = 2.0 ** k
+    pf = polar_decompose(mv(s=3.0, e12=4.0) * scale)
+    assert pf.angle == math.atan2(4.0, 3.0)
+    assert pf.plane == E12
+    assert pf.magnitude == 5.0 * scale
+    with pytest.raises(ValueError, match="odd-grade"):
+        polar_decompose(mv(s=scale, e1=scale))
+
+
+def test_polar_of_tiny_and_small_values():
+    pf = polar_decompose(mv(s=1e-200, e12=1e-200))
+    assert math.isclose(pf.angle, math.pi / 4, rel_tol=1e-15)
+    assert pf.plane == E12
+    assert math.isclose(pf.magnitude, math.sqrt(2.0) * 1e-200, rel_tol=1e-15)
+    # an odd part as large as the even part is rejected at any size
+    with pytest.raises(ValueError, match="odd-grade"):
+        polar_decompose(mv(s=1e-10, e1=1e-10))
 
 
 def test_polar_zero_bivector_fallback_threshold():
