@@ -12,10 +12,7 @@ from .ga3 import (
     UnitBivector,
     compose_rotation,
     exp_bivector,
-    geometric_product,
-    grade,
     polar_decompose,
-    reverse,
     sandwich,
 )
 
@@ -26,10 +23,7 @@ __all__ = [
     "UnitBivector",
     "compose_rotation",
     "exp_bivector",
-    "geometric_product",
-    "grade",
     "polar_decompose",
-    "reverse",
     "sandwich",
 ]
 

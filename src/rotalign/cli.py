@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ga3 import E12, E13, Multivector, polar_decompose
+from .ga3 import E12, E13, polar_decompose
 from .fields import decompose, l2_norm, load_field, from_dict
 from .correlation import correlate_at_origin, normalized_correlation
 from .detector import DetectionConfig, detect
@@ -111,8 +111,6 @@ def cmd_bench(args) -> int:
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     if not epsilons:
         raise ValueError("empty epsilon list")
-    if args.trials < 1:
-        raise ValueError("need at least one trial")
     results = [(eps, run_trials(args.trials, eps, args.seed, args.max_iter))
                for eps in epsilons]
     if args.format == "json":

@@ -121,6 +121,15 @@ class MomentDetection:
     converged: bool
 
 
+def _checked_energy(energy: float, which: str) -> float:
+    """A field's energy, checked to be finite and not that of a zero field."""
+    if not math.isfinite(energy):
+        raise ValueError(f"{which} field energy is not finite")
+    if math.sqrt(energy) < 1e-300:
+        raise ValueError("cannot detect rotation against a zero field")
+    return energy
+
+
 class _MisfitModel:
     """First-order misfit of a rotated copy of the reference, in closed form.
 
@@ -141,12 +150,7 @@ class _MisfitModel:
 
     def __init__(self, s):
         s00, _, _, s10, s11, _, s20, s21, s22 = s
-        energy = s00 + s11 + s22
-        if not math.isfinite(energy):
-            raise ValueError("reference field energy is not finite")
-        if math.sqrt(energy) < 1e-300:
-            raise ValueError("cannot detect rotation against a zero field")
-        self.energy = energy
+        self.energy = energy = _checked_energy(s00 + s11 + s22, "reference")
         j00, j01, j02 = 1.0 - s00 / energy, -s10 / energy, -s20 / energy
         j11, j12, j22 = 1.0 - s11 / energy, -s21 / energy, 1.0 - s22 / energy
         self.j = (j00, j01, j02, j11, j12, j22)
@@ -259,11 +263,7 @@ def detect(reference: VectorField, pattern: VectorField,
     """
     s = cross_moment(reference, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
-    energy = correlate_at_origin(pattern, pattern).scalar
-    if not math.isfinite(energy):
-        raise ValueError("pattern field energy is not finite")
-    if math.sqrt(energy) < 1e-300:
-        raise ValueError("cannot detect rotation against a zero field")
+    _checked_energy(correlate_at_origin(pattern, pattern).scalar, "pattern")
     k = cross_moment(pattern, reference).ravel().tolist()
 
     loop = detect_moments(k, s, config)

@@ -39,14 +39,14 @@ def random_linear_field(rng: np.random.Generator) -> LinearVectorField:
     return LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)))
 
 
-def random_rotation(rng: np.random.Generator,
-                    max_angle: float = math.pi) -> tuple[UnitBivector, float]:
-    """Uniform rotation plane (via a uniform unit normal) and uniform angle."""
+def random_rotation(rng: np.random.Generator) -> tuple[UnitBivector, float]:
+    """Uniform rotation plane (via a uniform unit normal) and an angle
+    uniform on [0, ANGLE_CAP)."""
     n = rng.standard_normal(3)
     while np.linalg.norm(n) < 1e-12:
         n = rng.standard_normal(3)
     plane = UnitBivector.from_normal(n)
-    return plane, float(rng.uniform(0.0, max_angle))
+    return plane, float(rng.uniform(0.0, ANGLE_CAP))
 
 
 def coefficient_error(original: LinearVectorField,
@@ -78,11 +78,10 @@ class TrialStats:
     n_nonconverged: int
 
 
-def draw_trial(master_seed: int, index: int, epsilon: float,
-               max_angle: float = ANGLE_CAP) -> TrialSpec:
+def draw_trial(master_seed: int, index: int, epsilon: float) -> TrialSpec:
     rng = trial_generator(master_seed, index)
     field = random_linear_field(rng)
-    plane, angle = random_rotation(rng, max_angle)
+    plane, angle = random_rotation(rng)
     return TrialSpec(master_seed, index, epsilon, field, plane, angle)
 
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property, singledispatch
+from functools import cached_property
 
 import numpy as np
 
-from .ga3 import UnitBivector, rotation_matrix
+from .ga3 import UnitBivector, check_angle, rotation_matrix
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,16 @@ class PiecewiseConstantField:
                      zip(self.low.tolist(), self.high.tolist(), self.values))
 
 
+def _checked_resolution(resolution) -> tuple[int, int, int]:
+    """Three positive integer cell counts: 2.0 counts, 1.5, "2" and True do not."""
+    res = tuple(resolution)
+    if len(res) != 3 or not all(
+            isinstance(n, numbers.Real) and not isinstance(n, bool)
+            and float(n).is_integer() and n >= 1 for n in res):
+        raise ValueError(f"bad resolution {resolution}")
+    return tuple(int(n) for n in res)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledField:
     """Samples at the cell centers of a regular grid over a box.
@@ -199,9 +210,7 @@ class SampledField:
     data: np.ndarray
 
     def __post_init__(self):
-        res = tuple(int(n) for n in self.resolution)
-        if len(res) != 3 or any(n < 1 for n in res):
-            raise ValueError(f"bad resolution {self.resolution}")
+        res = _checked_resolution(self.resolution)
         d = np.asarray(self.data, dtype=float)
         n = res[0] * res[1] * res[2]
         if d.shape != (n, 3):
@@ -252,92 +261,57 @@ def plane_projection_matrix(plane: UnitBivector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@singledispatch
-def evaluate(field, x) -> np.ndarray:
+def evaluate(field: VectorField, x) -> np.ndarray:
     """Value of the field at a point (zero outside the support)."""
+    if isinstance(field, LinearVectorField):
+        x = np.asarray(x, dtype=float)
+        if not field.box.contains(x):
+            return np.zeros(3)
+        return field.matrix @ x
+    if isinstance(field, PiecewiseConstantField):
+        return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
+    if isinstance(field, SampledField):
+        x = np.asarray(x, dtype=float)
+        if not field.box.contains(x):
+            return np.zeros(3)
+        idx = np.floor((x - field.box.low_array) / field.spacing).astype(int)
+        idx = np.minimum(idx, np.array(field.resolution) - 1)
+        i, j, k = idx
+        ny, nz = field.resolution[1], field.resolution[2]
+        return field.data[(i * ny + j) * nz + k].copy()
     raise TypeError(f"not a vector field: {type(field).__name__}")
 
 
-@evaluate.register
-def _(field: LinearVectorField, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not field.box.contains(x):
-        return np.zeros(3)
-    return field.matrix @ x
-
-
-@evaluate.register
-def _(field: PiecewiseConstantField, x) -> np.ndarray:
-    return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
-
-
-@evaluate.register
-def _(field: SampledField, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not field.box.contains(x):
-        return np.zeros(3)
-    idx = np.floor((x - field.box.low_array) / field.spacing).astype(int)
-    idx = np.minimum(idx, np.array(field.resolution) - 1)
-    i, j, k = idx
-    ny, nz = field.resolution[1], field.resolution[2]
-    return field.data[(i * ny + j) * nz + k].copy()
-
-
-@singledispatch
-def evaluate_many(field, pts: np.ndarray) -> np.ndarray:
+def evaluate_many(field: VectorField, pts: np.ndarray) -> np.ndarray:
     """Vectorized evaluate over an (n, 3) array of points."""
+    if isinstance(field, LinearVectorField):
+        out = pts @ field.matrix.T
+        out[~field.box.contains_many(pts)] = 0.0
+        return out
+    if isinstance(field, PiecewiseConstantField):
+        out = np.zeros_like(pts)
+        for lo, hi, v in zip(field.low, field.high, field.values):
+            out[np.all((pts >= lo) & (pts < hi), axis=1)] = v
+        return out
+    if isinstance(field, SampledField):
+        out = np.zeros_like(pts)
+        inside = field.box.contains_many(pts)
+        idx = np.floor((pts[inside] - field.box.low_array) / field.spacing).astype(int)
+        idx = np.minimum(idx, np.array(field.resolution) - 1)
+        ny, nz = field.resolution[1], field.resolution[2]
+        flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+        out[inside] = field.data[flat]
+        return out
     raise TypeError(f"not a vector field: {type(field).__name__}")
 
 
-@evaluate_many.register
-def _(field: LinearVectorField, pts: np.ndarray) -> np.ndarray:
-    out = pts @ field.matrix.T
-    out[~field.box.contains_many(pts)] = 0.0
-    return out
-
-
-@evaluate_many.register
-def _(field: PiecewiseConstantField, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(pts)
-    for lo, hi, v in zip(field.low, field.high, field.values):
-        out[np.all((pts >= lo) & (pts < hi), axis=1)] = v
-    return out
-
-
-@evaluate_many.register
-def _(field: SampledField, pts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(pts)
-    inside = field.box.contains_many(pts)
-    idx = np.floor((pts[inside] - field.box.low_array) / field.spacing).astype(int)
-    idx = np.minimum(idx, np.array(field.resolution) - 1)
-    ny, nz = field.resolution[1], field.resolution[2]
-    flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
-    out[inside] = field.data[flat]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# support
-
-@singledispatch
-def support(field) -> Box:
+def support(field: VectorField) -> Box:
     """Bounding box of the field's support."""
+    if isinstance(field, (LinearVectorField, SampledField)):
+        return field.box
+    if isinstance(field, PiecewiseConstantField):
+        return Box(tuple(field.low.min(axis=0)), tuple(field.high.max(axis=0)))
     raise TypeError(f"not a vector field: {type(field).__name__}")
-
-
-@support.register
-def _(field: LinearVectorField) -> Box:
-    return field.box
-
-
-@support.register
-def _(field: PiecewiseConstantField) -> Box:
-    return Box(tuple(field.low.min(axis=0)), tuple(field.high.max(axis=0)))
-
-
-@support.register
-def _(field: SampledField) -> Box:
-    return field.box
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +396,7 @@ def rotate_outer(field: VectorField, plane: UnitBivector,
 
     angle must lie in [0, pi]; rotate in -plane to undo.
     """
-    if not -1e-12 <= angle <= np.pi + 1e-12:
-        raise ValueError(f"angle {angle} outside [0, pi]")
+    check_angle("angle", angle)
     return _map_values(field, rotation_matrix(plane, angle))
 
 
@@ -507,6 +480,6 @@ def load_field(path) -> VectorField:
 
 def sample(field: VectorField, box: Box, resolution) -> SampledField:
     """Sample any field at the cell centers of a fresh grid."""
-    res = tuple(int(n) for n in resolution)
+    res = _checked_resolution(resolution)
     shell = SampledField(box, res, np.zeros((res[0] * res[1] * res[2], 3)))
     return SampledField(box, res, evaluate_many(field, shell.cell_centers()))

@@ -31,6 +31,9 @@ _REVERSE_SIGNS = np.where((GRADES * (GRADES - 1) // 2) % 2 == 0, 1.0, -1.0)
 # (measured against |scalar part|, so the rule is scale-invariant).
 ZERO_BIVECTOR_RTOL = 1e-12
 
+# Odd-grade content beyond this share of the norm makes polar_decompose raise.
+ODD_RTOL = 1e-8
+
 
 def _blade_times_blade(p, q):
     """Multiply two basis blades; return (sign, resulting blade tuple)."""
@@ -89,10 +92,6 @@ class Multivector:
         raise AttributeError("Multivector is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Multivector":
-        return cls(np.zeros(8))
 
     @classmethod
     def from_scalar(cls, s: float) -> "Multivector":
@@ -208,19 +207,6 @@ ONE = Multivector.from_scalar(1.0)
 E1 = Multivector.from_vector((1.0, 0.0, 0.0))
 E2 = Multivector.from_vector((0.0, 1.0, 0.0))
 E3 = Multivector.from_vector((0.0, 0.0, 1.0))
-
-
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric (Clifford) product of two multivectors."""
-    return Multivector(_gp(a.coeffs, b.coeffs))
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def grade(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
 
 
 @dataclass(frozen=True)
@@ -427,12 +413,12 @@ class PolarForm:
     magnitude: float
 
 
-def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
+def polar_decompose(m: Multivector) -> PolarForm:
     """Split an even multivector into magnitude, argument angle and plane.
 
     The angle and plane are argument() of the scalar and grade-2 parts.
     Raises ValueError for the zero multivector or one with odd-grade content
-    beyond odd_rtol relative to its norm.  Norms are math.hypot, so the
+    beyond ODD_RTOL relative to its norm.  Norms are math.hypot, so the
     rules are scale-invariant like argument()'s.
     """
     c = m.coeffs.tolist()
@@ -440,7 +426,7 @@ def polar_decompose(m: Multivector, odd_rtol: float = 1e-8) -> PolarForm:
     if total == 0.0:
         raise ValueError("polar form of the zero multivector is undefined")
     odd = math.hypot(c[1], c[2], c[3], c[7])
-    if odd > odd_rtol * total:
+    if odd > ODD_RTOL * total:
         raise ValueError(f"multivector has odd-grade parts (|odd| = {odd})")
     angle, plane, _ = argument(c[0], c[4:7])
     return PolarForm(angle, plane, math.hypot(c[0], c[4], c[5], c[6]))
@@ -461,6 +447,12 @@ def rotor_rotation(r) -> tuple[float, UnitBivector]:
     return 2.0 * half, plane
 
 
+def check_angle(name: str, angle: float) -> None:
+    """Raise ValueError unless angle lies in [0, pi], give or take 1e-12."""
+    if not -1e-12 <= angle <= math.pi + 1e-12:
+        raise ValueError(f"{name} {angle} outside [0, pi]")
+
+
 def compose_rotation(alpha: float, p: UnitBivector,
                      phi: float, q: UnitBivector) -> tuple[float, UnitBivector]:
     """Accumulate rotation (phi, q) onto (alpha, p).
@@ -471,11 +463,8 @@ def compose_rotation(alpha: float, p: UnitBivector,
     exceeds pi.  A phi of exactly 0 returns (alpha, p) unchanged, so
     repeated identity accumulation stays exact.
     """
-    eps = 1e-12
-    if not -eps <= alpha <= math.pi + eps:
-        raise ValueError(f"alpha {alpha} outside [0, pi]")
-    if not -eps <= phi <= math.pi + eps:
-        raise ValueError(f"phi {phi} outside [0, pi]")
+    check_angle("alpha", alpha)
+    check_angle("phi", phi)
     if phi == 0.0:
         return alpha, p
     if alpha == 0.0:

@@ -169,6 +169,19 @@ def test_detect_rejects_a_non_finite_box_corner(tmp_path, halves_pair, capsys):
     assert "box corners must be finite" in capsys.readouterr().err
 
 
+def test_detect_rejects_a_fractional_grid_resolution(tmp_path, capsys):
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps({"grid": {
+        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]},
+        "resolution": [1.5, 1, 2], "data": [[1, 0, 0], [0, 1, 0]]}}))
+    code = main(["detect", "--reference", str(bad), "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bad resolution (1.5, 1, 2)" in out.err
+
+
 def test_bench_csv_deterministic(capsys):
     argv = ["bench", "--epsilons", "0.1,0.01", "--trials", "5", "--seed", "3"]
     assert main(argv) == 0
@@ -198,7 +211,7 @@ def test_bench_json(capsys):
 
 def test_bench_rejects_empty_trials(capsys):
     assert main(["bench", "--epsilons", "0.1", "--trials", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: need at least one trial" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):

@@ -61,7 +61,7 @@ def test_random_rotation_plane_is_unit():
         plane, angle = random_rotation(rng)
         assert math.isclose(float(np.linalg.norm(plane.components)), 1.0,
                             abs_tol=1e-12)
-        assert 0.0 <= angle <= math.pi
+        assert 0.0 <= angle < ANGLE_CAP
 
 
 def test_random_rotation_normal_mean_concentration():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, E23, Multivector, UnitBivector, grade, rotation_matrix,
+    E12, E13, E23, Multivector, UnitBivector, rotation_matrix,
 )
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
@@ -102,6 +102,27 @@ def test_from_dict_rejects_non_finite_values(bad):
             from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", True, math.nan, math.inf])
+def test_sampled_field_rejects_a_non_integer_resolution(bad):
+    with pytest.raises(ValueError, match="bad resolution"):
+        SampledField(UNIT_BOX, (1, bad, 2), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="bad resolution"):
+        sample(LinearVectorField(np.eye(3)), UNIT_BOX, (1, bad, 2))
+
+
+def test_sampled_field_accepts_an_integral_float_resolution():
+    f = SampledField(UNIT_BOX, (1.0, 1, np.float64(2.0)), np.zeros((2, 3)))
+    assert f.resolution == (1, 1, 2)
+    assert all(type(n) is int for n in f.resolution)
+
+
+def test_from_dict_rejects_a_fractional_grid_resolution():
+    doc = {"grid": {"box": {"low": [-1, -1, -1], "high": [1, 1, 1]},
+                    "resolution": [1.5, 1, 2], "data": [[1, 0, 0], [0, 1, 0]]}}
+    with pytest.raises(ValueError, match=r"bad resolution \(1\.5, 1, 2\)"):
+        from_dict(doc)
+
+
 def test_box_membership_half_open():
     b = Box((0, -1, -1), (1, 1, 1))
     assert b.contains((0.0, 0.0, 0.0))
@@ -180,6 +201,23 @@ def test_evaluate_many_matches_pointwise():
         batch = evaluate_many(field, pts)
         single = np.array([evaluate(field, p) for p in pts])
         assert np.allclose(batch, single, atol=1e-14)
+
+
+NOT_A_FIELD = np.eye(3)  # a matrix passed where a LinearVectorField belongs
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: evaluate(f, (0.0, 0.0, 0.0)),
+    lambda f: evaluate_many(f, np.zeros((1, 3))),
+    support,
+    lambda f: cross_moment(f, f),
+    lambda f: rotate_outer(f, E12, 0.5),
+    to_dict,
+], ids=["evaluate", "evaluate_many", "support", "cross_moment",
+        "rotate_outer", "to_dict"])
+def test_a_non_field_raises_type_error(call):
+    with pytest.raises(TypeError, match="ndarray"):
+        call(NOT_A_FIELD)
 
 
 def test_overlapping_cells_rejected():
@@ -498,8 +536,8 @@ def contraction_projection(plane):
     pm = plane.as_multivector()
     cols = []
     for e in np.eye(3):
-        contracted = grade(Multivector.from_vector(e) * pm, 1)
-        cols.append(grade(contracted * (-pm), 1).vector)
+        contracted = (Multivector.from_vector(e) * pm).grade(1)
+        cols.append((contracted * (-pm)).grade(1).vector)
     return np.column_stack(cols)
 
 

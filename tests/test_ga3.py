@@ -11,8 +11,8 @@ from scipy.spatial.transform import Rotation
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, compose_rotation, exp_bivector, geometric_product, grade,
-    matrix_product, polar_decompose, reverse, rotation_entries,
+    argument, compose_rotation, exp_bivector, matrix_product,
+    polar_decompose, rotation_entries,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
@@ -92,39 +92,39 @@ def test_scalar_multiplication_commutes():
 # reverse and grade
 
 def test_reverse_examples():
-    assert reverse(mv(e12=1)).close_to(mv(e12=-1))
-    assert reverse(mv(e123=1)).close_to(mv(e123=-1))
-    assert reverse(E1).close_to(E1)
-    assert reverse(ONE).close_to(ONE)
+    assert mv(e12=1).reverse().close_to(mv(e12=-1))
+    assert mv(e123=1).reverse().close_to(mv(e123=-1))
+    assert E1.reverse().close_to(E1)
+    assert ONE.reverse().close_to(ONE)
 
 
 def test_reverse_is_antiautomorphism():
     for _ in range(1000):
         a, b = random_mv(), random_mv()
-        assert np.allclose(reverse(a * b).coeffs, (reverse(b) * reverse(a)).coeffs,
+        assert np.allclose((a * b).reverse().coeffs, (b.reverse() * a.reverse()).coeffs,
                            atol=1e-10)
 
 
 def test_reverse_involution():
     a = random_mv()
-    assert reverse(reverse(a)).close_to(a)
+    assert a.reverse().reverse().close_to(a)
 
 
 def test_grade_projection():
     a = mv(s=1, e1=2, e12=3, e123=4)
-    assert grade(a, 0).close_to(mv(s=1))
-    assert grade(a, 1).close_to(mv(e1=2))
-    assert grade(a, 2).close_to(mv(e12=3))
-    assert grade(a, 3).close_to(mv(e123=4))
-    total = grade(a, 0) + grade(a, 1) + grade(a, 2) + grade(a, 3)
+    assert a.grade(0).close_to(mv(s=1))
+    assert a.grade(1).close_to(mv(e1=2))
+    assert a.grade(2).close_to(mv(e12=3))
+    assert a.grade(3).close_to(mv(e123=4))
+    total = a.grade(0) + a.grade(1) + a.grade(2) + a.grade(3)
     assert total.close_to(a)
 
 
 def test_grade_out_of_range():
     with pytest.raises(ValueError):
-        grade(ONE, 4)
+        ONE.grade(4)
     with pytest.raises(ValueError):
-        grade(ONE, -1)
+        ONE.grade(-1)
 
 
 def test_vector_square_is_scalar_norm():
@@ -332,7 +332,7 @@ def test_polar_examples():
 
 def test_polar_errors():
     with pytest.raises(ValueError):
-        polar_decompose(Multivector.zero())
+        polar_decompose(Multivector(np.zeros(8)))
     with pytest.raises(ValueError):
         polar_decompose(mv(s=1, e1=0.5))
 
@@ -483,7 +483,7 @@ def test_compose_rejects_out_of_range():
 
 def test_str_formatting():
     assert str(mv(s=4, e13=-4)) == "4 - 4 e13"
-    assert str(Multivector.zero()) == "0"
+    assert str(Multivector(np.zeros(8))) == "0"
     assert str(mv(e12=1)) == "e12"
 
 
