@@ -27,10 +27,7 @@ from .fields import (
 
 
 def _even_mv(scalar: float, biv: tuple[float, float, float]) -> Multivector:
-    c = np.zeros(8)
-    c[0] = scalar
-    c[4:7] = biv
-    return Multivector(c)
+    return Multivector((scalar, 0.0, 0.0, 0.0, *biv, 0.0))
 
 
 def moment_parts(k) -> tuple[float, tuple[float, float, float]]:

@@ -13,9 +13,10 @@ The passes run on the 3x3 cross moment K = integral of u v^T, integrated
 once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
-of K and the reference's self-moment S held as nine Python floats each; the
-steps accumulate into one rotor, and detect rotates the pattern once, after
-the loop.
+of K and the reference's self-moment S held as nine Python floats each.  A
+pass holds its plane and step rotor as float tuples, not as a UnitBivector,
+Rotor or numpy array; the steps accumulate into one rotor, detect rotates
+the pattern once, after the loop, and a report builds its Rotors when read.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -48,8 +49,9 @@ import math
 from dataclasses import dataclass
 
 from .ga3 import (
-    E12, Rotor, UnitBivector, argument, matrix_product, rotation_entries,
-    rotation_rotor, rotor_product, rotor_rotation,
+    E12, Rotor, UnitBivector, argument_parts, exp_parts, matrix_product,
+    rotation_entries, rotation_rotor, rotor_product, rotor_rotation,
+    unit_parts,
 )
 from .fields import VectorField, cross_moment, rotate_outer
 from .correlation import correlate_at_origin, moment_parts
@@ -79,46 +81,47 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class DetectionReport:
-    """Outcome of a detection run.
+class MomentDetection:
+    """Outcome of detect_moments, the loop's part of a DetectionReport.
+
+    net is the product of the corrections as (scalar, b12, b13, b23), the
+    rotor that undoes the generating rotation.  steps holds the rotor applied
+    in each pass, in application order, as the (scalar, b12, b13, b23) that
+    Rotor renormalises; corrections builds those Rotors when read.
+    phi_trace holds the angle applied in each pass: the argument angle (after
+    any disturbance override), the shortened correction of a pass that failed
+    the certificate, or 0 for a last pass whose pattern was already within
+    epsilon.  converged is True when the loop stopped on the certified exit:
+    phi within epsilon and the corrected pattern's relative L2 misfit within
+    epsilon, as predicted to first order.  It is False when the loop hit
+    max_iterations first, and the rest describes the partial state.
+    """
+
+    net: tuple[float, float, float, float]
+    phi_trace: tuple[float, ...]
+    steps: tuple[tuple[float, float, float, float], ...]
+    iterations: int
+    converged: bool
+
+    @property
+    def corrections(self) -> tuple[Rotor, ...]:
+        """The Rotor of each step, built on every read and not kept."""
+        return tuple([Rotor(*step) for step in self.steps])
+
+
+@dataclass(frozen=True)
+class DetectionReport(MomentDetection):
+    """Outcome of a detection run: the loop's outcome, and what it means.
 
     alpha and plane describe the generating rotation: rotate_outer(reference,
     plane, alpha) reproduces the pattern up to the exit tolerance.
     corrected_pattern is the pattern after all applied counter-rotations and
-    matches the reference to the same level.  corrections holds the rotor
-    applied in each pass, in application order; phi_trace the angle applied
-    in each pass: the argument angle (after any disturbance override), the
-    shortened correction of a pass that failed the certificate, or 0 for a
-    last pass whose pattern was already within epsilon.  converged is True
-    when the loop stopped on the certified exit: phi within epsilon and the
-    corrected pattern's relative L2 misfit within epsilon, as predicted to
-    first order.  It is False when the loop hit max_iterations first, in
-    which case the rest of the report describes the partial state.
+    matches the reference to the same level.
     """
 
     alpha: float
     plane: UnitBivector
     corrected_pattern: VectorField
-    iterations: int
-    phi_trace: tuple[float, ...]
-    corrections: tuple[Rotor, ...]
-    converged: bool
-
-
-@dataclass(frozen=True)
-class MomentDetection:
-    """Outcome of detect_moments: the loop's part of a DetectionReport.
-
-    net is the product of the corrections as (scalar, b12, b13, b23), the
-    rotor that undoes the generating rotation; phi_trace, corrections,
-    iterations and converged are as in DetectionReport.
-    """
-
-    net: tuple[float, float, float, float]
-    phi_trace: tuple[float, ...]
-    corrections: tuple[Rotor, ...]
-    iterations: int
-    converged: bool
 
 
 def _checked_energy(energy: float, which: str) -> float:
@@ -191,8 +194,8 @@ class _MisfitModel:
 
 
 def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
-                    phi: float, q: UnitBivector, epsilon: float
-                    ) -> tuple[float, UnitBivector, bool]:
+                    phi: float, q: tuple[float, float, float], epsilon: float
+                    ) -> tuple[float, tuple[float, ...], bool]:
     """Step for a pass whose angle phi is within epsilon, and whether to stop.
 
     The paper's step (phi, q) ends the loop when the misfit it leaves,
@@ -201,19 +204,20 @@ def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
     the Gauss-Newton correction about -omega, shortened to
     (1 - epsilon / misfit) |omega| so that the predicted misfit lands at
     epsilon: the full correction over-solves at loose tolerances, and the
-    paper's steps alone can need more than max_iterations passes.  omega,
-    the misfits and the plane dual to -omega are Python float arithmetic.
+    paper's steps alone can need more than max_iterations passes.  Planes
+    are (b12, b13, b23) tuples, and all of it is Python float arithmetic.
     """
     x, y, z = model.rotation(biv)
-    if model.misfit((x + phi * q.b23, y - phi * q.b13,
-                     z + phi * q.b12)) <= epsilon:
+    q12, q13, q23 = q
+    if model.misfit((x + phi * q23, y - phi * q13, z + phi * q12)) <= epsilon:
         return phi, q, True
     before = model.misfit((x, y, z))
     if before <= epsilon:
         return 0.0, q, True
     size = math.hypot(x, y, z)
-    plane = UnitBivector(-z / size, y / size, -x / size)
-    return (1.0 - epsilon / before) * size, plane, False
+    _, b12, b13, b23 = unit_parts(0.0, -z / size, y / size, -x / size,
+                                  "bivector")
+    return (1.0 - epsilon / before) * size, (b12, b13, b23), False
 
 
 def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
@@ -221,10 +225,11 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     reference's self-moment S = integral of v v^T.
 
     k and s are 3x3 matrices given as nine floats in row-major order.  Every
-    pass is float arithmetic: the fold of K (moment_parts), the polar read
-    (argument), the certified step, K <- R K with R from rotation_entries,
-    and the step's rotor multiplied into the net rotor.  Raises ValueError
-    if tr S is zero or not finite.
+    pass is arithmetic on float tuples: the fold of K (moment_parts), the
+    polar read (argument_parts), the certified step, K <- R K with R from
+    rotation_entries, and the step's rotor, renormalised as Rotor would,
+    multiplied into the net rotor.  Raises ValueError if tr S is zero or
+    not finite.
     """
     model = _MisfitModel(s)
     epsilon = config.epsilon
@@ -232,23 +237,23 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     iterations = 0
     converged = False
     trace: list[float] = []
-    corrections: list[Rotor] = []
+    steps: list[tuple[float, float, float, float]] = []
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
         sc, biv = moment_parts(k)
-        phi, q, real_valued = argument(sc, biv)
+        phi, q, real_valued = argument_parts(sc, biv)
         if iterations == 1 and real_valued:
-            phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
+            phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
         if phi <= epsilon:
             phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-        step = rotation_rotor(q, phi)
+        step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
         k = matrix_product(rotation_entries(q, phi), k)
-        net = rotor_product(step.components, net)
+        net = rotor_product(unit_parts(*step, "rotor"), net)
         trace.append(phi)
-        corrections.append(step)
+        steps.append(step)
 
-    return MomentDetection(net, tuple(trace), tuple(corrections), iterations,
+    return MomentDetection(net, tuple(trace), tuple(steps), iterations,
                            converged)
 
 
@@ -268,25 +273,17 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(
-        alpha=alpha,
-        plane=-undo,
-        corrected_pattern=rotate_outer(pattern, undo, alpha),
-        iterations=loop.iterations,
-        phi_trace=loop.phi_trace,
-        corrections=loop.corrections,
-        converged=loop.converged,
-    )
+    return DetectionReport(**vars(loop), alpha=alpha, plane=-undo,
+                           corrected_pattern=rotate_outer(pattern, undo, alpha))
 
 
 def residual_angle(applied, true_plane: UnitBivector,
                    true_angle: float) -> float:
     """Rotation angle left after applying corrections to a known misalignment.
 
-    Composes the net rotor, the true generating rotation (true_plane,
-    true_angle) followed by every applied correction rotor in application
-    order, and returns the angle in [0, pi] of that net rotation; 0 means
-    the corrections undo the misalignment exactly.
+    Composes the true generating rotation (true_plane, true_angle) and then
+    every applied correction rotor, in order, and returns the angle in
+    [0, pi] of the net rotation; 0 means the corrections undo it exactly.
     """
     net = rotation_rotor(true_plane, true_angle).components
     for c in applied:

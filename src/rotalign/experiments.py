@@ -111,15 +111,8 @@ def run_trials(n: int, epsilon: float, master_seed: int,
         total_err += err
         max_err = max(max_err, err)
         total_iters += iters
-        if not converged:
-            nonconverged += 1
-    return TrialStats(
-        n_trials=n,
-        average_error=total_err / n,
-        max_error=max_err,
-        average_iterations=total_iters / n,
-        n_nonconverged=nonconverged,
-    )
+        nonconverged += not converged
+    return TrialStats(n, total_err / n, max_err, total_iters / n, nonconverged)
 
 
 CSV_HEADER = "epsilon,n,avg_error,max_error,avg_iters,n_nonconverged"
@@ -132,11 +125,5 @@ def stats_csv_row(epsilon: float, stats: TrialStats) -> str:
 
 
 def stats_to_dict(epsilon: float, stats: TrialStats) -> dict:
-    return {
-        "epsilon": epsilon,
-        "n": stats.n_trials,
-        "avg_error": stats.average_error,
-        "max_error": stats.max_error,
-        "avg_iters": stats.average_iterations,
-        "n_nonconverged": stats.n_nonconverged,
-    }
+    """The CSV row's columns, unrounded, keyed by CSV_HEADER."""
+    return dict(zip(CSV_HEADER.split(","), (epsilon, *vars(stats).values())))

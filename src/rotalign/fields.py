@@ -27,6 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -62,10 +63,6 @@ class Box:
 
     def volume(self) -> float:
         return float(np.prod(self.high_array - self.low_array))
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.low_array) and np.all(x < self.high_array))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return np.all(pts >= self.low_array, axis=1) & \
@@ -187,6 +184,10 @@ class PiecewiseConstantField:
                      zip(self.low.tolist(), self.high.tolist(), self.values))
 
 
+def _spacing(box: Box, resolution: tuple[int, int, int]) -> np.ndarray:
+    return (box.high_array - box.low_array) / np.array(resolution)
+
+
 def _checked_resolution(resolution) -> tuple[int, int, int]:
     """Three positive integer cell counts: 2.0 counts, 1.5, "2" and True do not."""
     res = tuple(resolution)
@@ -224,20 +225,19 @@ class SampledField:
 
     @property
     def spacing(self) -> np.ndarray:
-        return (self.box.high_array - self.box.low_array) / np.array(self.resolution)
+        return _spacing(self.box, self.resolution)
 
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
     def cell_centers(self) -> np.ndarray:
         """(n, 3) array of sample locations in data order."""
-        nx, ny, nz = self.resolution
-        h = self.spacing
-        lo = self.box.low_array
-        ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                 indexing="ij")
-        idx = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3)
-        return lo + (idx + 0.5) * h
+        return _cell_centers(self.box, self.resolution)
+
+
+def _cell_centers(box: Box, resolution: tuple[int, int, int]) -> np.ndarray:
+    idx = np.stack(np.indices(resolution), axis=-1).reshape(-1, 3)
+    return box.low_array + (idx + 0.5) * _spacing(box, resolution)
 
 
 VectorField = LinearVectorField | PiecewiseConstantField | SampledField
@@ -265,14 +265,14 @@ def evaluate(field: VectorField, x) -> np.ndarray:
     """Value of the field at a point (zero outside the support)."""
     if isinstance(field, LinearVectorField):
         x = np.asarray(x, dtype=float)
-        if not field.box.contains(x):
+        if not field.box.contains_many(x.reshape(1, 3))[0]:
             return np.zeros(3)
         return field.matrix @ x
     if isinstance(field, PiecewiseConstantField):
         return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
     if isinstance(field, SampledField):
         x = np.asarray(x, dtype=float)
-        if not field.box.contains(x):
+        if not field.box.contains_many(x.reshape(1, 3))[0]:
             return np.zeros(3)
         idx = np.floor((x - field.box.low_array) / field.spacing).astype(int)
         idx = np.minimum(idx, np.array(field.resolution) - 1)
@@ -428,7 +428,20 @@ def _box_to_dict(box: Box) -> dict:
     return {"low": list(box.low), "high": list(box.high)}
 
 def _box_from_dict(d: dict) -> Box:
-    return Box(tuple(d["low"]), tuple(d["high"]))
+    low, high = _numbers([d["low"], d["high"]], "box corners")
+    return Box(tuple(low), tuple(high))
+
+
+def _numbers(rows: list, what: str) -> np.ndarray:
+    """rows as an (n, 3) array if each row is three ints or floats (no bool)."""
+    try:
+        flat = list(chain.from_iterable(rows))
+        ok = set(map(len, rows)) <= {3} and set(map(type, flat)) <= {int, float}
+    except TypeError:  # rows, or one of them, is not a list
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be lists of three JSON numbers")
+    return np.array(flat, dtype=float).reshape(-1, 3)
 
 
 def to_dict(field: VectorField) -> dict:
@@ -452,16 +465,16 @@ def from_dict(d: dict) -> VectorField:
         raise ValueError("field document must have exactly one top-level kind")
     kind, body = next(iter(d.items()))
     if kind == "linear":
-        return LinearVectorField(np.asarray(body["matrix"], dtype=float),
+        return LinearVectorField(_numbers(body["matrix"], "matrix"),
                                  _box_from_dict(body["box"]))
     if kind == "piecewise":
-        return PiecewiseConstantField(
-            tuple((_box_from_dict(c["box"]), np.asarray(c["vector"], dtype=float))
-                  for c in body))
+        vectors = _numbers([c["vector"] for c in body], "cell vectors")
+        return PiecewiseConstantField(tuple(
+            (_box_from_dict(c["box"]), v) for c, v in zip(body, vectors)))
     if kind == "grid":
         return SampledField(_box_from_dict(body["box"]),
                             tuple(body["resolution"]),
-                            np.asarray(body["data"], dtype=float))
+                            _numbers(body["data"], "grid data"))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -481,5 +494,4 @@ def load_field(path) -> VectorField:
 def sample(field: VectorField, box: Box, resolution) -> SampledField:
     """Sample any field at the cell centers of a fresh grid."""
     res = _checked_resolution(resolution)
-    shell = SampledField(box, res, np.zeros((res[0] * res[1] * res[2], 3)))
-    return SampledField(box, res, evaluate_many(field, shell.cell_centers()))
+    return SampledField(box, res, evaluate_many(field, _cell_centers(box, res)))

@@ -95,22 +95,11 @@ class Multivector:
 
     @classmethod
     def from_scalar(cls, s: float) -> "Multivector":
-        c = np.zeros(8)
-        c[0] = s
-        return cls(c)
+        return cls((s, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_vector(cls, v) -> "Multivector":
-        c = np.zeros(8)
-        c[1:4] = np.asarray(v, dtype=float)
-        return cls(c)
-
-    @classmethod
-    def from_bivector(cls, b) -> "Multivector":
-        """Build from bivector components ordered (b12, b13, b23)."""
-        c = np.zeros(8)
-        c[4:7] = np.asarray(b, dtype=float)
-        return cls(c)
+        return cls((0.0, *v, 0.0, 0.0, 0.0, 0.0))
 
     # -- parts ------------------------------------------------------------
 
@@ -209,6 +198,17 @@ E2 = Multivector.from_vector((0.0, 1.0, 0.0))
 E3 = Multivector.from_vector((0.0, 0.0, 1.0))
 
 
+def unit_parts(sc: float, b12: float, b13: float, b23: float,
+               what: str) -> tuple[float, float, float, float]:
+    """sc + (b12, b13, b23) over its length, which must be within 1e-9 of 1:
+    the renormalisation of UnitBivector, Rotor and the detector's passes.  A
+    plane passes sc = 0.0, which adds exactly nothing to the sum."""
+    mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
+    if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
+        raise ValueError(f"{what} magnitude {mag} is not 1")
+    return sc / mag, b12 / mag, b13 / mag, b23 / mag
+
+
 @dataclass(frozen=True)
 class UnitBivector:
     """Unit-magnitude bivector: an oriented rotation plane.
@@ -222,12 +222,13 @@ class UnitBivector:
     b23: float
 
     def __post_init__(self):
-        b12, b13, b23 = self.b12, self.b13, self.b23
-        mag = math.sqrt(b12 ** 2 + b13 ** 2 + b23 ** 2)
-        if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
-            raise ValueError(f"bivector magnitude {mag} is not 1")
         d = self.__dict__
-        d["b12"], d["b13"], d["b23"] = b12 / mag, b13 / mag, b23 / mag
+        _, d["b12"], d["b13"], d["b23"] = unit_parts(
+            0.0, self.b12, self.b13, self.b23, "bivector")
+
+    def __iter__(self):
+        """(b12, b13, b23): a UnitBivector passes as plane components."""
+        return iter((self.b12, self.b13, self.b23))
 
     @classmethod
     def from_components(cls, b12: float, b13: float, b23: float) -> "UnitBivector":
@@ -258,7 +259,7 @@ class UnitBivector:
         return np.array([self.b23, -self.b13, self.b12])
 
     def as_multivector(self) -> Multivector:
-        return Multivector.from_bivector(self.components)
+        return Multivector((0.0, 0.0, 0.0, 0.0, *self, 0.0))
 
     def __neg__(self) -> "UnitBivector":
         return UnitBivector(-self.b12, -self.b13, -self.b23)
@@ -283,22 +284,13 @@ class Rotor:
     b23: float
 
     def __post_init__(self):
-        sc, b12, b13, b23 = self.scalar, self.b12, self.b13, self.b23
-        mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
-        if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
-            raise ValueError(f"rotor magnitude {mag} is not 1")
         d = self.__dict__
-        d["scalar"], d["b12"], d["b13"], d["b23"] = (
-            sc / mag, b12 / mag, b13 / mag, b23 / mag)
+        d["scalar"], d["b12"], d["b13"], d["b23"] = unit_parts(
+            self.scalar, self.b12, self.b13, self.b23, "rotor")
 
     def as_multivector(self) -> Multivector:
-        c = np.zeros(8)
-        c[0] = self.scalar
-        c[4:7] = (self.b12, self.b13, self.b23)
-        return Multivector(c)
-
-    def reverse(self) -> "Rotor":
-        return Rotor(self.scalar, -self.b12, -self.b13, -self.b23)
+        return Multivector((self.scalar, 0.0, 0.0, 0.0,
+                            self.b12, self.b13, self.b23, 0.0))
 
     @property
     def components(self) -> tuple[float, float, float, float]:
@@ -320,10 +312,17 @@ def rotor_product(a, b) -> tuple[float, float, float, float]:
             a0 * b23 + a23 * b0 - a12 * b13 + a13 * b12)
 
 
+def exp_parts(plane, angle: float) -> tuple[float, float, float, float]:
+    """The (scalar, b12, b13, b23) that exp_bivector(plane, angle) passes to
+    Rotor, which renormalises them; plane may be a tuple of components."""
+    b12, b13, b23 = plane
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, s * b12, s * b13, s * b23)
+
+
 def exp_bivector(plane: UnitBivector, angle: float) -> Rotor:
     """Exponential of a scaled bivector: cos(angle) + sin(angle) * plane."""
-    c, s = math.cos(angle), math.sin(angle)
-    return Rotor(c, s * plane.b12, s * plane.b13, s * plane.b23)
+    return Rotor(*exp_parts(plane, angle))
 
 
 def rotation_rotor(plane: UnitBivector, angle: float) -> Rotor:
@@ -341,20 +340,20 @@ def sandwich(plane: UnitBivector, angle: float, v: Multivector) -> Multivector:
     nonvec = math.sqrt(c[0] ** 2 + c[4] ** 2 + c[5] ** 2 + c[6] ** 2 + c[7] ** 2)
     if nonvec > 1e-12 * max(1.0, v.norm()):
         raise ValueError("sandwich expects a pure grade-1 multivector")
-    r = rotation_rotor(plane, angle)
-    return Multivector(_gp(_gp(r.as_multivector().coeffs, c),
-                           r.reverse().as_multivector().coeffs))
+    r = rotation_rotor(plane, angle).as_multivector()
+    return Multivector(_gp(_gp(r.coeffs, c), r.reverse().coeffs))
 
 
-def rotation_entries(plane: UnitBivector, angle: float) -> tuple[float, ...]:
+def rotation_entries(plane, angle: float) -> tuple[float, ...]:
     """Matrix of the rotation by ``angle`` in ``plane`` as nine floats,
-    row-major.
+    row-major; plane is a UnitBivector or its components.
 
     The sandwich by rotation_rotor(plane, angle) in closed form: Rodrigues'
     formula about the plane's right-handed normal n,
     cos(angle) I + sin(angle) [n]x + (1 - cos(angle)) n n^T.
     """
-    x, y, z = plane.b23, -plane.b13, plane.b12
+    b12, b13, b23 = plane
+    x, y, z = b23, -b13, b12
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
     return (c + t * x * x, t * x * y - s * z, t * x * z + s * y,
@@ -385,13 +384,13 @@ def matrix_product(a, b) -> tuple[float, ...]:
             a20 * b02 + a21 * b12 + a22 * b22)
 
 
-def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
+def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:
     """Argument angle and plane of the even element sc + biv.
 
     biv is (b12, b13, b23).  The angle atan2(|biv|, sc) lies in [0, pi] and
-    the plane is the normalized bivector.  A bivector at or below
-    ZERO_BIVECTOR_RTOL * |sc| names no plane: the angle is then 0 for a
-    nonnegative sc and pi otherwise, the plane e12, and the flag that
+    the plane is the normalized bivector, as unit components.  A bivector at
+    or below ZERO_BIVECTOR_RTOL * |sc| names no plane: the angle is then 0
+    for a nonnegative sc and pi otherwise, the plane e12, and the flag that
     reports a real value is True.  The rule and |biv| (math.hypot, which
     neither overflows nor underflows) are scale-invariant, so scaling sc and
     biv by a power of two changes no bit of the result.
@@ -399,9 +398,18 @@ def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
     b12, b13, b23 = biv
     bmag = math.hypot(b12, b13, b23)
     if bmag <= ZERO_BIVECTOR_RTOL * abs(sc):
-        return (0.0 if sc >= 0.0 else math.pi), E12, True
-    plane = UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag)
-    return math.atan2(bmag, sc), plane, False
+        return (0.0 if sc >= 0.0 else math.pi), (1.0, 0.0, 0.0), True
+    _, b12, b13, b23 = unit_parts(0.0, b12 / bmag, b13 / bmag, b23 / bmag,
+                                  "bivector")
+    return math.atan2(bmag, sc), (b12, b13, b23), False
+
+
+def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
+    """argument_parts with the plane as a UnitBivector."""
+    angle, plane, real_valued = argument_parts(sc, biv)
+    unit = UnitBivector.__new__(UnitBivector)  # no second renormalisation
+    unit.__dict__.update(zip(("b12", "b13", "b23"), plane))
+    return angle, unit, real_valued
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,21 @@ def test_detect_rejects_a_fractional_grid_resolution(tmp_path, capsys):
     assert "bad resolution (1.5, 1, 2)" in out.err
 
 
+def test_detect_rejects_strings_and_booleans_as_numbers(tmp_path, capsys):
+    bad = tmp_path / "strings.json"
+    bad.write_text(json.dumps({"linear": {
+        "matrix": [["1", 0, 0], [0, True, 0], [0, 0, "2.5"]],
+        "box": {"low": ["-1", -1, False], "high": [1, 1, "1e0"]}}}))
+    good = tmp_path / "good.json"
+    save_field(LinearVectorField(np.diag([1.0, 1.0, 2.5])), good)
+    code = main(["detect", "--reference", str(good), "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "matrix must be lists of three JSON numbers" in out.err
+
+
 def test_bench_csv_deterministic(capsys):
     argv = ["bench", "--epsilons", "0.1,0.01", "--trials", "5", "--seed", "3"]
     assert main(argv) == 0

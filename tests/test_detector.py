@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, Multivector, UnitBivector, argument, compose_rotation,
+    E12, E13, Multivector, Rotor, UnitBivector, argument, compose_rotation,
     matrix_product, polar_decompose, rotation_entries, rotation_matrix,
-    rotation_rotor, rotor_product, rotor_rotation,
+    rotation_rotor, rotor_product, rotor_rotation, unit_parts,
 )
 from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, run_trials
@@ -460,6 +460,69 @@ def test_detect_moments_uses_no_numpy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the pass on float tuples
+
+def seeded_moment_inputs():
+    """(K, S) of seeded linear trials and piecewise pairs, and a real K."""
+    cases = []
+    for index in range(20):
+        spec = draw_trial(0, index, 1e-6)
+        pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+        cases.append((floats(cross_moment(pattern, spec.field)),
+                      self_moment(spec.field)))
+    rng = np.random.default_rng(35)
+    for _ in range(5):
+        reference, pattern = shared_cell_pair(rng)
+        cases.append((floats(cross_moment(pattern, reference)),
+                      self_moment(reference)))
+    s = floats(hand_made_s())
+    cases.append((s, s))  # real-valued: the disturbance pass
+    return cases
+
+
+def test_detect_moments_builds_no_plane_or_rotor(monkeypatch):
+    cases = seeded_moment_inputs()
+    built = []
+
+    def counting(init):
+        def counted(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+        return counted
+
+    for cls in (UnitBivector, Rotor):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    config = DetectionConfig(epsilon=1e-6)
+    loops = [detect_moments(k, s, config) for k, s in cases]
+    assert all(loop.converged for loop in loops)
+    assert loops[-1].phi_trace[0] == DISTURBANCE_ANGLE
+    assert sum(loop.iterations for loop in loops) > 10 * len(loops)
+    assert built == []
+    # the count sees every construction: reading corrections builds Rotors
+    assert len(loops[0].corrections) == loops[0].iterations
+    assert built == ["Rotor"] * loops[0].iterations
+
+
+def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
+    config = DetectionConfig(epsilon=1e-6)
+    for k, s in seeded_moment_inputs():
+        loop = detect_moments(k, s, config)
+        assert "corrections" not in vars(loop)
+        net = (1.0, 0.0, 0.0, 0.0)
+        for rotor, step in zip(loop.corrections, loop.steps, strict=True):
+            assert rotor.components == unit_parts(*step, "rotor")
+            net = rotor_product(rotor.components, net)
+        assert net == loop.net
+    spec = draw_trial(0, 3, 1e-3)
+    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+    report = detect(spec.field, pattern, DetectionConfig(epsilon=1e-3))
+    loop = detect_moments(floats(cross_moment(pattern, spec.field)),
+                          self_moment(spec.field), DetectionConfig(epsilon=1e-3))
+    assert report.corrections == loop.corrections
+    assert report.net == loop.net
+
+
+# ---------------------------------------------------------------------------
 # failure modes and config
 
 def test_non_convergence_reports_partial_state():
@@ -549,8 +612,9 @@ def field_form_detection(reference, pattern, config):
         if not trace and real_valued:
             phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
         if phi <= config.epsilon:
-            phi, q, converged = _certified_step(model, cor.bivector, phi, q,
-                                                config.epsilon)
+            phi, q, converged = _certified_step(model, cor.bivector, phi,
+                                                tuple(q), config.epsilon)
+            q = UnitBivector(*q)
         u = rotate_outer(u, q, phi)
         alpha, plane = compose_rotation(alpha, plane, phi, q)
         trace.append(phi)

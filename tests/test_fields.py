@@ -102,6 +102,53 @@ def test_from_dict_rejects_non_finite_values(bad):
             from_dict(doc)
 
 
+NOT_NUMBERS = "must be lists of three JSON numbers"
+
+
+@pytest.mark.parametrize("bad", ["1", "1e0", True, False, None, [1.0]])
+def test_from_dict_accepts_only_json_numbers(bad):
+    box = {"low": [0, 0, 0], "high": [1, 1, 1]}
+    docs = {
+        "matrix": {"linear": {"matrix": [[1, 0, 0], [0, bad, 0], [0, 0, 1]],
+                              "box": box}},
+        "box corners": {"linear": {"matrix": np.eye(3).tolist(),
+                                   "box": {"low": [0, bad, 0],
+                                           "high": [1, 1, 1]}}},
+        "cell vectors": {"piecewise": [{"box": box, "vector": [1, 0, 0]},
+                                       {"box": {"low": [1, 0, 0],
+                                                "high": [2, 1, 1]},
+                                        "vector": [0, 0, bad]}]},
+        "grid data": {"grid": {"box": box, "resolution": [1, 1, 2],
+                               "data": [[0, 0, 1], [bad, 0, 0]]}},
+    }
+    for what, doc in docs.items():
+        with pytest.raises(ValueError, match=f"{what} {NOT_NUMBERS}"):
+            from_dict(doc)
+
+
+@pytest.mark.parametrize("data", [[1, 0, 0], [[1, 0], [0, 1, 0, 0]], 7, "abc",
+                                  [[1, 0, 0], {"x": 1, "y": 2, "z": 3}]])
+def test_from_dict_rejects_grid_data_that_is_not_rows_of_three(data):
+    doc = {"grid": {"box": {"low": [0, 0, 0], "high": [1, 1, 1]},
+                    "resolution": [1, 1, 2], "data": data}}
+    with pytest.raises(ValueError, match=f"grid data {NOT_NUMBERS}"):
+        from_dict(doc)
+
+
+def test_from_dict_reads_strings_and_booleans_as_no_numbers():
+    doc = {"linear": {"matrix": [["1", 0, 0], [0, True, 0], [0, 0, "2.5"]],
+                      "box": {"low": ["-1", -1, False], "high": [1, 1, "1e0"]}}}
+    with pytest.raises(ValueError, match=f"matrix {NOT_NUMBERS}"):
+        from_dict(doc)
+    doc["linear"]["matrix"] = [[1, 0, 0], [0, 1, 0], [0, 0, 2.5]]
+    with pytest.raises(ValueError, match=f"box corners {NOT_NUMBERS}"):
+        from_dict(doc)
+    doc["linear"]["box"] = {"low": [-1, -1, 0], "high": [1, 1, 1.0]}
+    field = from_dict(doc)
+    assert np.array_equal(field.matrix, np.diag([1.0, 1.0, 2.5]))
+    assert field.box == Box((-1, -1, 0), (1, 1, 1))
+
+
 @pytest.mark.parametrize("bad", [1.5, "2", True, math.nan, math.inf])
 def test_sampled_field_rejects_a_non_integer_resolution(bad):
     with pytest.raises(ValueError, match="bad resolution"):
@@ -125,9 +172,9 @@ def test_from_dict_rejects_a_fractional_grid_resolution():
 
 def test_box_membership_half_open():
     b = Box((0, -1, -1), (1, 1, 1))
-    assert b.contains((0.0, 0.0, 0.0))
-    assert not b.contains((1.0, 0.0, 0.0))
-    assert b.contains((0.999999, -1.0, -1.0))
+    assert b.contains_many(np.array([(0.0, 0.0, 0.0)]))[0]
+    assert not b.contains_many(np.array([(1.0, 0.0, 0.0)]))[0]
+    assert b.contains_many(np.array([(0.999999, -1.0, -1.0)]))[0]
 
 
 def test_box_intersection():
@@ -630,6 +677,18 @@ def test_sample_matches_source_at_centers():
     g = sample(f, UNIT_BOX, (6, 6, 6))
     centers = g.cell_centers()
     assert np.allclose(g.data, evaluate_many(f, centers), atol=1e-14)
+
+
+def test_sample_evaluates_at_the_grid_cell_centers_exactly():
+    box = Box((-1.0, -0.5, 0.25), (0.7, 1.3, 2.0))
+    f = LinearVectorField(RNG.uniform(-1.0, 1.0, (3, 3)), box)
+    g = sample(f, box, (3, 4, 5))
+    centers = g.cell_centers()
+    assert centers.shape == (60, 3)
+    # cell (i, j, k) at row (i * 4 + j) * 5 + k, its centre half a step in
+    assert np.array_equal(centers[(2 * 4 + 1) * 5 + 3],
+                          box.low_array + np.array([2.5, 1.5, 3.5]) * g.spacing)
+    assert np.array_equal(g.data, evaluate_many(f, centers))
 
 
 def test_sampled_rotation_consistent_with_source():
