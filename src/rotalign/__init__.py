@@ -6,25 +6,13 @@ until the residual argument angle falls below a tolerance.
 """
 
 from .ga3 import (
-    Multivector,
-    PolarForm,
-    Rotor,
-    UnitBivector,
-    compose_rotation,
-    exp_bivector,
-    polar_decompose,
+    Multivector, PolarForm, Rotor, UnitBivector, exp_bivector, polar_decompose,
     sandwich,
 )
 
 __all__ = [
-    "Multivector",
-    "PolarForm",
-    "Rotor",
-    "UnitBivector",
-    "compose_rotation",
-    "exp_bivector",
-    "polar_decompose",
-    "sandwich",
+    "Multivector", "PolarForm", "Rotor", "UnitBivector", "exp_bivector",
+    "polar_decompose", "sandwich",
 ]
 
 __version__ = "0.1.0"

@@ -75,13 +75,6 @@ def normalized_correlation(a: VectorField, b: VectorField) -> CorrelationResult:
                              polar=polar_decompose(normalized))
 
 
-def _bounding_box(a: VectorField, b: VectorField) -> Box:
-    sa, sb = support(a), support(b)
-    lo = np.minimum(sa.low_array, sb.low_array)
-    hi = np.maximum(sa.high_array, sb.high_array)
-    return Box(tuple(lo), tuple(hi))
-
-
 def quadrature_correlate(a: VectorField, b: VectorField,
                          box: Box | None = None,
                          resolution: int = 64) -> Multivector:
@@ -92,7 +85,10 @@ def quadrature_correlate(a: VectorField, b: VectorField,
     ``resolution`` cells per axis, processed one x-slab at a time to bound
     memory.
     """
-    box = box or _bounding_box(a, b)
+    if box is None:
+        sa, sb = support(a), support(b)
+        box = Box(tuple(np.minimum(sa.low_array, sb.low_array)),
+                  tuple(np.maximum(sa.high_array, sb.high_array)))
     n = int(resolution)
     lo, hi = box.low_array, box.high_array
     h = (hi - lo) / n

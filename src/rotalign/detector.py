@@ -14,9 +14,9 @@ once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
 of K and the reference's self-moment S held as nine Python floats each.  A
-pass holds its plane and step rotor as float tuples, not as a UnitBivector,
-Rotor or numpy array; the steps accumulate into one rotor, detect rotates
-the pattern once, after the loop, and a report builds its Rotors when read.
+pass reads R and its step rotor off the correlation as ratios, with no
+angle (ga3.halfway_turn).  detect rotates the pattern once, after the loop,
+and a report builds its Rotors when read.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -49,9 +49,9 @@ import math
 from dataclasses import dataclass
 
 from .ga3 import (
-    E12, Rotor, UnitBivector, argument_parts, exp_parts, matrix_product,
-    rotation_entries, rotation_rotor, rotor_product, rotor_rotation,
-    unit_parts,
+    E12, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, argument_parts, exp_parts,
+    halfway_turn, matrix_product, rotation_entries, rotation_rotor,
+    rotor_product, rotor_rotation, unit_parts,
 )
 from .fields import VectorField, cross_moment, rotate_outer
 from .correlation import correlate_at_origin, moment_parts
@@ -204,8 +204,7 @@ def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
     the Gauss-Newton correction about -omega, shortened to
     (1 - epsilon / misfit) |omega| so that the predicted misfit lands at
     epsilon: the full correction over-solves at loose tolerances, and the
-    paper's steps alone can need more than max_iterations passes.  Planes
-    are (b12, b13, b23) tuples, and all of it is Python float arithmetic.
+    paper's steps alone can need more than max_iterations passes.
     """
     x, y, z = model.rotation(biv)
     q12, q13, q23 = q
@@ -225,11 +224,11 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     reference's self-moment S = integral of v v^T.
 
     k and s are 3x3 matrices given as nine floats in row-major order.  Every
-    pass is arithmetic on float tuples: the fold of K (moment_parts), the
-    polar read (argument_parts), the certified step, K <- R K with R from
-    rotation_entries, and the step's rotor, renormalised as Rotor would,
-    multiplied into the net rotor.  Raises ValueError if tr S is zero or
-    not finite.
+    pass is float arithmetic: the fold tr K + B of K (moment_parts), phi =
+    atan2(|B|, tr K), and one halfway_turn of K and the net rotor.  Only the
+    disturbance, a pass within epsilon (the certified step) and a real fold
+    turn by an explicit (phi, plane): rotation_entries and exp_parts.
+    Raises ValueError if tr S is zero or not finite.
     """
     model = _MisfitModel(s)
     epsilon = config.epsilon
@@ -242,14 +241,19 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     while not converged and iterations < config.max_iterations:
         iterations += 1
         sc, biv = moment_parts(k)
-        phi, q, real_valued = argument_parts(sc, biv)
-        if iterations == 1 and real_valued:
-            phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
-        if phi <= epsilon:
-            phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-        step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
-        k = matrix_product(rotation_entries(q, phi), k)
-        net = rotor_product(unit_parts(*step, "rotor"), net)
+        bmag = math.hypot(*biv)
+        phi = math.atan2(bmag, sc)
+        if phi > epsilon and bmag > ZERO_BIVECTOR_RTOL * abs(sc):
+            k, step, net = halfway_turn(sc, biv, k, net)
+        else:
+            phi, q, real_valued = argument_parts(sc, biv)
+            if iterations == 1 and real_valued:
+                phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
+            if phi <= epsilon:
+                phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
+            step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
+            k = matrix_product(rotation_entries(q, phi), k)
+            net = rotor_product(unit_parts(*step, "rotor"), net)
         trace.append(phi)
         steps.append(step)
 

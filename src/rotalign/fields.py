@@ -31,7 +31,23 @@ from itertools import chain
 
 import numpy as np
 
-from .ga3 import UnitBivector, check_angle, rotation_matrix
+from .ga3 import UnitBivector, rotation_matrix
+
+
+def _is_real(x) -> bool:
+    """An int or a float, numpy's included; not a bool, a string or None.
+    A float (numpy's float64 is one) skips the slower numbers.Real check."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real)
+                                    and not isinstance(x, bool))
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a new float array, if every entry (of a list, too) is _is_real."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf" or a is not x and not all(
+            map(_is_real, np.asarray(x, dtype=object).flat)):
+        raise ValueError(f"{what} must be real numbers")
+    return a.astype(float)
 
 
 @dataclass(frozen=True)
@@ -42,10 +58,11 @@ class Box:
     high: tuple[float, float, float]
 
     def __post_init__(self):
-        lo = tuple(float(x) for x in self.low)
-        hi = tuple(float(x) for x in self.high)
-        if len(lo) != 3 or len(hi) != 3:
+        if len(self.low) != 3 or len(self.high) != 3:
             raise ValueError("box corners must be 3-vectors")
+        if not all(map(_is_real, (*self.low, *self.high))):
+            raise ValueError("box corners must be real numbers")
+        lo, hi = tuple(map(float, self.low)), tuple(map(float, self.high))
         if not all(math.isfinite(x) for x in lo + hi):
             raise ValueError("box corners must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
@@ -121,12 +138,11 @@ class LinearVectorField:
     box: Box = UNIT_BOX
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _real_array(self.matrix, "matrix values")
         if m.shape != (3, 3):
             raise ValueError(f"matrix must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix values must be finite")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -147,13 +163,9 @@ class PiecewiseConstantField:
 
     def __init__(self, cells):
         cells = tuple(cells)
-        values = []
-        for _, value in cells:
-            v = np.asarray(value, dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"cell value must be a 3-vector, got {v.shape}")
-            values.append(v)
-        values = np.array(values).reshape(-1, 3)
+        if any(np.shape(value) != (3,) for _, value in cells):
+            raise ValueError("cell values must be 3-vectors")
+        values = _real_array([v for _, v in cells], "cell values").reshape(-1, 3)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise ValueError(f"cell {int(np.argmin(finite))} value must be finite")
@@ -192,8 +204,7 @@ def _checked_resolution(resolution) -> tuple[int, int, int]:
     """Three positive integer cell counts: 2.0 counts, 1.5, "2" and True do not."""
     res = tuple(resolution)
     if len(res) != 3 or not all(
-            isinstance(n, numbers.Real) and not isinstance(n, bool)
-            and float(n).is_integer() and n >= 1 for n in res):
+            _is_real(n) and float(n).is_integer() and n >= 1 for n in res):
         raise ValueError(f"bad resolution {resolution}")
     return tuple(int(n) for n in res)
 
@@ -212,13 +223,12 @@ class SampledField:
 
     def __post_init__(self):
         res = _checked_resolution(self.resolution)
-        d = np.asarray(self.data, dtype=float)
+        d = _real_array(self.data, "data values")
         n = res[0] * res[1] * res[2]
         if d.shape != (n, 3):
             raise ValueError(f"data shape {d.shape} does not match resolution {res}")
         if not np.isfinite(d).all():
             raise ValueError("data values must be finite")
-        d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "resolution", res)
         object.__setattr__(self, "data", d)
@@ -263,23 +273,7 @@ def plane_projection_matrix(plane: UnitBivector) -> np.ndarray:
 
 def evaluate(field: VectorField, x) -> np.ndarray:
     """Value of the field at a point (zero outside the support)."""
-    if isinstance(field, LinearVectorField):
-        x = np.asarray(x, dtype=float)
-        if not field.box.contains_many(x.reshape(1, 3))[0]:
-            return np.zeros(3)
-        return field.matrix @ x
-    if isinstance(field, PiecewiseConstantField):
-        return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
-    if isinstance(field, SampledField):
-        x = np.asarray(x, dtype=float)
-        if not field.box.contains_many(x.reshape(1, 3))[0]:
-            return np.zeros(3)
-        idx = np.floor((x - field.box.low_array) / field.spacing).astype(int)
-        idx = np.minimum(idx, np.array(field.resolution) - 1)
-        i, j, k = idx
-        ny, nz = field.resolution[1], field.resolution[2]
-        return field.data[(i * ny + j) * nz + k].copy()
-    raise TypeError(f"not a vector field: {type(field).__name__}")
+    return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
 
 
 def evaluate_many(field: VectorField, pts: np.ndarray) -> np.ndarray:
@@ -350,9 +344,10 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
             return np.zeros((3, 3))
         return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
     if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        if np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high):
+        if (a.low is b.low and a.high is b.high
+                or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)):
             # same disjoint cells: W is diagonal, the cell volumes
-            volume = np.prod(a.high - a.low, axis=1)
+            volume = (a.high - a.low).prod(axis=1)
             return np.ascontiguousarray((a.values * volume[:, None]).T) @ b.values
         return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
     if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
@@ -396,7 +391,8 @@ def rotate_outer(field: VectorField, plane: UnitBivector,
 
     angle must lie in [0, pi]; rotate in -plane to undo.
     """
-    check_angle("angle", angle)
+    if not -1e-12 <= angle <= math.pi + 1e-12:
+        raise ValueError(f"angle {angle} outside [0, pi]")
     return _map_values(field, rotation_matrix(plane, angle))
 
 

@@ -384,6 +384,45 @@ def matrix_product(a, b) -> tuple[float, ...]:
             a20 * b02 + a21 * b12 + a22 * b22)
 
 
+def halfway_turn(sc: float, biv, k, net) -> tuple[tuple[float, ...], ...]:
+    """(R k, step, step net): R rotates by the argument phi of C = sc + biv in
+    C's plane and step is its rotor, both read off C's half-way rotor
+    |C| + C~ with no angle taken.  c = sc / |C| and w = (b23, -b13, b12) / |C|
+    are cos(phi) and sin(phi) times the plane's normal, so R = c I + [w]x +
+    w w^T / d with d = 1 + c (as |w|^2 / (1 - c) for c < 0, which does not
+    cancel near the half-turn), and step = (d, -b12 / |C|, -b13 / |C|,
+    -b23 / |C|) over its length.  Only ratios to |C| enter, so scaling sc and
+    biv by a power of two changes no bit; biv must name a plane
+    (argument_parts).  k is nine floats, row-major; R k is summed as by
+    matrix_product, and step, renormalised by unit_parts, multiplies net as
+    by rotor_product, so that a detector pass makes one call.
+    """
+    b12, b13, b23 = biv
+    r = math.hypot(sc, b12, b13, b23)
+    c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
+    d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
+    u, v, w = x / d, y / d, z / d
+    xy, xz, yz = x * v, x * w, y * w
+    a00, a01, a02 = c + x * u, xy - z, xz + y
+    a10, a11, a12 = xy + z, c + y * v, yz - x
+    a20, a21, a22 = xz - y, yz + x, c + z * w
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
+    h = math.hypot(d, x, y, z)
+    step = (d / h, -z / h, y / h, -x / h)
+    s0, s12, s13, s23 = unit_parts(*step, "rotor")
+    n0, n12, n13, n23 = net
+    return ((a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
+             a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
+             a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
+             a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
+             a20 * k02 + a21 * k12 + a22 * k22),
+            step,
+            (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
+             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
+             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
+             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12))
+
+
 def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:
     """Argument angle and plane of the even element sc + biv.
 
@@ -453,29 +492,3 @@ def rotor_rotation(r) -> tuple[float, UnitBivector]:
         sc, b12, b13, b23 = -sc, -b12, -b13, -b23
     half, plane, _ = argument(sc, (-b12, -b13, -b23))
     return 2.0 * half, plane
-
-
-def check_angle(name: str, angle: float) -> None:
-    """Raise ValueError unless angle lies in [0, pi], give or take 1e-12."""
-    if not -1e-12 <= angle <= math.pi + 1e-12:
-        raise ValueError(f"{name} {angle} outside [0, pi]")
-
-
-def compose_rotation(alpha: float, p: UnitBivector,
-                     phi: float, q: UnitBivector) -> tuple[float, UnitBivector]:
-    """Accumulate rotation (phi, q) onto (alpha, p).
-
-    Multiplies the rotation rotors, (alpha, p) first, and reads the combined
-    angle and plane with rotor_rotation, so the result angle is kept in
-    [0, pi] by flipping the plane orientation when the raw composed angle
-    exceeds pi.  A phi of exactly 0 returns (alpha, p) unchanged, so
-    repeated identity accumulation stays exact.
-    """
-    check_angle("alpha", alpha)
-    check_angle("phi", phi)
-    if phi == 0.0:
-        return alpha, p
-    if alpha == 0.0:
-        return phi, q
-    return rotor_rotation(rotor_product(rotation_rotor(q, phi).components,
-                                        rotation_rotor(p, alpha).components))

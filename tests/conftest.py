@@ -5,7 +5,8 @@ the Pauli matrix sigma_i), so multiplication is plain matrix multiplication
 and never touches the package's generated table.  The integration oracle is a
 brute-force midpoint sum written with explicit loops over a modest grid.
 The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
-and box_constructions the Box objects the package builds.
+and box_constructions the Box objects the package builds; shared_cell_pair
+builds the seeded piecewise pairs that several test modules detect on.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from rotalign import fields
+from rotalign.ga3 import UnitBivector, rotation_matrix
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
 _I2 = np.eye(2, dtype=complex)
@@ -102,6 +104,19 @@ def jittered_split(rng, split):
     low = np.stack([edges[a][idx[:, a]] for a in range(3)], axis=1)
     high = np.stack([edges[a][idx[:, a] + 1] for a in range(3)], axis=1)
     return low, high
+
+
+def shared_cell_pair(rng, angle=2.0):
+    """An 18-cell reference and its copy rotated by angle about a random
+    plane, built like a registered pair: the same cell corners, as distinct
+    arrays."""
+    low, high = jittered_split(rng, (3, 3, 2))
+    values = rng.uniform(-1.0, 1.0, (18, 3))
+    plane = UnitBivector.from_normal(rng.standard_normal(3))
+    rotated = values @ rotation_matrix(plane, angle).T
+    return tuple(fields.PiecewiseConstantField(tuple(
+        (fields.Box(tuple(lo), tuple(hi)), v) for lo, hi, v in zip(low, high, vals)))
+        for vals in (values, rotated))
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, Multivector, Rotor, UnitBivector, argument, compose_rotation,
+    E12, E13, Multivector, Rotor, UnitBivector, argument, halfway_turn,
     matrix_product, polar_decompose, rotation_entries, rotation_matrix,
     rotation_rotor, rotor_product, rotor_rotation, unit_parts,
 )
@@ -28,7 +28,7 @@ from rotalign.detector import (
     _MisfitModel, _certified_step, detect, detect_moments, residual_angle,
 )
 
-from conftest import jittered_split
+from conftest import shared_cell_pair
 
 RNG = np.random.default_rng(909)
 
@@ -207,14 +207,19 @@ def relative_misfit(a, b):
 
 def phi_only_detection(reference, pattern, epsilon):
     """The paper's loop with the bare exit phi <= epsilon, no disturbance,
-    run on the cross moment with the arithmetic detect uses."""
+    run on the cross moment with the arithmetic detect uses: a pass above
+    epsilon turns by halfway_turn, the last one by its angle and plane."""
     k = cross_moment(pattern, reference).ravel().tolist()
     net, trace = (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
         sc, biv = moment_parts(k)
         pf = polar_decompose(Multivector(np.r_[sc, 0.0, 0.0, 0.0, biv, 0.0]))
-        k = matrix_product(rotation_entries(pf.plane, pf.angle), k)
-        net = rotor_product(rotation_rotor(pf.plane, pf.angle).components, net)
+        if pf.angle > epsilon:
+            k, _, net = halfway_turn(sc, biv, k, net)
+        else:
+            k = matrix_product(rotation_entries(pf.plane, pf.angle), k)
+            net = rotor_product(rotation_rotor(pf.plane, pf.angle).components,
+                                net)
         trace.append(pf.angle)
     angle, undo = rotor_rotation(net)
     return rotate_outer(pattern, undo, angle), tuple(trace)
@@ -522,6 +527,27 @@ def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
     assert report.net == loop.net
 
 
+def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
+    # every pass but the disturbance and the certified ones is one
+    # halfway_turn, and only those explicit passes call cos and sin, once
+    # each in exp_parts and in rotation_entries
+    trig, turns = [], []
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(math, name, lambda x, f=getattr(math, name), n=name:
+                            trig.append(n) or f(x))
+    monkeypatch.setattr(rotalign.detector, "halfway_turn",
+                        lambda *args: turns.append(args) or halfway_turn(*args))
+    config = DetectionConfig(epsilon=1e-6)
+    for k, s in seeded_moment_inputs():
+        trig.clear()
+        turns.clear()
+        loop = detect_moments(k, s, config)
+        explicit = loop.iterations - len(turns)
+        assert loop.converged and 1 <= explicit <= 2
+        assert trig.count("cos") == trig.count("sin") == 2 * explicit
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
+
+
 # ---------------------------------------------------------------------------
 # failure modes and config
 
@@ -602,10 +628,11 @@ def test_config_validation():
 
 def field_form_detection(reference, pattern, config):
     """The paper's loop as written: every pass correlates the rotated pattern
-    with correlate_at_origin, rotates it with rotate_outer and accumulates the
-    step with compose_rotation.  Returns the fields of a DetectionReport."""
+    with correlate_at_origin, rotates it with rotate_outer and multiplies the
+    step's rotation_rotor into the net rotor, read at the end by
+    rotor_rotation.  Returns the fields of a DetectionReport."""
     model = _MisfitModel(self_moment(reference))
-    u, alpha, plane, trace, converged = pattern, 0.0, E12, [], False
+    u, net, trace, converged = pattern, (1.0, 0.0, 0.0, 0.0), [], False
     while not converged and len(trace) < config.max_iterations:
         cor = correlate_at_origin(u, reference)
         phi, q, real_valued = argument(cor.scalar, cor.bivector)
@@ -616,8 +643,9 @@ def field_form_detection(reference, pattern, config):
                                                 tuple(q), config.epsilon)
             q = UnitBivector(*q)
         u = rotate_outer(u, q, phi)
-        alpha, plane = compose_rotation(alpha, plane, phi, q)
+        net = rotor_product(rotation_rotor(q, phi).components, net)
         trace.append(phi)
+    alpha, plane = rotor_rotation(net)
     return alpha, -plane, u, tuple(trace), converged
 
 
@@ -682,18 +710,6 @@ def test_moment_loop_matches_field_loop_on_grids():
 # ---------------------------------------------------------------------------
 # the piecewise hot path, guarded by counts rather than timings
 
-def shared_cell_pair(rng):
-    """An 18-cell reference and its rotated copy, built like a registered
-    pair: the same cell corners, as distinct arrays."""
-    low, high = jittered_split(rng, (3, 3, 2))
-    values = rng.uniform(-1.0, 1.0, (18, 3))
-    plane = UnitBivector.from_normal(rng.standard_normal(3))
-    rotated = values @ rotation_matrix(plane, 2.0).T
-    return tuple(PiecewiseConstantField(tuple(
-        (Box(tuple(lo), tuple(hi)), v) for lo, hi, v in zip(low, high, vals)))
-        for vals in (values, rotated))
-
-
 def test_detect_on_shared_cells_builds_no_cell_pair_matrix(overlap_calls):
     reference, pattern = shared_cell_pair(np.random.default_rng(33))
     assert overlap_calls == [18 * 18, 18 * 18]  # one check per constructor
@@ -704,6 +720,24 @@ def test_detect_on_shared_cells_builds_no_cell_pair_matrix(overlap_calls):
     assert overlap_calls == []
     corrected = report.corrected_pattern
     assert corrected.low is pattern.low and corrected.high is pattern.high
+
+
+def test_shared_cells_are_compared_by_identity_first(monkeypatch):
+    # S and the pattern's energy pair a field with itself, and rotate_outer
+    # copies share the corner arrays: only distinct arrays are compared
+    compared = []
+    original = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda a, b: compared.append(1) or original(a, b))
+    reference, pattern = shared_cell_pair(np.random.default_rng(36))
+    config = DetectionConfig(epsilon=1e-6)
+    assert detect(reference, pattern, config).converged
+    assert len(compared) == 2  # K's low and high corners
+    compared.clear()
+    copy = rotate_outer(reference, UnitBivector.from_components(1.0, 2.0, 3.0),
+                        1.1)
+    assert detect(reference, copy, config).converged
+    assert compared == []
 
 
 def test_piecewise_field_is_read_only():

@@ -149,6 +149,37 @@ def test_from_dict_reads_strings_and_booleans_as_no_numbers():
     assert field.box == Box((-1, -1, 0), (1, 1, 1))
 
 
+@pytest.mark.parametrize("bad", ["1", "1e0", True, False, np.bool_(True), None,
+                                 1j])
+def test_constructors_take_no_strings_or_booleans_as_numbers(bad):
+    with pytest.raises(ValueError, match="box corners must be real numbers"):
+        Box((0, 0, bad), (1, 1, 2))
+    with pytest.raises(ValueError, match="box corners must be real numbers"):
+        Box((-1, -1, -1), (1, bad, 1))
+    with pytest.raises(ValueError, match="matrix values must be real numbers"):
+        LinearVectorField([[1, 0, 0], [0, bad, 0], [0, 0, 1.5]])
+    with pytest.raises(ValueError, match="cell values must be real numbers"):
+        PiecewiseConstantField(((Box((0, 0, 0), (1, 1, 1)), (1.0, 0.0, 0.0)),
+                                (Box((1, 0, 0), (2, 1, 1)), (0.0, bad, 0.0))))
+    with pytest.raises(ValueError, match="data values must be real numbers"):
+        SampledField(UNIT_BOX, (1, 1, 2), [[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+
+
+def test_constructors_reject_boolean_and_string_arrays():
+    with pytest.raises(ValueError, match="matrix values must be real numbers"):
+        LinearVectorField(np.eye(3, dtype=bool))
+    with pytest.raises(ValueError, match="data values must be real numbers"):
+        SampledField(UNIT_BOX, (1, 1, 2), np.array([["1", "0", "0"]] * 2))
+    # what the loader passes, and numpy's own ints and floats, still build
+    field = LinearVectorField(np.arange(9).reshape(3, 3),
+                              Box((np.int64(-1), -1.0, np.float32(0)), (1, 1, 1)))
+    assert field.matrix.dtype == float
+    assert field.box == Box((-1, -1, 0), (1, 1, 1))
+    cells = PiecewiseConstantField(((Box((0, 0, 0), (1, 1, 1)),
+                                     np.array([1, 2, 3], dtype=np.int32)),))
+    assert cells.values.tolist() == [[1.0, 2.0, 3.0]]
+
+
 @pytest.mark.parametrize("bad", [1.5, "2", True, math.nan, math.inf])
 def test_sampled_field_rejects_a_non_integer_resolution(bad):
     with pytest.raises(ValueError, match="bad resolution"):

@@ -11,8 +11,8 @@ from scipy.spatial.transform import Rotation
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, compose_rotation, exp_bivector, matrix_product,
-    polar_decompose, rotation_entries,
+    argument, argument_parts, exp_bivector, exp_parts, halfway_turn,
+    matrix_product, polar_decompose, rotation_entries, unit_parts,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
@@ -286,6 +286,57 @@ def test_matrix_product_sums_left_to_right():
         assert np.allclose(np.reshape(got, (3, 3)), a @ b, rtol=0.0, atol=1e-15)
 
 
+IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
+
+
+def halfway_cases():
+    """(sc, biv) at random, of either sign of sc, with the argument within
+    1e-9 of 0 and of pi, and just above the real-valued threshold."""
+    cases = []
+    for _ in range(200):
+        sc = RNG.uniform(-2.0, 2.0)
+        biv = tuple(RNG.uniform(-2.0, 2.0, 3))
+        n = np.array(random_plane().components)
+        angle = RNG.uniform(0.0, 1e-9)
+        for phi in (angle, math.pi - angle):
+            cases.append((math.cos(phi), tuple(math.sin(phi) * n)))
+        size = 1.01 * ZERO_BIVECTOR_RTOL * abs(sc)
+        cases += [(sc, biv), (sc, tuple(size * n)), (-sc, tuple(size * n))]
+    return cases
+
+
+def test_halfway_turn_matches_the_angle_and_plane():
+    for sc, biv in halfway_cases():
+        phi, q, real_valued = argument_parts(sc, biv)
+        assert not real_valued
+        rk, step, net = halfway_turn(sc, biv, IDENTITY, NO_ROTATION)
+        assert np.allclose(rk, rotation_entries(q, phi), rtol=0.0, atol=2e-15)
+        assert np.allclose(step, exp_parts(q, -phi / 2.0), rtol=0.0, atol=2e-15)
+        assert net == unit_parts(*step, "rotor")
+
+
+def test_halfway_turn_multiplies_as_the_reference_products():
+    for sc, biv in halfway_cases()[:200]:
+        k = tuple(RNG.uniform(-2.0, 2.0, 9))
+        net = rotation_rotor(random_plane(), RNG.uniform(0.0, math.pi)).components
+        rotation, _, _ = halfway_turn(sc, biv, IDENTITY, NO_ROTATION)
+        rk, step, got = halfway_turn(sc, biv, k, net)
+        assert rk == matrix_product(rotation, k)
+        assert got == rotor_product(unit_parts(*step, "rotor"), net)
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
+def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
+    # every quantity is a ratio to |sc + biv|, so the scale drops out exactly
+    m = tuple(RNG.uniform(-2.0, 2.0, 9))
+    net = rotation_rotor(random_plane(), 1.0).components
+    scale = 2.0 ** k
+    for sc, biv in halfway_cases():
+        got = halfway_turn(sc * scale, tuple(b * scale for b in biv), m, net)
+        assert got == halfway_turn(sc, biv, m, net)
+
+
 def test_rotor_product_against_oracle():
     for _ in range(100):
         a, b = RNG.uniform(-2, 2, 4), RNG.uniform(-2, 2, 4)
@@ -420,42 +471,52 @@ def _compose_oracle(alpha, p, phi, q):
     return ang, UnitBivector.from_normal(rv / ang)
 
 
+def compose(alpha, p, phi, q):
+    """Rotate by alpha in p, then by phi in q: the rotors' product, folded
+    to an angle in [0, pi] and a plane by rotor_rotation."""
+    return rotor_rotation(rotor_product(rotation_rotor(q, phi).components,
+                                        rotation_rotor(p, alpha).components))
+
+
 def test_compose_examples():
-    beta, plane = compose_rotation(math.pi / 2, E12, math.pi / 2, E12)
+    beta, plane = compose(math.pi / 2, E12, math.pi / 2, E12)
     assert math.isclose(beta, math.pi, abs_tol=1e-12)
     assert np.allclose(plane.components, E12.components, atol=1e-12)
 
-    beta, plane = compose_rotation(math.pi / 2, E12, math.pi / 2, E13)
+    beta, plane = compose(math.pi / 2, E12, math.pi / 2, E13)
     assert math.isclose(beta, 2 * math.pi / 3, abs_tol=1e-12)
     want = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
     assert np.allclose(plane.components, want, atol=1e-12)
 
 
 def test_compose_identity_factor_exact():
+    # a zero step's rotor is (1, -0, -0, -0): multiplying by it, on either
+    # side, leaves a rotor unchanged to the bit
     p = random_plane()
-    beta, plane = compose_rotation(0.7, p, 0.0, E12)
-    assert beta == 0.7
-    assert plane is p
-    beta, plane = compose_rotation(0.0, E12, 0.7, p)
-    assert beta == 0.7
-    assert plane is p
+    r = rotation_rotor(p, 0.7).components
+    zero = rotation_rotor(E12, 0.0).components
+    assert rotor_product(zero, r) == r
+    assert rotor_product(r, zero) == r
+    for beta, plane in (compose(0.7, p, 0.0, E12), compose(0.0, E12, 0.7, p)):
+        assert math.isclose(beta, 0.7, rel_tol=1e-15)
+        assert np.allclose(plane.components, p.components, rtol=0.0, atol=1e-15)
 
 
 def test_compose_same_plane_adds():
-    beta, plane = compose_rotation(0.3, E23, 0.4, E23)
+    beta, plane = compose(0.3, E23, 0.4, E23)
     assert math.isclose(beta, 0.7, abs_tol=1e-12)
     assert np.allclose(plane.components, E23.components, atol=1e-12)
 
 
 def test_compose_angle_clamped_to_pi():
     # raw composed angle 3pi/2 folds back to pi/2 with the plane flipped
-    beta, plane = compose_rotation(3 * math.pi / 4, E12, 3 * math.pi / 4, E12)
+    beta, plane = compose(3 * math.pi / 4, E12, 3 * math.pi / 4, E12)
     assert math.isclose(beta, math.pi / 2, abs_tol=1e-12)
     assert np.allclose(plane.components, -E12.components, atol=1e-12)
 
 
 def test_compose_full_turn_cancels():
-    beta, _ = compose_rotation(math.pi, E13, math.pi, E13)
+    beta, _ = compose(math.pi, E13, math.pi, E13)
     assert math.isclose(beta, 0.0, abs_tol=1e-9)
 
 
@@ -464,18 +525,11 @@ def test_compose_against_scipy():
         p, q = random_plane(), random_plane()
         alpha = RNG.uniform(0, math.pi)
         phi = RNG.uniform(0, math.pi)
-        beta, plane = compose_rotation(alpha, p, phi, q)
+        beta, plane = compose(alpha, p, phi, q)
         want_angle, want_plane = _compose_oracle(alpha, p, phi, q)
         assert math.isclose(beta, want_angle, abs_tol=1e-9)
         if want_plane is not None and want_angle > 1e-6:
             assert np.allclose(plane.components, want_plane.components, atol=1e-6)
-
-
-def test_compose_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        compose_rotation(-0.5, E12, 0.1, E13)
-    with pytest.raises(ValueError):
-        compose_rotation(0.5, E12, 4.0, E13)
 
 
 # ---------------------------------------------------------------------------
