@@ -344,7 +344,8 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
             return np.zeros((3, 3))
         return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
     if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        if (a.low is b.low and a.high is b.high
+        # equal bytes mean equal corners; array_equal also matches -0.0 and 0.0
+        if (a.low.tobytes() == b.low.tobytes() and a.high.tobytes() == b.high.tobytes()
                 or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)):
             # same disjoint cells: W is diagonal, the cell volumes
             volume = (a.high - a.low).prod(axis=1)

@@ -34,6 +34,9 @@ ZERO_BIVECTOR_RTOL = 1e-12
 # Odd-grade content beyond this share of the norm makes polar_decompose raise.
 ODD_RTOL = 1e-8
 
+# Largest distance from 1 of a length that unit_parts renormalises.
+UNIT_ATOL = 1e-9
+
 
 def _blade_times_blade(p, q):
     """Multiply two basis blades; return (sign, resulting blade tuple)."""
@@ -200,11 +203,11 @@ E3 = Multivector.from_vector((0.0, 0.0, 1.0))
 
 def unit_parts(sc: float, b12: float, b13: float, b23: float,
                what: str) -> tuple[float, float, float, float]:
-    """sc + (b12, b13, b23) over its length, which must be within 1e-9 of 1:
-    the renormalisation of UnitBivector, Rotor and the detector's passes.  A
-    plane passes sc = 0.0, which adds exactly nothing to the sum."""
+    """sc + (b12, b13, b23) over its length, which must be within UNIT_ATOL
+    of 1: the renormalisation of UnitBivector, Rotor and the detector's
+    passes.  A plane passes sc = 0.0, which adds exactly nothing to the sum."""
     mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
-    if not abs(mag - 1.0) <= 1e-9:  # NaN fails this too
+    if not abs(mag - 1.0) <= UNIT_ATOL:  # NaN fails this too
         raise ValueError(f"{what} magnitude {mag} is not 1")
     return sc / mag, b12 / mag, b13 / mag, b23 / mag
 
@@ -214,7 +217,7 @@ class UnitBivector:
     """Unit-magnitude bivector: an oriented rotation plane.
 
     Components are ordered (b12, b13, b23).  The constructor renormalizes
-    small drift and rejects anything farther than 1e-9 from unit length.
+    small drift and rejects anything farther than UNIT_ATOL from unit length.
     """
 
     b12: float
@@ -382,45 +385,6 @@ def matrix_product(a, b) -> tuple[float, ...]:
             a20 * b00 + a21 * b10 + a22 * b20,
             a20 * b01 + a21 * b11 + a22 * b21,
             a20 * b02 + a21 * b12 + a22 * b22)
-
-
-def halfway_turn(sc: float, biv, k, net) -> tuple[tuple[float, ...], ...]:
-    """(R k, step, step net): R rotates by the argument phi of C = sc + biv in
-    C's plane and step is its rotor, both read off C's half-way rotor
-    |C| + C~ with no angle taken.  c = sc / |C| and w = (b23, -b13, b12) / |C|
-    are cos(phi) and sin(phi) times the plane's normal, so R = c I + [w]x +
-    w w^T / d with d = 1 + c (as |w|^2 / (1 - c) for c < 0, which does not
-    cancel near the half-turn), and step = (d, -b12 / |C|, -b13 / |C|,
-    -b23 / |C|) over its length.  Only ratios to |C| enter, so scaling sc and
-    biv by a power of two changes no bit; biv must name a plane
-    (argument_parts).  k is nine floats, row-major; R k is summed as by
-    matrix_product, and step, renormalised by unit_parts, multiplies net as
-    by rotor_product, so that a detector pass makes one call.
-    """
-    b12, b13, b23 = biv
-    r = math.hypot(sc, b12, b13, b23)
-    c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
-    d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
-    u, v, w = x / d, y / d, z / d
-    xy, xz, yz = x * v, x * w, y * w
-    a00, a01, a02 = c + x * u, xy - z, xz + y
-    a10, a11, a12 = xy + z, c + y * v, yz - x
-    a20, a21, a22 = xz - y, yz + x, c + z * w
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
-    h = math.hypot(d, x, y, z)
-    step = (d / h, -z / h, y / h, -x / h)
-    s0, s12, s13, s23 = unit_parts(*step, "rotor")
-    n0, n12, n13, n23 = net
-    return ((a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
-             a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
-             a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
-             a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
-             a20 * k02 + a21 * k12 + a22 * k22),
-            step,
-            (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
-             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
-             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
-             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12))
 
 
 def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:

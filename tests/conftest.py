@@ -7,6 +7,10 @@ brute-force midpoint sum written with explicit loops over a modest grid.
 The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
 builds the seeded piecewise pairs that several test modules detect on.
+
+halfway_turn and reference_detect_moments are the detection loop with its
+common pass as a function of its own: the loop detect_moments writes out
+inline, kept here as the bit-for-bit reference for it.
 """
 
 import math
@@ -15,7 +19,16 @@ import numpy as np
 import pytest
 
 from rotalign import fields
-from rotalign.ga3 import UnitBivector, rotation_matrix
+from rotalign.correlation import moment_parts
+from rotalign.detector import (
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _MisfitModel,
+    _certified_step,
+)
+from rotalign.ga3 import (
+    ZERO_BIVECTOR_RTOL, UnitBivector, argument_parts, exp_parts,
+    matrix_product, rotation_entries, rotation_matrix, rotor_product,
+    unit_parts,
+)
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
 _I2 = np.eye(2, dtype=complex)
@@ -117,6 +130,78 @@ def shared_cell_pair(rng, angle=2.0):
     return tuple(fields.PiecewiseConstantField(tuple(
         (fields.Box(tuple(lo), tuple(hi)), v) for lo, hi, v in zip(low, high, vals)))
         for vals in (values, rotated))
+
+
+def halfway_turn(sc: float, biv, k, net) -> tuple[tuple[float, ...], ...]:
+    """(R k, step, step net): R rotates by the argument phi of C = sc + biv in
+    C's plane and step is its rotor, both read off C's half-way rotor
+    |C| + C~ with no angle taken.  c = sc / |C| and w = (b23, -b13, b12) / |C|
+    are cos(phi) and sin(phi) times the plane's normal, so R = c I + [w]x +
+    w w^T / d with d = 1 + c (as |w|^2 / (1 - c) for c < 0, which does not
+    cancel near the half-turn), and step = (d, -b12 / |C|, -b13 / |C|,
+    -b23 / |C|) over its length.  Only ratios to |C| enter, so scaling sc and
+    biv by a power of two changes no bit; biv must name a plane
+    (argument_parts).  k is nine floats, row-major; R k is summed as by
+    matrix_product, and step, renormalised by unit_parts, multiplies net as
+    by rotor_product.
+    """
+    b12, b13, b23 = biv
+    r = math.hypot(sc, b12, b13, b23)
+    c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
+    d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
+    u, v, w = x / d, y / d, z / d
+    xy, xz, yz = x * v, x * w, y * w
+    a00, a01, a02 = c + x * u, xy - z, xz + y
+    a10, a11, a12 = xy + z, c + y * v, yz - x
+    a20, a21, a22 = xz - y, yz + x, c + z * w
+    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
+    h = math.hypot(d, x, y, z)
+    step = (d / h, -z / h, y / h, -x / h)
+    s0, s12, s13, s23 = unit_parts(*step, "rotor")
+    n0, n12, n13, n23 = net
+    return ((a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
+             a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
+             a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
+             a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
+             a20 * k02 + a21 * k12 + a22 * k22),
+            step,
+            (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
+             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
+             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
+             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12))
+
+
+def reference_detect_moments(k, s, config) -> MomentDetection:
+    """detect_moments with each common pass one halfway_turn call."""
+    model = _MisfitModel(s)
+    epsilon = config.epsilon
+    net = (1.0, 0.0, 0.0, 0.0)
+    iterations = 0
+    converged = False
+    trace: list[float] = []
+    steps: list[tuple[float, float, float, float]] = []
+
+    while not converged and iterations < config.max_iterations:
+        iterations += 1
+        sc, biv = moment_parts(k)
+        bmag = math.hypot(*biv)
+        phi = math.atan2(bmag, sc)
+        if phi > epsilon and bmag > ZERO_BIVECTOR_RTOL * abs(sc):
+            k, step, net = halfway_turn(sc, biv, k, net)
+        else:
+            phi, q, real_valued = argument_parts(sc, biv)
+            if iterations == 1 and real_valued:
+                phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
+            if phi <= epsilon:
+                phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
+            step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
+            k = matrix_product(rotation_entries(q, phi), k)
+            net = rotor_product(unit_parts(*step, "rotor"), net)
+        trace.append(phi)
+        steps.append(step)
+
+    return MomentDetection(net, tuple(trace), tuple(steps), iterations,
+                           converged)
 
 
 @pytest.fixture

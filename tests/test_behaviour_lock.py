@@ -8,10 +8,12 @@ A change "keeps behaviour" when every trial takes the same number of passes,
 exits the same way, and lands within 1e-12 of the recorded error or angle.  A trial that flips its
 exit through rounding is a finding to report, not a tolerance to widen.
 
-To record the lock from the package on the path (for instance from a
-checkout of the version to lock against):
+To record sets of the lock from the package on the path (for instance from
+a checkout of the version to lock against), name them by their keys, 0.1,
+0.01, 0.001, 1e-06 and piecewise; the sets not named are copied from the
+file unchanged:
 
-    PYTHONPATH=src python tests/test_behaviour_lock.py --write
+    PYTHONPATH=src python tests/test_behaviour_lock.py --write piecewise
 """
 
 import json
@@ -57,14 +59,24 @@ def piecewise_rows() -> list[tuple[int, bool, float]]:
     return rows
 
 
-def write_lock() -> None:
-    sets = [(repr(eps), trial_rows(eps)) for eps in EPSILONS]
-    sets.append(("piecewise", piecewise_rows()))
+KEYS = tuple(map(repr, EPSILONS)) + ("piecewise",)
+
+
+def write_lock(keys, path=LOCK) -> None:
+    """Record the sets named in keys into the lock at path, and copy the
+    others from it as they are."""
+    unknown = set(keys) - set(KEYS)
+    if unknown:
+        raise ValueError(f"unknown lock sets {sorted(unknown)}; keys are {KEYS}")
+    old = json.loads(path.read_text()) if path.exists() else {}
+    sets = [(key, old[key] if key not in keys else
+             piecewise_rows() if key == "piecewise" else trial_rows(float(key)))
+            for key in KEYS]
     lines = [f'  "{key}": [\n' + ",\n".join(
         f"    [{it}, {json.dumps(conv)}, {value!r}]" for it, conv, value in rows
     ) + "\n  ]" for key, rows in sets]
-    LOCK.parent.mkdir(exist_ok=True)
-    LOCK.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 @pytest.mark.parametrize("epsilon", EPSILONS)
@@ -86,7 +98,26 @@ def test_seeded_piecewise_pairs_match_the_lock():
         assert abs(alpha - want_alpha) <= ERROR_TOL, f"pair {i}"
 
 
+def test_write_records_only_the_named_sets(tmp_path, monkeypatch):
+    copy = tmp_path / "lock.json"
+    copy.write_text(LOCK.read_text())
+    write_lock([], copy)
+    assert copy.read_text() == LOCK.read_text()
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "trial_rows", lambda eps: [(7, False, eps / 3)])
+    monkeypatch.setattr(module, "piecewise_rows", lambda: [(9, True, 0.5)])
+    write_lock(["0.01", "piecewise"], copy)
+    got, locked = json.loads(copy.read_text()), json.loads(LOCK.read_text())
+    assert list(got) == list(KEYS)
+    assert got["0.01"] == [[7, False, 0.01 / 3]]
+    assert got["piecewise"] == [[9, True, 0.5]]
+    for key in ("0.1", "0.001", "1e-06"):
+        assert got[key] == locked[key]
+    with pytest.raises(ValueError, match="unknown lock sets"):
+        write_lock(["1e-6"], copy)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:2] != ["--write"] or not sys.argv[2:]:
         sys.exit(__doc__)
-    write_lock()
+    write_lock(sys.argv[2:])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, Multivector, Rotor, UnitBivector, argument, halfway_turn,
-    matrix_product, polar_decompose, rotation_entries, rotation_matrix,
-    rotation_rotor, rotor_product, rotor_rotation, unit_parts,
+    E12, E13, Multivector, Rotor, UnitBivector, argument, matrix_product,
+    polar_decompose, rotation_entries, rotation_matrix, rotation_rotor,
+    rotor_product, rotor_rotation, unit_parts,
 )
 from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, run_trials
@@ -28,7 +28,7 @@ from rotalign.detector import (
     _MisfitModel, _certified_step, detect, detect_moments, residual_angle,
 )
 
-from conftest import shared_cell_pair
+from conftest import halfway_turn, reference_detect_moments, shared_cell_pair
 
 RNG = np.random.default_rng(909)
 
@@ -208,7 +208,8 @@ def relative_misfit(a, b):
 def phi_only_detection(reference, pattern, epsilon):
     """The paper's loop with the bare exit phi <= epsilon, no disturbance,
     run on the cross moment with the arithmetic detect uses: a pass above
-    epsilon turns by halfway_turn, the last one by its angle and plane."""
+    epsilon turns by the reference halfway_turn, the last one by its angle
+    and plane."""
     k = cross_moment(pattern, reference).ravel().tolist()
     net, trace = (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
@@ -527,25 +528,98 @@ def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
     assert report.net == loop.net
 
 
+def counted(monkeypatch, module, names):
+    """Replace each named function of module by a wrapper that records its
+    name in the returned list on every call."""
+    calls = []
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name),
+                            n=name: calls.append(n) or f(*args))
+    return calls
+
+
 def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
-    # every pass but the disturbance and the certified ones is one
-    # halfway_turn, and only those explicit passes call cos and sin, once
+    # only the disturbance and the certified passes turn by an explicit
+    # rotation_entries, and only those explicit passes call cos and sin, once
     # each in exp_parts and in rotation_entries
-    trig, turns = [], []
-    for name in ("cos", "sin"):
-        monkeypatch.setattr(math, name, lambda x, f=getattr(math, name), n=name:
-                            trig.append(n) or f(x))
-    monkeypatch.setattr(rotalign.detector, "halfway_turn",
-                        lambda *args: turns.append(args) or halfway_turn(*args))
+    trig = counted(monkeypatch, math, ("cos", "sin"))
+    explicit = counted(monkeypatch, rotalign.detector, ("rotation_entries",))
     config = DetectionConfig(epsilon=1e-6)
     for k, s in seeded_moment_inputs():
         trig.clear()
-        turns.clear()
+        explicit.clear()
         loop = detect_moments(k, s, config)
-        explicit = loop.iterations - len(turns)
-        assert loop.converged and 1 <= explicit <= 2
-        assert trig.count("cos") == trig.count("sin") == 2 * explicit
+        assert loop.converged and 1 <= len(explicit) <= 2
+        assert loop.iterations > len(explicit)
+        assert trig.count("cos") == trig.count("sin") == 2 * len(explicit)
     assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
+
+
+def test_a_common_pass_calls_no_helper(monkeypatch):
+    # each explicit pass folds its step in through these helpers once (the
+    # certificate's shortened step renormalises its plane too); a common pass
+    # is written out in the loop and calls none of them
+    helpers = ("argument_parts", "exp_parts", "matrix_product",
+               "rotor_product", "unit_parts")
+    calls = counted(monkeypatch, rotalign.detector, helpers)
+    explicit = counted(monkeypatch, rotalign.detector, ("rotation_entries",))
+    config = DetectionConfig(epsilon=1e-6)
+    for k, s in seeded_moment_inputs():
+        calls.clear()
+        explicit.clear()
+        loop = detect_moments(k, s, config)
+        assert loop.iterations > len(explicit) >= 1
+        for name in helpers[:-1]:
+            assert calls.count(name) == len(explicit), name
+        assert len(explicit) <= calls.count("unit_parts") <= 2 * len(explicit)
+
+
+def test_a_common_pass_checks_the_step_length(monkeypatch):
+    # the inline renormalisation keeps unit_parts' rule, read from UNIT_ATOL
+    k, s = seeded_moment_inputs()[0]
+    monkeypatch.setattr(rotalign.detector, "UNIT_ATOL", -1.0)
+    with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
+        detect_moments(k, s, DetectionConfig(epsilon=1e-6))
+
+
+def reference_cases():
+    """(K, S, config) for the bit-for-bit comparison with the reference loop:
+    seeded linear trials at each tolerance, shared-cell pairs, a real first
+    fold at angle 0 and at the half-turn, a rank-one S, and short budgets."""
+    cases = []
+    for epsilon in (0.1, 0.01, 0.001, 1e-6):
+        config = DetectionConfig(epsilon=epsilon)
+        for index in range(150):
+            spec = draw_trial(0, index, epsilon)
+            pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+            cases.append((floats(cross_moment(pattern, spec.field)),
+                          self_moment(spec.field), config))
+    config = DetectionConfig(epsilon=1e-6)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        reference, pattern = shared_cell_pair(rng, rng.uniform(0.0, math.pi))
+        cases.append((floats(cross_moment(pattern, reference)),
+                      self_moment(reference), config))
+    s = hand_made_s()
+    half_turn = np.linalg.eigh(s)[1][:, 0]
+    half_turn = 2.0 * np.outer(half_turn, half_turn) - np.eye(3)
+    cases += [(floats(s), floats(s), config),
+              (floats(half_turn @ s), floats(s), config)]
+    rank_one = LinearVectorField(np.outer([0.0, 0.0, 1.0], [0.5, -1.0, 1.5]))
+    pattern = rotate_outer(rank_one, UnitBivector.from_components(1.0, 2.0, 2.0),
+                           1.2)
+    cases.append((floats(cross_moment(pattern, rank_one)), self_moment(rank_one),
+                  config))
+    picked = cases[::50] + cases[-3:]
+    for budget in (1, 2, 3, 7):
+        short = DetectionConfig(epsilon=1e-6, max_iterations=budget)
+        cases += [(k, s, short) for k, s, _ in picked]
+    return cases
+
+
+def test_detect_moments_matches_the_reference_loop_bit_for_bit():
+    for k, s, config in reference_cases():
+        assert detect_moments(k, s, config) == reference_detect_moments(k, s, config)
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +796,30 @@ def test_detect_on_shared_cells_builds_no_cell_pair_matrix(overlap_calls):
     assert corrected.low is pattern.low and corrected.high is pattern.high
 
 
-def test_shared_cells_are_compared_by_identity_first(monkeypatch):
-    # S and the pattern's energy pair a field with itself, and rotate_outer
-    # copies share the corner arrays: only distinct arrays are compared
-    compared = []
-    original = np.array_equal
-    monkeypatch.setattr(np, "array_equal",
-                        lambda a, b: compared.append(1) or original(a, b))
+def test_shared_cells_are_compared_by_bytes_first(monkeypatch, overlap_calls):
+    # equal corner bytes, in the same or in distinct arrays, take the shared
+    # cells without a value compare; corners that differ only in the sign of
+    # a zero take them after one
+    compared = counted(monkeypatch, np, ("array_equal",))
     reference, pattern = shared_cell_pair(np.random.default_rng(36))
     config = DetectionConfig(epsilon=1e-6)
     assert detect(reference, pattern, config).converged
-    assert len(compared) == 2  # K's low and high corners
-    compared.clear()
     copy = rotate_outer(reference, UnitBivector.from_components(1.0, 2.0, 3.0),
                         1.1)
     assert detect(reference, copy, config).converged
     assert compared == []
+    right, left = (1.0, 0.5, -0.25), (0.0, 2.0, 1.0)
+    zero = two_halves(right, left)
+    negative_zero = PiecewiseConstantField((
+        (Box((-0.0, -1, -1), (1, 1, 1)), right),
+        (Box((-1, -1, -1), (-0.0, 1, 1)), left),
+    ))
+    assert zero.low.tobytes() != negative_zero.low.tobytes()
+    compared.clear()
+    overlap_calls.clear()
+    got = cross_moment(zero, negative_zero)
+    assert overlap_calls == [] and len(compared) == 2
+    assert np.array_equal(got, cross_moment(zero, zero))
 
 
 def test_piecewise_field_is_read_only():

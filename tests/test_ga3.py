@@ -11,12 +11,12 @@ from scipy.spatial.transform import Rotation
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, argument_parts, exp_bivector, exp_parts, halfway_turn,
-    matrix_product, polar_decompose, rotation_entries, unit_parts,
+    argument, argument_parts, exp_bivector, exp_parts, matrix_product,
+    polar_decompose, rotation_entries, unit_parts,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
-from conftest import oracle_product
+from conftest import halfway_turn, oracle_product
 
 RNG = np.random.default_rng(20240915)
 
