@@ -260,7 +260,7 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
             a20, a21, a22 = xz - y, yz + x, c + z * w
             h = hypot(d, x, y, z)
             step = s0, s12, s13, s23 = d / h, -z / h, y / h, -x / h
-            mag = sqrt(s0 ** 2 + s12 ** 2 + s13 ** 2 + s23 ** 2)
+            mag = sqrt(s0 * s0 + s12 * s12 + s13 * s13 + s23 * s23)
             if not abs(mag - 1.0) <= unit_atol:  # NaN fails this too
                 raise ValueError(f"rotor magnitude {mag} is not 1")
             s0, s12, s13, s23 = s0 / mag, s12 / mag, s13 / mag, s23 / mag

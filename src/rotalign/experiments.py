@@ -3,9 +3,11 @@ detection error and iteration statistics.
 
 Each trial draws a field with nine coefficients uniform on [-1, 1] over the
 standard box, an outer rotation with a uniformly distributed plane normal and
-an angle uniform up to just below pi, rotates the field, runs the detector,
-and scores the corrected pattern against the original by the Frobenius
-distance of the coefficient matrices.
+an angle uniform up to just below pi, and detects it from its moments: the
+pattern's coefficients are R A, so its cross moment is K = (R A) X A^T and
+the reference's S = A X A^T, X the box's second moment, and run_trial hands
+them to detect_moments, the loop that detect runs, with no pattern field
+built.  The error is the Frobenius distance of the coefficient matrices.
 
 Seeding is positional: trial i derives its generator from
 SeedSequence(master_seed, spawn_key=(i,)), so statistics are independent of
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ga3 import UnitBivector
-from .fields import LinearVectorField, rotate_outer
-from .detector import DetectionConfig, detect
+from .ga3 import UnitBivector, rotation_matrix, rotor_rotation
+from .fields import LinearVectorField, check_angle
+from .detector import DetectionConfig, detect_moments
 
 # Stay strictly inside [0, pi): the convergence guarantee is open at pi and
 # the aggregate statistics must not depend on the disturbance heuristic.
@@ -46,7 +48,7 @@ def random_rotation(rng: np.random.Generator) -> tuple[UnitBivector, float]:
     while np.linalg.norm(n) < 1e-12:
         n = rng.standard_normal(3)
     plane = UnitBivector.from_normal(n)
-    return plane, float(rng.uniform(0.0, ANGLE_CAP))
+    return plane, ANGLE_CAP * rng.random()  # the value uniform(0, cap) draws
 
 
 def coefficient_error(original: LinearVectorField,
@@ -87,13 +89,29 @@ def draw_trial(master_seed: int, index: int, epsilon: float) -> TrialSpec:
 
 def run_trial(spec: TrialSpec,
               max_iterations: int = 1000) -> tuple[float, int, bool]:
-    """Run one detection; returns (coefficient error, iterations, converged)."""
-    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
-    report = detect(spec.field, pattern,
-                    DetectionConfig(epsilon=spec.epsilon,
-                                    max_iterations=max_iterations))
-    err = coefficient_error(spec.field, report.corrected_pattern)
-    return err, report.iterations, report.converged
+    """Run one detection; returns (coefficient error, iterations, converged).
+
+    detect(field, rotate_outer(field, plane, angle)) scored by
+    coefficient_error, with no pattern field: K = (R A) X A^T and
+    S = A X A^T are the products cross_moment computes, and the corrected
+    coefficients U (R A) the one rotate_outer computes, U the rotation the
+    net rotor undoes, so the result is bit-identical.  An angle outside
+    [0, pi] raises ValueError.  The loop's check of tr S rejects a zero or
+    non-finite field, and covers the pattern too: an exact rotated copy has
+    the reference's energy.
+    """
+    check_angle(spec.angle)
+    a = spec.field.matrix
+    x = spec.field.box.second_moment_matrix()
+    ra = rotation_matrix(spec.plane, spec.angle) @ a
+    loop = detect_moments((ra @ x @ a.T).ravel().tolist(),
+                          (a @ x @ a.T).ravel().tolist(),
+                          DetectionConfig(spec.epsilon, max_iterations))
+    alpha, undo = rotor_rotation(loop.net)
+    corrected = LinearVectorField(rotation_matrix(undo, alpha) @ ra,
+                                  spec.field.box)
+    return (coefficient_error(spec.field, corrected), loop.iterations,
+            loop.converged)
 
 
 def run_trials(n: int, epsilon: float, master_seed: int,

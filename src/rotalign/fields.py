@@ -386,14 +386,19 @@ def _map_values(field: VectorField, m: np.ndarray) -> VectorField:
     raise TypeError(f"not a vector field: {type(field).__name__}")
 
 
+def check_angle(angle: float) -> None:
+    """Raise ValueError unless angle lies in [0, pi], give or take 1e-12."""
+    if not -1e-12 <= angle <= math.pi + 1e-12:
+        raise ValueError(f"angle {angle} outside [0, pi]")
+
+
 def rotate_outer(field: VectorField, plane: UnitBivector,
                  angle: float) -> VectorField:
     """Rotate every value by ``angle`` in ``plane``, keeping the support.
 
-    angle must lie in [0, pi]; rotate in -plane to undo.
+    angle must lie in [0, pi] (check_angle); rotate in -plane to undo.
     """
-    if not -1e-12 <= angle <= math.pi + 1e-12:
-        raise ValueError(f"angle {angle} outside [0, pi]")
+    check_angle(angle)
     return _map_values(field, rotation_matrix(plane, angle))
 
 

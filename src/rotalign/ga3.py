@@ -206,7 +206,7 @@ def unit_parts(sc: float, b12: float, b13: float, b23: float,
     """sc + (b12, b13, b23) over its length, which must be within UNIT_ATOL
     of 1: the renormalisation of UnitBivector, Rotor and the detector's
     passes.  A plane passes sc = 0.0, which adds exactly nothing to the sum."""
-    mag = math.sqrt(sc ** 2 + b12 ** 2 + b13 ** 2 + b23 ** 2)
+    mag = math.sqrt(sc * sc + b12 * b12 + b13 * b13 + b23 * b23)
     if not abs(mag - 1.0) <= UNIT_ATOL:  # NaN fails this too
         raise ValueError(f"{what} magnitude {mag} is not 1")
     return sc / mag, b12 / mag, b13 / mag, b23 / mag
@@ -250,7 +250,7 @@ class UnitBivector:
         mag = np.linalg.norm(n)
         if mag == 0.0:
             raise ValueError("cannot take the plane dual to a zero vector")
-        nx, ny, nz = n / mag
+        nx, ny, nz = (n / mag).tolist()  # floats, not numpy scalars
         return cls(nz, -ny, nx)
 
     @property

@@ -10,9 +10,10 @@ from scipy import stats as sps
 
 from rotalign.ga3 import E12, rotation_matrix
 from rotalign.fields import Box, LinearVectorField, rotate_outer
+from rotalign.detector import DetectionConfig, detect
 from rotalign.experiments import (
-    ANGLE_CAP, CSV_HEADER, TrialStats, coefficient_error, draw_trial,
-    random_linear_field, random_rotation, run_trial, run_trials,
+    ANGLE_CAP, CSV_HEADER, TrialSpec, TrialStats, coefficient_error,
+    draw_trial, random_linear_field, random_rotation, run_trial, run_trials,
     stats_csv_row, stats_to_dict, trial_generator,
 )
 
@@ -34,6 +35,17 @@ def test_draw_trial_deterministic():
     assert np.array_equal(a.field.matrix, b.field.matrix)
     assert a.angle == b.angle
     assert tuple(a.plane.components) == tuple(b.plane.components)
+
+
+def test_draw_trial_matches_a_recorded_trial():
+    spec = draw_trial(0, 0, 0.1)
+    assert spec.field.matrix.tolist() == [
+        [0.8858751057657588, -0.3673256952290038, 0.44468517729965074],
+        [-0.7487938291346135, -0.15404727497005988, 0.2960761951745656],
+        [-0.8866455159387963, 0.6378340728103582, -0.4626065588231665]]
+    assert tuple(spec.plane) == (0.43757041620510956, 0.544946991545594,
+                                 0.7152376578924614)
+    assert spec.angle == 2.861567443487878
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +74,13 @@ def test_random_rotation_plane_is_unit():
         assert math.isclose(float(np.linalg.norm(plane.components)), 1.0,
                             abs_tol=1e-12)
         assert 0.0 <= angle < ANGLE_CAP
+
+
+def test_random_rotation_draws_python_floats():
+    rng = trial_generator(3, 1)
+    for _ in range(20):
+        plane, angle = random_rotation(rng)
+        assert all(type(c) is float for c in (*plane, angle))
 
 
 def test_random_rotation_normal_mean_concentration():
@@ -138,6 +157,65 @@ def test_angle_cap_strictly_below_pi():
     assert ANGLE_CAP < math.pi
     for i in range(100):
         assert draw_trial(17, i, 0.1).angle < math.pi
+
+
+def field_path_trial(spec: TrialSpec, max_iterations: int = 1000):
+    """run_trial through field objects: rotate, detect, score."""
+    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+    report = detect(spec.field, pattern,
+                    DetectionConfig(spec.epsilon, max_iterations))
+    err = coefficient_error(spec.field, report.corrected_pattern)
+    return err, report.iterations, report.converged
+
+
+def assert_same_trial(spec, max_iterations=1000):
+    assert (run_trial(spec, max_iterations)
+            == field_path_trial(spec, max_iterations))
+
+
+def test_closed_form_trial_matches_the_field_path():
+    for epsilon, n in ((0.1, 300), (0.01, 300), (0.001, 300), (1e-6, 100)):
+        for i in range(n):
+            assert_same_trial(draw_trial(0, i, epsilon))
+    # off-centre boxes, so X is not (8/3) I and has off-diagonal terms
+    rng = trial_generator(29, 0)
+    for box in (Box((-0.5, -2.0, 0.0), (1.5, 1.0, 3.0)),
+                Box((2.0, 3.0, -4.0), (2.5, 5.0, -3.0))):
+        for _ in range(20):
+            plane, angle = random_rotation(rng)
+            field = LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)), box)
+            assert_same_trial(TrialSpec(29, 0, 0.01, field, plane, angle))
+    # the first pass's real fold (angle 0), and runs cut short
+    assert_same_trial(TrialSpec(0, 0, 0.01, draw_trial(0, 0, 0.01).field,
+                                E12, 0.0))
+    for max_iterations in (1, 3):
+        for i in range(20):
+            assert_same_trial(draw_trial(0, i, 0.001), max_iterations)
+
+
+def test_closed_form_trial_checks_its_input(monkeypatch):
+    spec = draw_trial(0, 1, 0.01)
+    for angle in (-0.1, math.pi + 1e-6, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            run_trial(TrialSpec(0, 1, 0.01, spec.field, spec.plane, angle))
+    zero = TrialSpec(0, 1, 0.01, LinearVectorField(np.zeros((3, 3))),
+                     spec.plane, spec.angle)
+    with pytest.raises(ValueError, match="cannot detect rotation against a zero field"):
+        run_trial(zero)
+
+    built = []
+    check = LinearVectorField.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(LinearVectorField, "__post_init__", counted)
+    run_trial(spec)
+    assert len(built) == 1  # the corrected pattern, to score
+    built.clear()
+    field_path_trial(spec)
+    assert len(built) == 2  # the pattern and the corrected pattern
 
 
 def test_run_trials_rejects_empty():

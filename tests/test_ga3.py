@@ -175,6 +175,11 @@ def test_unit_bivector_normal_roundtrip():
         assert np.allclose(p.components, q.components, atol=1e-12)
 
 
+def test_unit_bivector_from_normal_holds_python_floats():
+    for n in (np.array([0.3, -1.2, 2.0]), [1, 2, 2], (0.0, 0.0, -5.0)):
+        assert all(type(c) is float for c in UnitBivector.from_normal(n))
+
+
 def test_unit_bivector_normal_examples():
     assert np.allclose(E12.normal(), [0, 0, 1])
     assert np.allclose(E13.normal(), [0, -1, 0])
