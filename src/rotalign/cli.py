@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 non-convergence (or a failed verify check),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotalign",
@@ -111,6 +113,8 @@ def cmd_bench(args) -> int:
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
     if not epsilons:
         raise ValueError("empty epsilon list")
+    for eps in epsilons:  # a bad tolerance fails before any trial runs
+        DetectionConfig(epsilon=eps, max_iterations=args.max_iter)
     results = [(eps, run_trials(args.trials, eps, args.seed, args.max_iter))
                for eps in epsilons]
     if args.format == "json":

@@ -15,8 +15,8 @@ once per detection: the correlation of the current pattern is the fold of K
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
 of K and the reference's self-moment S held as nine Python floats each.  A
 common pass reads R and its step rotor off the correlation as ratios, with
-no angle and no call.  detect rotates the pattern once, after the loop,
-and a report builds its Rotors when read.
+no angle and no call.  A report builds its Rotors and its corrected
+pattern when read: detect rotates no field itself.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ga3 import (
     E12, UNIT_ATOL, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, argument_parts,
@@ -74,10 +75,11 @@ class DetectionConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an int of at least 1, "
+                             f"got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,20 @@ class DetectionReport(MomentDetection):
     """Outcome of a detection run: the loop's outcome, and what it means.
 
     alpha and plane describe the generating rotation: rotate_outer(reference,
-    plane, alpha) reproduces the pattern up to the exit tolerance.
-    corrected_pattern is the pattern after all applied counter-rotations and
-    matches the reference to the same level.
+    plane, alpha) reproduces the pattern up to the exit tolerance.  undo is
+    the net correction's plane.  corrected_pattern, rotate_outer(pattern,
+    undo, alpha), matches the reference to the same level; it is built on
+    first read and kept.
     """
 
     alpha: float
     plane: UnitBivector
-    corrected_pattern: VectorField
+    pattern: VectorField
+    undo: UnitBivector
+
+    @cached_property
+    def corrected_pattern(self) -> VectorField:
+        return rotate_outer(self.pattern, self.undo, self.alpha)
 
 
 def _checked_energy(energy: float, which: str) -> float:
@@ -299,10 +307,11 @@ def detect(reference: VectorField, pattern: VectorField,
            config: DetectionConfig) -> DetectionReport:
     """Estimate the outer rotation mapping reference onto pattern.
 
-    Integrates S and K once each, runs detect_moments on them and rotates
-    the pattern once by the net correction.  Runs are deterministic:
-    identical inputs produce bit-identical reports.  Raises ValueError if
-    either field has zero norm or either field's energy is not finite.
+    Integrates S and K once each and runs detect_moments on them; the
+    pattern is rotated only when the report's corrected_pattern is read.
+    Runs are deterministic: identical inputs produce bit-identical reports.
+    Raises ValueError if either field has zero norm or either field's energy
+    is not finite.
     """
     s = cross_moment(reference, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
@@ -311,8 +320,8 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(**vars(loop), alpha=alpha, plane=-undo,
-                           corrected_pattern=rotate_outer(pattern, undo, alpha))
+    return DetectionReport(loop.net, loop.phi_trace, loop.steps, loop.iterations,
+                           loop.converged, alpha, -undo, pattern, undo)
 
 
 def residual_angle(applied, true_plane: UnitBivector,

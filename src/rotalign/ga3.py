@@ -84,10 +84,9 @@ class Multivector:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         if c.shape != (8,):
             raise ValueError(f"expected 8 coefficients, got shape {c.shape}")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 

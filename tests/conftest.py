@@ -10,24 +10,27 @@ builds the seeded piecewise pairs that several test modules detect on.
 
 halfway_turn and reference_detect_moments are the detection loop with its
 common pass as a function of its own: the loop detect_moments writes out
-inline, kept here as the bit-for-bit reference for it.
+inline, kept here as the bit-for-bit reference for it.  reference_detect is
+detect with the corrected pattern rotated before the report is returned, the
+bit-for-bit reference for a report that rotates it on first read.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rotalign import fields
-from rotalign.correlation import moment_parts
+from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.detector import (
-    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _MisfitModel,
-    _certified_step,
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _checked_energy,
+    _MisfitModel, _certified_step, detect_moments,
 )
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, UnitBivector, argument_parts, exp_parts,
     matrix_product, rotation_entries, rotation_matrix, rotor_product,
-    unit_parts,
+    rotor_rotation, unit_parts,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -202,6 +205,22 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
 
     return MomentDetection(net, tuple(trace), tuple(steps), iterations,
                            converged)
+
+
+def reference_detect(reference, pattern, config) -> SimpleNamespace:
+    """detect with an eagerly rotated corrected_pattern: the report's fields,
+    the loop's five copied in and the pattern rotated by the net correction
+    before returning."""
+    s = fields.cross_moment(reference, reference).ravel().tolist()
+    # the scalar part of a field's self-correlation is its energy
+    _checked_energy(correlate_at_origin(pattern, pattern).scalar, "pattern")
+    k = fields.cross_moment(pattern, reference).ravel().tolist()
+
+    loop = detect_moments(k, s, config)
+    alpha, undo = rotor_rotation(loop.net)
+    return SimpleNamespace(**vars(loop), alpha=alpha, plane=-undo,
+                           corrected_pattern=fields.rotate_outer(pattern, undo,
+                                                                 alpha))
 
 
 @pytest.fixture

@@ -229,6 +229,38 @@ def test_bench_rejects_empty_trials(capsys):
     assert "error: need at least one trial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "1e400", "nan"])
+def test_detect_rejects_a_non_finite_epsilon(halves_pair, capsys, epsilon):
+    ref, pat = halves_pair
+    code = main(["detect", "--reference", ref, "--pattern", pat,
+                 "--epsilon", epsilon])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "epsilon must be positive and finite" in out.err
+
+
+@pytest.mark.parametrize("epsilons", ["inf", "1e400", "0.1,1e400"])
+def test_bench_rejects_a_non_finite_epsilon(capsys, monkeypatch, epsilons):
+    trials = []
+    monkeypatch.setattr(cli, "run_trials", lambda *args: trials.append(args))
+    assert main(["bench", "--epsilons", epsilons, "--trials", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and trials == []  # no tolerance runs before the check
+    assert "epsilon must be positive and finite" in out.err
+
+
+def test_parser_is_built_once_and_still_rejects_bad_flags(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for argv in (["detect", "--epsilon", "0.1"], ["bench", "--trials", "x"],
+                 ["nonsense"], ["detect", "--reference", "a", "--pattern", "b",
+                                "--epsilon", "0.1", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: rotalign" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

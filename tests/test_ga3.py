@@ -552,3 +552,19 @@ def test_multivector_immutable():
         a.coeffs = np.zeros(8)
     with pytest.raises(ValueError):
         a.coeffs[0] = 5.0
+
+
+def test_multivector_copies_a_writable_input():
+    source = np.arange(8.0)
+    a = Multivector(source)
+    assert not np.shares_memory(a.coeffs, source)
+    source[0] = 5.0
+    assert a.coeffs[0] == 0.0
+    assert not a.coeffs.flags.writeable
+    # a read-only input is copied too, so the input's flags never change
+    frozen = np.arange(8.0)
+    frozen.flags.writeable = False
+    b = Multivector(frozen)
+    assert not np.shares_memory(b.coeffs, frozen)
+    with pytest.raises(ValueError, match="expected 8 coefficients"):
+        Multivector(np.zeros(7))
