@@ -13,10 +13,10 @@ The passes run on the 3x3 cross moment K = integral of u v^T, integrated
 once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
-of K and the reference's self-moment S held as nine Python floats each.  A
-common pass reads R and its step rotor off the correlation as ratios, with
-no angle and no call.  A report builds its Rotors and its corrected
-pattern when read: detect rotates no field itself.
+of K and the reference's self-moment S held as nine Python floats each.
+Every pass turns K by one written-out block; a common pass feeds it ratios
+read off the correlation, with no angle and no call.  A report builds its
+Rotors and its corrected pattern when read: detect rotates no field itself.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -51,8 +51,7 @@ from functools import cached_property
 
 from .ga3 import (
     E12, UNIT_ATOL, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, argument_parts,
-    exp_parts, matrix_product, rotation_entries, rotation_rotor, rotor_product,
-    rotor_rotation, unit_parts,
+    rotation_rotor, rotor_product, rotor_rotation, unit_parts,
 )
 from .fields import VectorField, cross_moment, rotate_outer
 from .correlation import correlate_at_origin
@@ -233,16 +232,17 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
 
     k and s are 3x3 matrices given as nine floats in row-major order.  A pass
     folds K into C = tr K + B, B its antisymmetric part, and takes phi =
-    atan2(|B|, tr K).  A common pass turns by R, read off C's half-way rotor
-    |C| + C~ with no angle: with c = tr K / |C| and w = (b23, -b13, b12) / |C|,
-    R = c I + [w]x + w w^T / d, d = 1 + c (|w|^2 / (1 - c) for c < 0, which
-    does not cancel near the half-turn), and its rotor is (d, -B / |C|) over
-    its length.  That pass is written out on K's nine floats and the net
-    rotor's four, summed as by matrix_product and rotor_product and
-    renormalised as by unit_parts, and makes no Python call.  The
-    disturbance, a pass within epsilon (the certified step) and a real fold
-    turn by an explicit (phi, plane): rotation_entries and exp_parts.
-    Raises ValueError if tr S is zero or not finite.
+    atan2(|B|, tr K).  Every pass turns by one block, fed c = cos(phi) and
+    w = sin(phi) n for its plane's normal n: R = c I + [w]x + w w^T / d,
+    d = 1 + c (|w|^2 / (1 - c) for c < 0, which does not cancel near the
+    half-turn), with the rotor (d, -w_z, w_y, -w_x) over its length.  A
+    common pass feeds c = tr K / |C| and w = (b23, -b13, b12) / |C|, read
+    off C's half-way rotor |C| + C~ with no angle, and makes no Python call.
+    The disturbance, a pass within epsilon (the certified step) and a real
+    fold feed cos(phi) and sin(phi) (q23, -q13, q12) from an explicit
+    (phi, plane q).  K's product and the net rotor's are summed as a
+    row-major matrix product and rotor_product, and the step is renormalised
+    as by unit_parts.  Raises ValueError if tr S is zero or not finite.
     """
     model = _MisfitModel(s)
     epsilon = config.epsilon
@@ -260,28 +260,6 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         if phi > epsilon and bmag > rtol * abs(sc):
             r = hypot(sc, b12, b13, b23)
             c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
-            d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
-            u, v, w = x / d, y / d, z / d
-            xy, xz, yz = x * v, x * w, y * w
-            a00, a01, a02 = c + x * u, xy - z, xz + y
-            a10, a11, a12 = xy + z, c + y * v, yz - x
-            a20, a21, a22 = xz - y, yz + x, c + z * w
-            h = hypot(d, x, y, z)
-            step = s0, s12, s13, s23 = d / h, -z / h, y / h, -x / h
-            mag = sqrt(s0 * s0 + s12 * s12 + s13 * s13 + s23 * s23)
-            if not abs(mag - 1.0) <= unit_atol:  # NaN fails this too
-                raise ValueError(f"rotor magnitude {mag} is not 1")
-            s0, s12, s13, s23 = s0 / mag, s12 / mag, s13 / mag, s23 / mag
-            k00, k01, k02, k10, k11, k12, k20, k21, k22 = (
-                a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
-                a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
-                a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
-                a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
-                a20 * k02 + a21 * k12 + a22 * k22)
-            n0, n12, n13, n23 = (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
-                                 s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
-                                 s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
-                                 s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12)
         else:
             biv = (b12, b13, b23)
             phi, q, real_valued = argument_parts(sc, biv)
@@ -289,11 +267,31 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
                 phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
             if phi <= epsilon:
                 phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-            step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
-            k00, k01, k02, k10, k11, k12, k20, k21, k22 = matrix_product(
-                rotation_entries(q, phi), (k00, k01, k02, k10, k11, k12, k20, k21, k22))
-            n0, n12, n13, n23 = rotor_product(unit_parts(*step, "rotor"),
-                                              (n0, n12, n13, n23))
+            q12, q13, q23 = q
+            c, t = math.cos(phi), math.sin(phi)
+            x, y, z = t * q23, -t * q13, t * q12
+        d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
+        u, v, w = x / d, y / d, z / d
+        xy, xz, yz = x * v, x * w, y * w
+        a00, a01, a02 = c + x * u, xy - z, xz + y
+        a10, a11, a12 = xy + z, c + y * v, yz - x
+        a20, a21, a22 = xz - y, yz + x, c + z * w
+        h = hypot(d, x, y, z)
+        step = s0, s12, s13, s23 = d / h, -z / h, y / h, -x / h
+        mag = sqrt(s0 * s0 + s12 * s12 + s13 * s13 + s23 * s23)
+        if not abs(mag - 1.0) <= unit_atol:  # NaN fails this too
+            raise ValueError(f"rotor magnitude {mag} is not 1")
+        s0, s12, s13, s23 = s0 / mag, s12 / mag, s13 / mag, s23 / mag
+        k00, k01, k02, k10, k11, k12, k20, k21, k22 = (
+            a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
+            a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
+            a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
+            a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
+            a20 * k02 + a21 * k12 + a22 * k22)
+        n0, n12, n13, n23 = (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
+                             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
+                             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
+                             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12)
         trace.append(phi)
         steps.append(step)
         if converged:

@@ -244,13 +244,12 @@ class UnitBivector:
 
     @classmethod
     def from_normal(cls, n) -> "UnitBivector":
-        """Plane dual to the direction n (right-handed rotation about n)."""
-        n = np.asarray(n, dtype=float)
-        mag = np.linalg.norm(n)
-        if mag == 0.0:
+        """Plane dual to the direction n (right-handed rotation about n),
+        normalised by from_components."""
+        nx, ny, nz = np.asarray(n, dtype=float).tolist()  # floats, not numpy scalars
+        if nx == ny == nz == 0.0:
             raise ValueError("cannot take the plane dual to a zero vector")
-        nx, ny, nz = (n / mag).tolist()  # floats, not numpy scalars
-        return cls(nz, -ny, nx)
+        return cls.from_components(nz, -ny, nx)
 
     @property
     def components(self) -> np.ndarray:
@@ -314,17 +313,11 @@ def rotor_product(a, b) -> tuple[float, float, float, float]:
             a0 * b23 + a23 * b0 - a12 * b13 + a13 * b12)
 
 
-def exp_parts(plane, angle: float) -> tuple[float, float, float, float]:
-    """The (scalar, b12, b13, b23) that exp_bivector(plane, angle) passes to
-    Rotor, which renormalises them; plane may be a tuple of components."""
-    b12, b13, b23 = plane
-    c, s = math.cos(angle), math.sin(angle)
-    return (c, s * b12, s * b13, s * b23)
-
-
 def exp_bivector(plane: UnitBivector, angle: float) -> Rotor:
     """Exponential of a scaled bivector: cos(angle) + sin(angle) * plane."""
-    return Rotor(*exp_parts(plane, angle))
+    b12, b13, b23 = plane
+    c, s = math.cos(angle), math.sin(angle)
+    return Rotor(c, s * b12, s * b13, s * b23)
 
 
 def rotation_rotor(plane: UnitBivector, angle: float) -> Rotor:
@@ -346,9 +339,9 @@ def sandwich(plane: UnitBivector, angle: float, v: Multivector) -> Multivector:
     return Multivector(_gp(_gp(r.coeffs, c), r.reverse().coeffs))
 
 
-def rotation_entries(plane, angle: float) -> tuple[float, ...]:
-    """Matrix of the rotation by ``angle`` in ``plane`` as nine floats,
-    row-major; plane is a UnitBivector or its components.
+def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
+    """3x3 matrix of the rotation by ``angle`` in ``plane``, a UnitBivector
+    or its components.
 
     The sandwich by rotation_rotor(plane, angle) in closed form: Rodrigues'
     formula about the plane's right-handed normal n,
@@ -358,32 +351,10 @@ def rotation_entries(plane, angle: float) -> tuple[float, ...]:
     x, y, z = b23, -b13, b12
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c
-    return (c + t * x * x, t * x * y - s * z, t * x * z + s * y,
-            t * x * y + s * z, c + t * y * y, t * y * z - s * x,
-            t * x * z - s * y, t * y * z + s * x, c + t * z * z)
-
-
-def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
-    """rotation_entries(plane, angle) as a 3x3 array."""
-    return np.array(rotation_entries(plane, angle)).reshape(3, 3)
-
-
-def matrix_product(a, b) -> tuple[float, ...]:
-    """Product a b of two 3x3 matrices given as nine floats, row-major.
-
-    Each entry is summed left to right over the shared index.
-    """
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
-    return (a00 * b00 + a01 * b10 + a02 * b20,
-            a00 * b01 + a01 * b11 + a02 * b21,
-            a00 * b02 + a01 * b12 + a02 * b22,
-            a10 * b00 + a11 * b10 + a12 * b20,
-            a10 * b01 + a11 * b11 + a12 * b21,
-            a10 * b02 + a11 * b12 + a12 * b22,
-            a20 * b00 + a21 * b10 + a22 * b20,
-            a20 * b01 + a21 * b11 + a22 * b21,
-            a20 * b02 + a21 * b12 + a22 * b22)
+    return np.array((c + t * x * x, t * x * y - s * z, t * x * z + s * y,
+                     t * x * y + s * z, c + t * y * y, t * y * z - s * x,
+                     t * x * z - s * y, t * y * z + s * x,
+                     c + t * z * z)).reshape(3, 3)
 
 
 def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:

@@ -8,9 +8,10 @@ The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
 builds the seeded piecewise pairs that several test modules detect on.
 
-halfway_turn and reference_detect_moments are the detection loop with its
-common pass as a function of its own: the loop detect_moments writes out
-inline, kept here as the bit-for-bit reference for it.  reference_detect is
+turn and reference_detect_moments are the detection loop with its rotation
+block as a function of its own, fed by halfway_feed on a common pass and by
+angle_feed on an explicit one: the loop detect_moments writes out inline,
+kept here as the bit-for-bit reference for it.  reference_detect is
 detect with the corrected pattern rotated before the report is returned, the
 bit-for-bit reference for a report that rotates it on first read.
 """
@@ -28,9 +29,8 @@ from rotalign.detector import (
     _MisfitModel, _certified_step, detect_moments,
 )
 from rotalign.ga3 import (
-    ZERO_BIVECTOR_RTOL, UnitBivector, argument_parts, exp_parts,
-    matrix_product, rotation_entries, rotation_matrix, rotor_product,
-    rotor_rotation, unit_parts,
+    ZERO_BIVECTOR_RTOL, UnitBivector, argument_parts, rotation_matrix,
+    rotor_product, rotor_rotation, unit_parts,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -135,22 +135,17 @@ def shared_cell_pair(rng, angle=2.0):
         for vals in (values, rotated))
 
 
-def halfway_turn(sc: float, biv, k, net) -> tuple[tuple[float, ...], ...]:
-    """(R k, step, step net): R rotates by the argument phi of C = sc + biv in
-    C's plane and step is its rotor, both read off C's half-way rotor
-    |C| + C~ with no angle taken.  c = sc / |C| and w = (b23, -b13, b12) / |C|
-    are cos(phi) and sin(phi) times the plane's normal, so R = c I + [w]x +
+def turn(c: float, x: float, y: float, z: float, k, net
+         ) -> tuple[tuple[float, ...], ...]:
+    """(R k, step, step net) for the rotation by phi about the unit normal n,
+    fed as c = cos(phi) and w = (x, y, z) = sin(phi) n: R = c I + [w]x +
     w w^T / d with d = 1 + c (as |w|^2 / (1 - c) for c < 0, which does not
-    cancel near the half-turn), and step = (d, -b12 / |C|, -b13 / |C|,
-    -b23 / |C|) over its length.  Only ratios to |C| enter, so scaling sc and
-    biv by a power of two changes no bit; biv must name a plane
-    (argument_parts).  k is nine floats, row-major; R k is summed as by
-    matrix_product, and step, renormalised by unit_parts, multiplies net as
-    by rotor_product.
+    cancel near the half-turn), and step = (d, -z, y, -x) over its length,
+    the rotor proportional to the half-way rotor of cos(phi) + sin(phi) Q.
+    k is nine floats, row-major, and R k is summed left to right over the
+    shared index; step, renormalised by unit_parts, multiplies net as by
+    rotor_product.
     """
-    b12, b13, b23 = biv
-    r = math.hypot(sc, b12, b13, b23)
-    c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
     d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
     u, v, w = x / d, y / d, z / d
     xy, xz, yz = x * v, x * w, y * w
@@ -168,14 +163,29 @@ def halfway_turn(sc: float, biv, k, net) -> tuple[tuple[float, ...], ...]:
              a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
              a20 * k02 + a21 * k12 + a22 * k22),
             step,
-            (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
-             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
-             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
-             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12))
+            rotor_product((s0, s12, s13, s23), net))
+
+
+def halfway_feed(sc: float, biv) -> tuple[float, float, float, float]:
+    """turn's feed for the argument of C = sc + biv in C's plane, read off
+    C's half-way rotor with no angle: c = sc / |C| and w = (b23, -b13,
+    b12) / |C|.  Only ratios to |C| enter, so scaling sc and biv by a power
+    of two changes no bit; biv must name a plane (argument_parts)."""
+    b12, b13, b23 = biv
+    r = math.hypot(sc, b12, b13, b23)
+    return sc / r, b23 / r, -b13 / r, b12 / r
+
+
+def angle_feed(phi: float, q) -> tuple[float, float, float, float]:
+    """turn's feed for the rotation by phi in the unit plane q."""
+    q12, q13, q23 = q
+    c, t = math.cos(phi), math.sin(phi)
+    return c, t * q23, -t * q13, t * q12
 
 
 def reference_detect_moments(k, s, config) -> MomentDetection:
-    """detect_moments with each common pass one halfway_turn call."""
+    """detect_moments with each pass one turn call: a common pass fed by
+    halfway_feed, an explicit one by angle_feed."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     net = (1.0, 0.0, 0.0, 0.0)
@@ -190,16 +200,15 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
         bmag = math.hypot(*biv)
         phi = math.atan2(bmag, sc)
         if phi > epsilon and bmag > ZERO_BIVECTOR_RTOL * abs(sc):
-            k, step, net = halfway_turn(sc, biv, k, net)
+            feed = halfway_feed(sc, biv)
         else:
             phi, q, real_valued = argument_parts(sc, biv)
             if iterations == 1 and real_valued:
                 phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
             if phi <= epsilon:
                 phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-            step = exp_parts(q, -phi / 2.0)  # rotation_rotor's components
-            k = matrix_product(rotation_entries(q, phi), k)
-            net = rotor_product(unit_parts(*step, "rotor"), net)
+            feed = angle_feed(phi, q)
+        k, step, net = turn(*feed, k, net)
         trace.append(phi)
         steps.append(step)
 

@@ -11,12 +11,11 @@ from scipy.spatial.transform import Rotation
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, argument_parts, exp_bivector, exp_parts, matrix_product,
-    polar_decompose, rotation_entries, unit_parts,
+    argument, argument_parts, exp_bivector, polar_decompose, unit_parts,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
-from conftest import halfway_turn, oracle_product
+from conftest import angle_feed, halfway_feed, oracle_product, turn
 
 RNG = np.random.default_rng(20240915)
 
@@ -175,6 +174,16 @@ def test_unit_bivector_normal_roundtrip():
         assert np.allclose(p.components, q.components, atol=1e-12)
 
 
+def test_unit_bivector_from_normal_neither_overflows_nor_underflows():
+    for size in (1e200, 1e-170, 1.0):
+        plane = UnitBivector.from_normal([size, size, 0.0])
+        assert plane == UnitBivector.from_components(0.0, -size, size)
+        assert np.allclose(plane.components, [0.0, -math.sqrt(0.5), math.sqrt(0.5)],
+                           rtol=0.0, atol=1e-16)
+    with pytest.raises(ValueError, match="plane dual to a zero vector"):
+        UnitBivector.from_normal([0.0, -0.0, 0.0])
+
+
 def test_unit_bivector_from_normal_holds_python_floats():
     for n in (np.array([0.3, -1.2, 2.0]), [1, 2, 2], (0.0, 0.0, -5.0)):
         assert all(type(c) is float for c in UnitBivector.from_normal(n))
@@ -272,25 +281,6 @@ def test_rotation_matrix_is_rodrigues_about_the_normal():
         assert np.max(np.abs(rotation_matrix(p, angle) - want)) <= 1e-15
 
 
-def test_rotation_matrix_is_the_float_entries():
-    for _ in range(20):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
-        m = rotation_matrix(p, angle)
-        assert m.shape == (3, 3)
-        assert m.ravel().tolist() == list(rotation_entries(p, angle))
-
-
-def test_matrix_product_sums_left_to_right():
-    for _ in range(20):
-        a, b = RNG.uniform(-2, 2, (3, 3)), RNG.uniform(-2, 2, (3, 3))
-        got = matrix_product(a.ravel().tolist(), b.ravel().tolist())
-        want = [sum((a[i, 0] * b[0, j], a[i, 1] * b[1, j], a[i, 2] * b[2, j]),
-                    0.0) for i in range(3) for j in range(3)]
-        assert list(got) == [float(w) for w in want]
-        assert np.allclose(np.reshape(got, (3, 3)), a @ b, rtol=0.0, atol=1e-15)
-
-
 IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
 
@@ -312,23 +302,36 @@ def halfway_cases():
 
 
 def test_halfway_turn_matches_the_angle_and_plane():
+    # the block turns by C's argument in C's plane from either feed
     for sc, biv in halfway_cases():
         phi, q, real_valued = argument_parts(sc, biv)
         assert not real_valued
-        rk, step, net = halfway_turn(sc, biv, IDENTITY, NO_ROTATION)
-        assert np.allclose(rk, rotation_entries(q, phi), rtol=0.0, atol=2e-15)
-        assert np.allclose(step, exp_parts(q, -phi / 2.0), rtol=0.0, atol=2e-15)
-        assert net == unit_parts(*step, "rotor")
+        rotation = rotation_matrix(q, phi).ravel()
+        rotor = rotation_rotor(q, phi).components
+        for feed in (halfway_feed(sc, biv), angle_feed(phi, q)):
+            rk, step, net = turn(*feed, IDENTITY, NO_ROTATION)
+            assert np.allclose(rk, rotation, rtol=0.0, atol=2e-15)
+            assert np.allclose(step, rotor, rtol=0.0, atol=2e-15)
+            assert net == unit_parts(*step, "rotor")
+
+
+def left_to_right_product(a, b):
+    """a b for 3x3 matrices given as nine floats, row-major, each entry
+    summed left to right over the shared index."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+                 for i in (0, 3, 6) for j in range(3))
 
 
 def test_halfway_turn_multiplies_as_the_reference_products():
     for sc, biv in halfway_cases()[:200]:
         k = tuple(RNG.uniform(-2.0, 2.0, 9))
         net = rotation_rotor(random_plane(), RNG.uniform(0.0, math.pi)).components
-        rotation, _, _ = halfway_turn(sc, biv, IDENTITY, NO_ROTATION)
-        rk, step, got = halfway_turn(sc, biv, k, net)
-        assert rk == matrix_product(rotation, k)
-        assert got == rotor_product(unit_parts(*step, "rotor"), net)
+        phi, q, _ = argument_parts(sc, biv)
+        for feed in (halfway_feed(sc, biv), angle_feed(phi, q)):
+            rotation, _, _ = turn(*feed, IDENTITY, NO_ROTATION)
+            rk, step, got = turn(*feed, k, net)
+            assert rk == left_to_right_product(rotation, k)
+            assert got == rotor_product(unit_parts(*step, "rotor"), net)
 
 
 @pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
@@ -338,8 +341,8 @@ def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
     net = rotation_rotor(random_plane(), 1.0).components
     scale = 2.0 ** k
     for sc, biv in halfway_cases():
-        got = halfway_turn(sc * scale, tuple(b * scale for b in biv), m, net)
-        assert got == halfway_turn(sc, biv, m, net)
+        feed = halfway_feed(sc * scale, tuple(b * scale for b in biv))
+        assert turn(*feed, m, net) == turn(*halfway_feed(sc, biv), m, net)
 
 
 def test_rotor_product_against_oracle():
