@@ -50,15 +50,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ga3 import (
-    E12, UNIT_ATOL, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, argument_parts,
-    rotation_rotor, rotor_product, rotor_rotation, unit_parts,
+    E12, UNIT_ATOL, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, rotation_rotor,
+    rotor_product, rotor_rotation,
 )
 from .fields import VectorField, cross_moment, rotate_outer
 from .correlation import correlate_at_origin
 
-# The rotation injected on the first pass when the correlation is real.
+# The rotation injected on the first pass when the correlation is real, and
+# the unit normal of its plane E12, about which every real fold turns.
 DISTURBANCE_ANGLE = math.pi / 4
 DISTURBANCE_PLANE = E12
+_REAL_FOLD_NORMAL = tuple(DISTURBANCE_PLANE.normal().tolist())
 
 
 @dataclass(frozen=True)
@@ -201,29 +203,32 @@ class _MisfitModel:
 
 
 def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
-                    phi: float, q: tuple[float, float, float], epsilon: float
-                    ) -> tuple[float, tuple[float, ...], bool]:
-    """Step for a pass whose angle phi is within epsilon, and whether to stop.
+                    phi: float, n: tuple[float, float, float], epsilon: float
+                    ) -> tuple[float, tuple[float, float, float], bool]:
+    """Step for a pass whose angle phi is within epsilon, as an angle and
+    the unit normal it turns about, and whether to stop.
 
-    The paper's step (phi, q) ends the loop when the misfit it leaves,
-    predicted from omega + phi * n_q, is within epsilon.  Otherwise the pass
-    stops without a step if the pattern is already within epsilon, or applies
-    the Gauss-Newton correction about -omega, shortened to
+    The paper's step, phi about n, ends the loop when the misfit it leaves,
+    predicted from omega + phi n, is within epsilon.  Otherwise the pass
+    stops without a step if the pattern is already within epsilon, or
+    applies the Gauss-Newton correction about -omega / |omega|, shortened to
     (1 - epsilon / misfit) |omega| so that the predicted misfit lands at
     epsilon: the full correction over-solves at loose tolerances, and the
-    paper's steps alone can need more than max_iterations passes.
+    paper's steps alone can need more than max_iterations passes.  Only
+    rounding reaches the exit without a step: to first order the paper's
+    step maps omega to (S / tr S) omega, whose misfit is never larger than
+    omega's.  Without that exit the shortened step could have length <= 0.
     """
     x, y, z = model.rotation(biv)
-    q12, q13, q23 = q
-    if model.misfit((x + phi * q23, y - phi * q13, z + phi * q12)) <= epsilon:
-        return phi, q, True
+    n0, n1, n2 = n
+    if model.misfit((x + phi * n0, y + phi * n1, z + phi * n2)) <= epsilon:
+        return phi, n, True
     before = model.misfit((x, y, z))
     if before <= epsilon:
-        return 0.0, q, True
+        return 0.0, n, True
     size = math.hypot(x, y, z)
-    _, b12, b13, b23 = unit_parts(0.0, -z / size, y / size, -x / size,
-                                  "bivector")
-    return (1.0 - epsilon / before) * size, (b12, b13, b23), False
+    return ((1.0 - epsilon / before) * size, (-x / size, -y / size, -z / size),
+            False)
 
 
 def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
@@ -238,11 +243,13 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     half-turn), with the rotor (d, -w_z, w_y, -w_x) over its length.  A
     common pass feeds c = tr K / |C| and w = (b23, -b13, b12) / |C|, read
     off C's half-way rotor |C| + C~ with no angle, and makes no Python call.
-    The disturbance, a pass within epsilon (the certified step) and a real
-    fold feed cos(phi) and sin(phi) (q23, -q13, q12) from an explicit
-    (phi, plane q).  K's product and the net rotor's are summed as a
-    row-major matrix product and rotor_product, and the step is renormalised
-    as by unit_parts.  Raises ValueError if tr S is zero or not finite.
+    An explicit pass feeds cos(phi) and sin(phi) n off the same read: n =
+    (b23, -b13, b12) / |B|, or E12's normal for a real fold (|B| <=
+    ZERO_BIVECTOR_RTOL |tr K|), whose phi is DISTURBANCE_ANGLE on the first
+    pass and 0 or pi after it; within epsilon, the certified step picks
+    (phi, n).  K's product and the net rotor's are summed as a row-major
+    matrix product and rotor_product, and the step is renormalised as by
+    ga3.unit_parts.  Raises ValueError if tr S is zero or not finite.
     """
     model = _MisfitModel(s)
     epsilon = config.epsilon
@@ -261,15 +268,17 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
             r = hypot(sc, b12, b13, b23)
             c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
         else:
-            biv = (b12, b13, b23)
-            phi, q, real_valued = argument_parts(sc, biv)
-            if not trace and real_valued:
-                phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
+            if bmag > rtol * abs(sc):
+                n = (b23 / bmag, -b13 / bmag, b12 / bmag)
+            else:  # a real fold names no plane
+                n, phi = _REAL_FOLD_NORMAL, 0.0 if sc >= 0.0 else math.pi
+                if not trace:
+                    phi = DISTURBANCE_ANGLE
             if phi <= epsilon:
-                phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-            q12, q13, q23 = q
+                phi, n, converged = _certified_step(model, (b12, b13, b23), phi,
+                                                    n, epsilon)
             c, t = math.cos(phi), math.sin(phi)
-            x, y, z = t * q23, -t * q13, t * q12
+            x, y, z = t * n[0], t * n[1], t * n[2]
         d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
         u, v, w = x / d, y / d, z / d
         xy, xz, yz = x * v, x * w, y * w
@@ -318,8 +327,8 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(loop.net, loop.phi_trace, loop.steps, loop.iterations,
-                           loop.converged, alpha, -undo, pattern, undo)
+    return DetectionReport(**vars(loop), alpha=alpha, plane=-undo,
+                           pattern=pattern, undo=undo)
 
 
 def residual_angle(applied, true_plane: UnitBivector,

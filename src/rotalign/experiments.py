@@ -92,13 +92,13 @@ def run_trial(spec: TrialSpec,
     """Run one detection; returns (coefficient error, iterations, converged).
 
     detect(field, rotate_outer(field, plane, angle)) scored by
-    coefficient_error, with no pattern field: K = (R A) X A^T and
-    S = A X A^T are the products cross_moment computes, and the corrected
-    coefficients U (R A) the one rotate_outer computes, U the rotation the
-    net rotor undoes, so the result is bit-identical.  An angle outside
-    [0, pi] raises ValueError.  The loop's check of tr S rejects a zero or
-    non-finite field, and covers the pattern too: an exact rotated copy has
-    the reference's energy.
+    coefficient_error, with no field built: K = (R A) X A^T and S = A X A^T
+    are the products cross_moment computes, the corrected coefficients
+    U (R A) the one rotate_outer computes, U the rotation the net rotor
+    undoes, and |A - U R A| coefficient_error's norm, so the result is
+    bit-identical.  An angle outside [0, pi] raises ValueError.  The loop's
+    check of tr S rejects a zero or non-finite field, and covers the pattern
+    too: an exact rotated copy has the reference's energy.
     """
     check_angle(spec.angle)
     a = spec.field.matrix
@@ -108,10 +108,8 @@ def run_trial(spec: TrialSpec,
                           (a @ x @ a.T).ravel().tolist(),
                           DetectionConfig(spec.epsilon, max_iterations))
     alpha, undo = rotor_rotation(loop.net)
-    corrected = LinearVectorField(rotation_matrix(undo, alpha) @ ra,
-                                  spec.field.box)
-    return (coefficient_error(spec.field, corrected), loop.iterations,
-            loop.converged)
+    return (float(np.linalg.norm(a - rotation_matrix(undo, alpha) @ ra)),
+            loop.iterations, loop.converged)
 
 
 def run_trials(n: int, epsilon: float, master_seed: int,

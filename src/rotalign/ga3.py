@@ -357,13 +357,13 @@ def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
                      c + t * z * z)).reshape(3, 3)
 
 
-def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:
+def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
     """Argument angle and plane of the even element sc + biv.
 
     biv is (b12, b13, b23).  The angle atan2(|biv|, sc) lies in [0, pi] and
-    the plane is the normalized bivector, as unit components.  A bivector at
-    or below ZERO_BIVECTOR_RTOL * |sc| names no plane: the angle is then 0
-    for a nonnegative sc and pi otherwise, the plane e12, and the flag that
+    the plane is the normalized bivector.  A bivector at or below
+    ZERO_BIVECTOR_RTOL * |sc| names no plane: the angle is then 0 for a
+    nonnegative sc and pi otherwise, the plane E12, and the flag that
     reports a real value is True.  The rule and |biv| (math.hypot, which
     neither overflows nor underflows) are scale-invariant, so scaling sc and
     biv by a power of two changes no bit of the result.
@@ -371,18 +371,9 @@ def argument_parts(sc: float, biv) -> tuple[float, tuple[float, ...], bool]:
     b12, b13, b23 = biv
     bmag = math.hypot(b12, b13, b23)
     if bmag <= ZERO_BIVECTOR_RTOL * abs(sc):
-        return (0.0 if sc >= 0.0 else math.pi), (1.0, 0.0, 0.0), True
-    _, b12, b13, b23 = unit_parts(0.0, b12 / bmag, b13 / bmag, b23 / bmag,
-                                  "bivector")
-    return math.atan2(bmag, sc), (b12, b13, b23), False
-
-
-def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
-    """argument_parts with the plane as a UnitBivector."""
-    angle, plane, real_valued = argument_parts(sc, biv)
-    unit = UnitBivector.__new__(UnitBivector)  # no second renormalisation
-    unit.__dict__.update(zip(("b12", "b13", "b23"), plane))
-    return angle, unit, real_valued
+        return (0.0 if sc >= 0.0 else math.pi), E12, True
+    return (math.atan2(bmag, sc),
+            UnitBivector(b12 / bmag, b13 / bmag, b23 / bmag), False)
 
 
 @dataclass(frozen=True)

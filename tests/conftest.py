@@ -10,8 +10,10 @@ builds the seeded piecewise pairs that several test modules detect on.
 
 turn and reference_detect_moments are the detection loop with its rotation
 block as a function of its own, fed by halfway_feed on a common pass and by
-angle_feed on an explicit one: the loop detect_moments writes out inline,
-kept here as the bit-for-bit reference for it.  reference_detect is
+angle_feed, an angle and a unit normal, on an explicit one: the loop
+detect_moments writes out inline, kept here as the bit-for-bit reference
+for it.  An explicit pass reads its normal off the pass's own |B| and takes
+a real fold's angle, 0 or pi, from ga3.argument.  reference_detect is
 detect with the corrected pattern rotated before the report is returned, the
 bit-for-bit reference for a report that rotates it on first read.
 """
@@ -29,8 +31,8 @@ from rotalign.detector import (
     _MisfitModel, _certified_step, detect_moments,
 )
 from rotalign.ga3 import (
-    ZERO_BIVECTOR_RTOL, UnitBivector, argument_parts, rotation_matrix,
-    rotor_product, rotor_rotation, unit_parts,
+    ZERO_BIVECTOR_RTOL, UnitBivector, argument, rotation_matrix, rotor_product,
+    rotor_rotation, unit_parts,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -170,22 +172,22 @@ def halfway_feed(sc: float, biv) -> tuple[float, float, float, float]:
     """turn's feed for the argument of C = sc + biv in C's plane, read off
     C's half-way rotor with no angle: c = sc / |C| and w = (b23, -b13,
     b12) / |C|.  Only ratios to |C| enter, so scaling sc and biv by a power
-    of two changes no bit; biv must name a plane (argument_parts)."""
+    of two changes no bit; biv must name a plane (ga3.argument)."""
     b12, b13, b23 = biv
     r = math.hypot(sc, b12, b13, b23)
     return sc / r, b23 / r, -b13 / r, b12 / r
 
 
-def angle_feed(phi: float, q) -> tuple[float, float, float, float]:
-    """turn's feed for the rotation by phi in the unit plane q."""
-    q12, q13, q23 = q
+def angle_feed(phi: float, n) -> tuple[float, float, float, float]:
+    """turn's feed for the rotation by phi about the unit normal n."""
     c, t = math.cos(phi), math.sin(phi)
-    return c, t * q23, -t * q13, t * q12
+    return c, t * n[0], t * n[1], t * n[2]
 
 
 def reference_detect_moments(k, s, config) -> MomentDetection:
     """detect_moments with each pass one turn call: a common pass fed by
-    halfway_feed, an explicit one by angle_feed."""
+    halfway_feed, an explicit one by angle_feed with the normal (b23, -b13,
+    b12) / |B|, or the disturbance plane's for a real fold."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     net = (1.0, 0.0, 0.0, 0.0)
@@ -197,17 +199,21 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
     while not converged and iterations < config.max_iterations:
         iterations += 1
         sc, biv = moment_parts(k)
+        b12, b13, b23 = biv
         bmag = math.hypot(*biv)
         phi = math.atan2(bmag, sc)
-        if phi > epsilon and bmag > ZERO_BIVECTOR_RTOL * abs(sc):
+        real_valued = bmag <= ZERO_BIVECTOR_RTOL * abs(sc)
+        if phi > epsilon and not real_valued:
             feed = halfway_feed(sc, biv)
         else:
-            phi, q, real_valued = argument_parts(sc, biv)
-            if iterations == 1 and real_valued:
-                phi, q = DISTURBANCE_ANGLE, tuple(DISTURBANCE_PLANE)
+            if real_valued:
+                n = tuple(DISTURBANCE_PLANE.normal().tolist())
+                phi = DISTURBANCE_ANGLE if iterations == 1 else argument(sc, biv)[0]
+            else:
+                n = (b23 / bmag, -b13 / bmag, b12 / bmag)
             if phi <= epsilon:
-                phi, q, converged = _certified_step(model, biv, phi, q, epsilon)
-            feed = angle_feed(phi, q)
+                phi, n, converged = _certified_step(model, biv, phi, n, epsilon)
+            feed = angle_feed(phi, n)
         k, step, net = turn(*feed, k, net)
         trace.append(phi)
         steps.append(step)

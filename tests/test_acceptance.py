@@ -18,8 +18,8 @@ from rotalign.ga3 import (
     rotation_rotor, sandwich,
 )
 from rotalign.fields import (
-    Box, LinearVectorField, PiecewiseConstantField, UNIT_BOX,
-    decompose, l2_norm, normalize, rotate_outer,
+    Box, LinearVectorField, PiecewiseConstantField, decompose, l2_norm,
+    normalize, rotate_outer,
 )
 from rotalign.correlation import (
     correlate_at_origin, normalized_correlation, quadrature_correlate,

@@ -182,6 +182,33 @@ def test_detect_rejects_a_fractional_grid_resolution(tmp_path, capsys):
     assert "bad resolution (1.5, 1, 2)" in out.err
 
 
+def test_detect_rejects_grid_data_that_misses_the_resolution(tmp_path, capsys):
+    bad = tmp_path / "grid.json"
+    bad.write_text(json.dumps({"grid": {
+        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]},
+        "resolution": [1, 1, 2], "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}))
+    code = main(["detect", "--reference", str(bad), "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "data shape (3, 3) does not match resolution (1, 1, 2)" in out.err
+
+
+def test_detect_rejects_a_two_row_linear_matrix(tmp_path, halves_pair, capsys):
+    ref, _ = halves_pair
+    bad = tmp_path / "two_rows.json"
+    bad.write_text(json.dumps({"linear": {
+        "matrix": [[1, 0, 0], [0, 1, 0]],
+        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]}}}))
+    code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "matrix must be 3x3, got (2, 3)" in out.err
+
+
 def test_detect_rejects_strings_and_booleans_as_numbers(tmp_path, capsys):
     bad = tmp_path / "strings.json"
     bad.write_text(json.dumps({"linear": {
@@ -227,6 +254,13 @@ def test_bench_json(capsys):
 def test_bench_rejects_empty_trials(capsys):
     assert main(["bench", "--epsilons", "0.1", "--trials", "0"]) == 2
     assert "error: need at least one trial" in capsys.readouterr().err
+
+
+def test_bench_rejects_an_empty_epsilon_list(capsys):
+    assert main(["bench", "--epsilons", ",", "--trials", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: empty epsilon list" in out.err
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "1e400", "nan"])

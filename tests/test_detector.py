@@ -17,17 +17,18 @@ from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, random_rotation, run_trials
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
-    cross_moment, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
+    cross_moment, l2_norm, normalize, rotate_outer, sample, scale,
 )
 import rotalign.correlation
 import rotalign.detector
 import rotalign.fields
 import rotalign.ga3
 from rotalign.detector import (
-    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, DetectionReport,
-    _MisfitModel, _certified_step, detect, detect_moments, residual_angle,
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, _MisfitModel,
+    _certified_step, detect, detect_moments, residual_angle,
 )
 
+import conftest
 from conftest import (
     angle_feed, halfway_feed, reference_detect, reference_detect_moments,
     shared_cell_pair, turn,
@@ -221,7 +222,7 @@ def phi_only_detection(reference, pattern, epsilon):
         if pf.angle > epsilon:
             feed = halfway_feed(sc, biv)
         else:
-            feed = angle_feed(pf.angle, pf.plane)
+            feed = angle_feed(pf.angle, pf.plane.normal().tolist())
         k, _, net = turn(*feed, k, net)
         trace.append(pf.angle)
     angle, undo = rotor_rotation(net)
@@ -267,6 +268,25 @@ def test_certified_exit_on_a_rank_one_field():
     report = detect(v, pattern, DetectionConfig(epsilon=eps))
     assert report.converged
     assert relative_misfit(report.corrected_pattern, v) <= 1.01 * eps
+
+
+class RoundedModel:
+    """A misfit model whose paper step leaves more misfit than it found, as
+    only rounding can: within epsilon at omega, above it anywhere else."""
+
+    omega = (1e-7, -2e-7, 3e-7)
+
+    def rotation(self, biv):
+        return self.omega
+
+    def misfit(self, omega):
+        return 0.5e-6 if omega == self.omega else 2e-6
+
+
+def test_certified_step_stops_without_a_step_when_only_rounding_fails():
+    n = (0.0, 0.6, 0.8)
+    assert _certified_step(RoundedModel(), (0.1, 0.2, 0.3), 1e-7, n,
+                           1e-6) == (0.0, n, True)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +550,10 @@ def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
     assert report.net == loop.net
 
 
-def counted(monkeypatch, module, names):
+def counted(monkeypatch, module, names, calls=None):
     """Replace each named function of module by a wrapper that records its
-    name in the returned list on every call."""
-    calls = []
+    name in calls, a new list unless given, on every call; returns calls."""
+    calls = [] if calls is None else calls
     for name in names:
         monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name),
                             n=name: calls.append(n) or f(*args))
@@ -541,43 +561,59 @@ def counted(monkeypatch, module, names):
 
 
 def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
-    # only the disturbance and the certified passes read an explicit angle
-    # and plane off argument_parts, and each of those passes calls cos and
-    # sin once for its feed
+    # only the disturbance and the passes within epsilon feed an explicit
+    # angle, and each of those passes calls cos and sin once for its feed.
+    # The reference loop, bit for bit the same, counts them by its
+    # angle_feed calls.
     trig = counted(monkeypatch, math, ("cos", "sin"))
-    explicit = counted(monkeypatch, rotalign.detector, ("argument_parts",))
+    explicit = counted(monkeypatch, conftest, ("angle_feed",))
     config = DetectionConfig(epsilon=1e-6)
     for k, s in seeded_moment_inputs():
         trig.clear()
-        explicit.clear()
         loop = detect_moments(k, s, config)
+        cos, sin = trig.count("cos"), trig.count("sin")
+        explicit.clear()
+        assert reference_detect_moments(k, s, config) == loop
         assert loop.converged and 1 <= len(explicit) <= 2
         assert loop.iterations > len(explicit)
-        assert trig.count("cos") == trig.count("sin") == len(explicit)
+        assert cos == sin == len(explicit)
     assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
 
 
 def test_a_common_pass_calls_no_helper(monkeypatch):
-    # an explicit pass calls argument_parts once and, within epsilon,
-    # _certified_step, whose shortened step alone renormalises a plane; the
-    # last pass is a certified exit.  A common pass is written out in the
-    # loop and calls none of these.
-    helpers = ("argument_parts", "_certified_step", "unit_parts",
-               "rotor_product", "rotation_rotor", "rotor_rotation")
-    calls = counted(monkeypatch, rotalign.detector, helpers)
+    # an explicit pass calls cos and sin once each and, within epsilon,
+    # _certified_step before them; the last pass is a certified exit.  A
+    # common pass is written out in the loop and calls none of these.
+    calls = counted(monkeypatch, math, ("cos", "sin"))
+    counted(monkeypatch, rotalign.detector,
+            ("rotor_product", "rotation_rotor", "rotor_rotation"), calls)
+    certified = []
+
+    def certified_step(model, biv, phi, n, epsilon, f=_certified_step):
+        calls.append("_certified_step")
+        certified.append((phi, epsilon, f(model, biv, phi, n, epsilon)))
+        return certified[-1][2]
+
+    monkeypatch.setattr(rotalign.detector, "_certified_step", certified_step)
     config = DetectionConfig(epsilon=1e-6)
-    explicit_passes = re.compile("(argument_parts;(_certified_step;(unit_parts;)?)?)*"
-                                 "argument_parts;_certified_step;")
-    seen = ""
+    explicit_passes = re.compile("((_certified_step;)?cos;sin;)*"
+                                 "_certified_step;cos;sin;")
+    uncertified, shortened = 0, 0
     for k, s in seeded_moment_inputs():
         calls.clear()
+        certified.clear()
         loop = detect_moments(k, s, config)
-        assert loop.iterations > calls.count("argument_parts")
         called = "".join(name + ";" for name in calls)
         assert explicit_passes.fullmatch(called), called
-        seen += called
-    # the disturbance and a shortened step are among the explicit passes
-    assert "argument_parts;argument_parts;" in seen and "unit_parts;" in seen
+        assert loop.iterations > called.count("cos;")
+        assert all(phi <= epsilon for phi, epsilon, _ in certified)
+        stops = [stop for _, _, (_, _, stop) in certified]
+        assert loop.converged and stops == [False] * (len(stops) - 1) + [True]
+        uncertified += called.count("cos;") - len(certified)
+        shortened += len(stops) - 1
+    # the disturbance, an explicit pass with no certified step, and a
+    # shortened step, a certified step that does not stop, both occur
+    assert uncertified >= 1 and shortened >= 1
 
 
 def test_a_common_pass_checks_the_step_length(monkeypatch):
@@ -786,9 +822,10 @@ def field_form_detection(reference, pattern, config):
         if not trace and real_valued:
             phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
         if phi <= config.epsilon:
-            phi, q, converged = _certified_step(model, cor.bivector, phi,
-                                                tuple(q), config.epsilon)
-            q = UnitBivector(*q)
+            phi, n, converged = _certified_step(model, cor.bivector, phi,
+                                                tuple(q.normal().tolist()),
+                                                config.epsilon)
+            q = UnitBivector.from_normal(n)
         u = rotate_outer(u, q, phi)
         net = rotor_product(rotation_rotor(q, phi).components, net)
         trace.append(phi)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, E23, Multivector, UnitBivector, rotation_matrix,
+    E12, E13, Multivector, UnitBivector, rotation_matrix,
 )
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
@@ -304,6 +304,11 @@ def test_overlapping_cells_rejected():
             (Box((0, 0, 0), (2, 2, 2)), (1.0, 0, 0)),
             (Box((1, 1, 1), (3, 3, 3)), (0, 1.0, 0)),
         ))
+
+
+def test_a_cell_value_of_two_components_rejected():
+    with pytest.raises(ValueError, match="cell values must be 3-vectors"):
+        PiecewiseConstantField(((Box((0, 0, 0), (1, 1, 1)), (1.0, 0.0)),))
 
 
 def test_overlapping_nan_cell_rejected():

@@ -10,8 +10,8 @@ from scipy.spatial.transform import Rotation
 
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
-    Multivector, PolarForm, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, argument_parts, exp_bivector, polar_decompose, unit_parts,
+    Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
+    argument, exp_bivector, polar_decompose, unit_parts,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
@@ -304,11 +304,11 @@ def halfway_cases():
 def test_halfway_turn_matches_the_angle_and_plane():
     # the block turns by C's argument in C's plane from either feed
     for sc, biv in halfway_cases():
-        phi, q, real_valued = argument_parts(sc, biv)
+        phi, q, real_valued = argument(sc, biv)
         assert not real_valued
         rotation = rotation_matrix(q, phi).ravel()
         rotor = rotation_rotor(q, phi).components
-        for feed in (halfway_feed(sc, biv), angle_feed(phi, q)):
+        for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
             rk, step, net = turn(*feed, IDENTITY, NO_ROTATION)
             assert np.allclose(rk, rotation, rtol=0.0, atol=2e-15)
             assert np.allclose(step, rotor, rtol=0.0, atol=2e-15)
@@ -326,8 +326,8 @@ def test_halfway_turn_multiplies_as_the_reference_products():
     for sc, biv in halfway_cases()[:200]:
         k = tuple(RNG.uniform(-2.0, 2.0, 9))
         net = rotation_rotor(random_plane(), RNG.uniform(0.0, math.pi)).components
-        phi, q, _ = argument_parts(sc, biv)
-        for feed in (halfway_feed(sc, biv), angle_feed(phi, q)):
+        phi, q, _ = argument(sc, biv)
+        for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
             rotation, _, _ = turn(*feed, IDENTITY, NO_ROTATION)
             rk, step, got = turn(*feed, k, net)
             assert rk == left_to_right_product(rotation, k)

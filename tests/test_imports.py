@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of its tests imports is used in
+that module.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rotalign"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ([(p, p.name) for p in sorted((ROOT / "src" / "rotalign").glob("*.py"))]
+           + [(p, f"tests/{p.name}") for p in sorted((ROOT / "tests").glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +38,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p, _ in MODULES],
+                         ids=[name for _, name in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
