@@ -22,7 +22,8 @@ import numpy as np
 
 from .ga3 import Multivector, PolarForm, polar_decompose
 from .fields import (
-    Box, VectorField, cross_moment, evaluate_many, l2_norm, support,
+    Box, VectorField, checked_norm, cross_moment, evaluate_many, l2_norm,
+    support,
 )
 
 
@@ -60,13 +61,12 @@ class CorrelationResult:
 def normalized_correlation(a: VectorField, b: VectorField) -> CorrelationResult:
     """Correlate and scale by the product of the field norms.
 
-    Raises ValueError when either field has zero norm, or when the
-    normalized correlation sits at rounding level (below 1e-12) so that no
-    meaningful polar form exists.
+    Raises ValueError when either field has zero norm or an energy that
+    overflows (checked_norm), or when the normalized correlation sits at
+    rounding level (below 1e-12) so that no meaningful polar form exists.
     """
-    na, nb = l2_norm(a), l2_norm(b)
-    if na < 1e-300 or nb < 1e-300:
-        raise ValueError("cannot normalize the correlation of a zero field")
+    na, nb = (checked_norm(l2_norm(f), "field", "normalize the correlation of")
+              for f in (a, b))
     raw = correlate_at_origin(a, b)
     normalized = raw / (na * nb)
     if normalized.norm() <= 1e-12:

@@ -13,10 +13,10 @@ The passes run on the 3x3 cross moment K = integral of u v^T, integrated
 once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
-of K and the reference's self-moment S held as nine Python floats each.
-Every pass turns K by one written-out block; a common pass feeds it ratios
-read off the correlation, with no angle and no call.  A report builds its
-Rotors and its corrected pattern when read: detect rotates no field itself.
+of K and the reference's self-moment S held as nine Python floats each and
+checked once, on entry.  Every pass turns K by one written-out block and
+the net rotor by its step, unrenormalised; a common pass feeds the block
+ratios read off the correlation, with no angle and no call.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -50,10 +50,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ga3 import (
-    E12, UNIT_ATOL, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, rotation_rotor,
-    rotor_product, rotor_rotation,
+    E12, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, rotation_rotor, rotor_product,
+    rotor_rotation,
 )
-from .fields import VectorField, cross_moment, rotate_outer
+from .fields import VectorField, checked_norm, cross_moment, rotate_outer
 from .correlation import correlate_at_origin
 
 # The rotation injected on the first pass when the correlation is real, and
@@ -87,10 +87,10 @@ class DetectionConfig:
 class MomentDetection:
     """Outcome of detect_moments, the loop's part of a DetectionReport.
 
-    net is the product of the corrections as (scalar, b12, b13, b23), the
-    rotor that undoes the generating rotation.  steps holds the rotor applied
-    in each pass, in application order, as the (scalar, b12, b13, b23) that
-    Rotor renormalises; corrections builds those Rotors when read.
+    net is the left fold of steps by rotor_product as (scalar, b12, b13, b23),
+    the rotor that undoes the generating rotation.  steps holds each pass's
+    rotor, in application order, as the (scalar, b12, b13, b23) that Rotor
+    renormalises; corrections builds those Rotors when read.
     phi_trace holds the angle applied in each pass: the argument angle (after
     any disturbance override), the shortened correction of a pass that failed
     the certificate, or 0 for a last pass whose pattern was already within
@@ -133,15 +133,6 @@ class DetectionReport(MomentDetection):
         return rotate_outer(self.pattern, self.undo, self.alpha)
 
 
-def _checked_energy(energy: float, which: str) -> float:
-    """A field's energy, checked to be finite and not that of a zero field."""
-    if not math.isfinite(energy):
-        raise ValueError(f"{which} field energy is not finite")
-    if math.sqrt(energy) < 1e-300:
-        raise ValueError("cannot detect rotation against a zero field")
-    return energy
-
-
 class _MisfitModel:
     """First-order misfit of a rotated copy of the reference, in closed form.
 
@@ -156,13 +147,17 @@ class _MisfitModel:
     axis at about 1e-16, either sign).  Otherwise S has rank <= 1 and J^+ is
     I - u u^T, with u the unit direction of S's largest column: it drops the
     rotation about the only value direction, which moves no value and so
-    costs no misfit.  All of it is 3x3 algebra on Python floats; S is given
-    as nine floats, row-major, and read from its lower triangle.
+    costs no misfit.  All of it is 3x3 algebra on Python floats; S is nine
+    floats, row-major, read from its lower triangle once tr S and then every
+    float are checked (a NaN off the diagonal could divide by zero).
     """
 
     def __init__(self, s):
         s00, _, _, s10, s11, _, s20, s21, s22 = s
-        self.energy = energy = _checked_energy(s00 + s11 + s22, "reference")
+        self.energy = energy = s00 + s11 + s22
+        checked_norm(math.sqrt(energy), "reference field", "detect rotation against")
+        if not all(map(math.isfinite, s)):
+            raise ValueError("reference self-moment S is not finite")
         j00, j01, j02 = 1.0 - s00 / energy, -s10 / energy, -s20 / energy
         j11, j12, j22 = 1.0 - s11 / energy, -s21 / energy, 1.0 - s22 / energy
         self.j = (j00, j01, j02, j11, j12, j22)
@@ -240,21 +235,21 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     atan2(|B|, tr K).  Every pass turns by one block, fed c = cos(phi) and
     w = sin(phi) n for its plane's normal n: R = c I + [w]x + w w^T / d,
     d = 1 + c (|w|^2 / (1 - c) for c < 0, which does not cancel near the
-    half-turn), with the rotor (d, -w_z, w_y, -w_x) over its length.  A
+    half-turn), and the step rotor (d, -w_z, w_y, -w_x) over its length.  A
     common pass feeds c = tr K / |C| and w = (b23, -b13, b12) / |C|, read
     off C's half-way rotor |C| + C~ with no angle, and makes no Python call.
-    An explicit pass feeds cos(phi) and sin(phi) n off the same read: n =
-    (b23, -b13, b12) / |B|, or E12's normal for a real fold (|B| <=
-    ZERO_BIVECTOR_RTOL |tr K|), whose phi is DISTURBANCE_ANGLE on the first
-    pass and 0 or pi after it; within epsilon, the certified step picks
-    (phi, n).  K's product and the net rotor's are summed as a row-major
-    matrix product and rotor_product, and the step is renormalised as by
-    ga3.unit_parts.  Raises ValueError if tr S is zero or not finite.
+    An explicit pass feeds cos(phi) and sin(phi) n: n = (b23, -b13, b12) /
+    |B|, or E12's normal for a real fold (|B| <= ZERO_BIVECTOR_RTOL |tr K|),
+    whose phi is DISTURBANCE_ANGLE on the first pass and 0 or pi after it;
+    within epsilon, the certified step picks (phi, n).  R K is a row-major
+    product; each step, unrenormalised, multiplies the net by rotor_product.
+    Raises ValueError if tr S is zero or not finite, then if S or K is not.
     """
     model = _MisfitModel(s)
+    if not all(map(math.isfinite, k)):
+        raise ValueError("cross moment K is not finite")
     epsilon = config.epsilon
-    hypot, atan2, sqrt = math.hypot, math.atan2, math.sqrt
-    rtol, unit_atol = ZERO_BIVECTOR_RTOL, UNIT_ATOL
+    hypot, atan2, rtol = math.hypot, math.atan2, ZERO_BIVECTOR_RTOL
     k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
     n0, n12, n13, n23 = 1.0, 0.0, 0.0, 0.0
     converged, trace, steps = False, [], []
@@ -287,10 +282,6 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         a20, a21, a22 = xz - y, yz + x, c + z * w
         h = hypot(d, x, y, z)
         step = s0, s12, s13, s23 = d / h, -z / h, y / h, -x / h
-        mag = sqrt(s0 * s0 + s12 * s12 + s13 * s13 + s23 * s23)
-        if not abs(mag - 1.0) <= unit_atol:  # NaN fails this too
-            raise ValueError(f"rotor magnitude {mag} is not 1")
-        s0, s12, s13, s23 = s0 / mag, s12 / mag, s13 / mag, s23 / mag
         k00, k01, k02, k10, k11, k12, k20, k21, k22 = (
             a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
             a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
@@ -322,7 +313,8 @@ def detect(reference: VectorField, pattern: VectorField,
     """
     s = cross_moment(reference, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
-    _checked_energy(correlate_at_origin(pattern, pattern).scalar, "pattern")
+    checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
+                 "pattern field", "detect rotation against")
     k = cross_moment(pattern, reference).ravel().tolist()
 
     loop = detect_moments(k, s, config)

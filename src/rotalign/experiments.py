@@ -44,10 +44,7 @@ def random_linear_field(rng: np.random.Generator) -> LinearVectorField:
 def random_rotation(rng: np.random.Generator) -> tuple[UnitBivector, float]:
     """Uniform rotation plane (via a uniform unit normal) and an angle
     uniform on [0, ANGLE_CAP)."""
-    n = rng.standard_normal(3)
-    while np.linalg.norm(n) < 1e-12:
-        n = rng.standard_normal(3)
-    plane = UnitBivector.from_normal(n)
+    plane = UnitBivector.from_normal(rng.standard_normal(3))
     return plane, ANGLE_CAP * rng.random()  # the value uniform(0, cap) draws
 
 

@@ -154,7 +154,7 @@ class PiecewiseConstantField:
     Built from (Box, value) pairs and stored as three read-only (n, 3)
     arrays: the cells' low corners, high corners and values.  The value and
     overlap checks run here, once: rotate_outer, scale and decompose share the
-    checked corner arrays.
+    checked corner arrays, and check their new values as the constructor does.
     """
 
     low: np.ndarray
@@ -166,24 +166,24 @@ class PiecewiseConstantField:
         if any(np.shape(value) != (3,) for _, value in cells):
             raise ValueError("cell values must be 3-vectors")
         values = _real_array([v for _, v in cells], "cell values").reshape(-1, 3)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"cell {int(np.argmin(finite))} value must be finite")
         low = np.array([box.low for box, _ in cells]).reshape(-1, 3)
         high = np.array([box.high for box, _ in cells]).reshape(-1, 3)
+        self._store(low, high, values)
         overlaps = np.argwhere(np.triu(overlap_volumes(low, high, low, high) > 0.0, 1))
         if len(overlaps):
             i, j = overlaps[0]
             raise ValueError(f"cells {i} and {j} overlap")
-        self._store(low, high, values)
 
     def _store(self, low, high, values) -> None:
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"cell {int(np.argmin(finite))} value must be finite")
         for name, a in (("low", low), ("high", high), ("values", values)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     def _with_values(self, values: np.ndarray) -> "PiecewiseConstantField":
-        """The field with new (n, 3) values on the same, checked, cells."""
+        """The field with new, finite, (n, 3) values on the same, checked, cells."""
         field = object.__new__(PiecewiseConstantField)
         field._store(self.low, self.high, values)
         return field
@@ -372,6 +372,16 @@ def l2_norm(field: VectorField) -> float:
     return float(np.sqrt(np.trace(cross_moment(field, field))))
 
 
+def checked_norm(norm: float, which: str, task: str) -> float:
+    """An L2 norm, if finite and at least 1e-300: else ValueError, "{which}
+    energy is not finite" (for NaN too) or "cannot {task} a zero field"."""
+    if not math.isfinite(norm):
+        raise ValueError(f"{which} energy is not finite")
+    if norm < 1e-300:
+        raise ValueError(f"cannot {task} a zero field")
+    return norm
+
+
 # ---------------------------------------------------------------------------
 # pointwise linear maps: rotation, scaling, projection
 
@@ -407,11 +417,8 @@ def scale(field: VectorField, factor: float) -> VectorField:
 
 
 def normalize(field: VectorField) -> VectorField:
-    """Scale to unit L2 norm; raises for an (almost) zero field."""
-    n = l2_norm(field)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero field")
-    return scale(field, 1.0 / n)
+    """Scale to unit L2 norm; raises for an (almost) zero or overflowing field."""
+    return scale(field, 1.0 / checked_norm(l2_norm(field), "field", "normalize"))
 
 
 def decompose(field: VectorField, plane: UnitBivector) -> PlaneDecomposition:
@@ -466,17 +473,22 @@ def from_dict(d: dict) -> VectorField:
     if not isinstance(d, dict) or len(d) != 1:
         raise ValueError("field document must have exactly one top-level kind")
     kind, body = next(iter(d.items()))
-    if kind == "linear":
-        return LinearVectorField(_numbers(body["matrix"], "matrix"),
-                                 _box_from_dict(body["box"]))
-    if kind == "piecewise":
-        vectors = _numbers([c["vector"] for c in body], "cell vectors")
-        return PiecewiseConstantField(tuple(
-            (_box_from_dict(c["box"]), v) for c, v in zip(body, vectors)))
-    if kind == "grid":
-        return SampledField(_box_from_dict(body["box"]),
-                            tuple(body["resolution"]),
-                            _numbers(body["data"], "grid data"))
+    try:
+        if kind == "linear":
+            return LinearVectorField(_numbers(body["matrix"], "matrix"),
+                                     _box_from_dict(body["box"]))
+        if kind == "piecewise":
+            vectors = _numbers([c["vector"] for c in body], "cell vectors")
+            return PiecewiseConstantField(tuple(
+                (_box_from_dict(c["box"]), v) for c, v in zip(body, vectors)))
+        if kind == "grid":
+            return SampledField(_box_from_dict(body["box"]),
+                                tuple(body["resolution"]),
+                                _numbers(body["data"], "grid data"))
+    except KeyError as exc:  # of the body, a cell or a box
+        raise ValueError(f"{kind} field has no {exc.args[0]!r} entry") from None
+    except TypeError:  # an object where a list belongs, or the reverse
+        raise ValueError(f"{kind} field has a JSON value of the wrong type") from None
     raise ValueError(f"unknown field kind {kind!r}")
 
 

@@ -203,8 +203,8 @@ E3 = Multivector.from_vector((0.0, 0.0, 1.0))
 def unit_parts(sc: float, b12: float, b13: float, b23: float,
                what: str) -> tuple[float, float, float, float]:
     """sc + (b12, b13, b23) over its length, which must be within UNIT_ATOL
-    of 1: the renormalisation of UnitBivector, Rotor and the detector's
-    passes.  A plane passes sc = 0.0, which adds exactly nothing to the sum."""
+    of 1: the renormalisation of UnitBivector and Rotor.  A plane passes
+    sc = 0.0, which adds exactly nothing to the sum."""
     mag = math.sqrt(sc * sc + b12 * b12 + b13 * b13 + b23 * b23)
     if not abs(mag - 1.0) <= UNIT_ATOL:  # NaN fails this too
         raise ValueError(f"{what} magnitude {mag} is not 1")
@@ -366,10 +366,12 @@ def argument(sc: float, biv) -> tuple[float, UnitBivector, bool]:
     nonnegative sc and pi otherwise, the plane E12, and the flag that
     reports a real value is True.  The rule and |biv| (math.hypot, which
     neither overflows nor underflows) are scale-invariant, so scaling sc and
-    biv by a power of two changes no bit of the result.
+    biv by a power of two changes no bit of the result.  NaN or inf raises.
     """
     b12, b13, b23 = biv
     bmag = math.hypot(b12, b13, b23)
+    if not (math.isfinite(sc) and math.isfinite(bmag)):
+        raise ValueError(f"argument of a non-finite value {sc} + {biv}")
     if bmag <= ZERO_BIVECTOR_RTOL * abs(sc):
         return (0.0 if sc >= 0.0 else math.pi), E12, True
     return (math.atan2(bmag, sc),

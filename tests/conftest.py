@@ -27,12 +27,12 @@ import pytest
 from rotalign import fields
 from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.detector import (
-    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _checked_energy,
-    _MisfitModel, _certified_step, detect_moments,
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _MisfitModel,
+    _certified_step, detect_moments,
 )
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, UnitBivector, argument, rotation_matrix, rotor_product,
-    rotor_rotation, unit_parts,
+    rotor_rotation,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -145,8 +145,7 @@ def turn(c: float, x: float, y: float, z: float, k, net
     cancel near the half-turn), and step = (d, -z, y, -x) over its length,
     the rotor proportional to the half-way rotor of cos(phi) + sin(phi) Q.
     k is nine floats, row-major, and R k is summed left to right over the
-    shared index; step, renormalised by unit_parts, multiplies net as by
-    rotor_product.
+    shared index; step, as it is, multiplies net by rotor_product.
     """
     d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
     u, v, w = x / d, y / d, z / d
@@ -157,15 +156,13 @@ def turn(c: float, x: float, y: float, z: float, k, net
     k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
     h = math.hypot(d, x, y, z)
     step = (d / h, -z / h, y / h, -x / h)
-    s0, s12, s13, s23 = unit_parts(*step, "rotor")
-    n0, n12, n13, n23 = net
     return ((a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
              a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
              a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
              a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
              a20 * k02 + a21 * k12 + a22 * k22),
             step,
-            rotor_product((s0, s12, s13, s23), net))
+            rotor_product(step, net))
 
 
 def halfway_feed(sc: float, biv) -> tuple[float, float, float, float]:
@@ -228,7 +225,8 @@ def reference_detect(reference, pattern, config) -> SimpleNamespace:
     before returning."""
     s = fields.cross_moment(reference, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
-    _checked_energy(correlate_at_origin(pattern, pattern).scalar, "pattern")
+    fields.checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
+                        "pattern field", "detect rotation against")
     k = fields.cross_moment(pattern, reference).ravel().tolist()
 
     loop = detect_moments(k, s, config)

@@ -56,6 +56,21 @@ def test_detect_human_output_mentions_plane(halves_pair, capsys):
     assert "plane bivector" in out and "plane normal" in out
 
 
+def test_detect_human_output_prints_the_trace(halves_pair, capsys):
+    ref, pat = halves_pair
+    code = main(["detect", "--reference", ref, "--pattern", pat,
+                 "--epsilon", "1e-6", "--trace"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    traces = [line for line in lines if line.startswith("phi trace: ")]
+    assert len(traces) == 1
+    main(["detect", "--reference", ref, "--pattern", pat, "--epsilon", "1e-6",
+          "--format", "json", "--trace"])
+    phis = json.loads(capsys.readouterr().out)["phi_trace"]
+    assert len(phis) >= 2 and phis[0] == pytest.approx(math.pi / 4)
+    assert traces[0] == "phi trace: " + " ".join(f"{phi:.9g}" for phi in phis)
+
+
 def test_detect_identical_fields(halves_pair, capsys):
     ref, _ = halves_pair
     code = main(["detect", "--reference", ref, "--pattern", ref,
@@ -207,6 +222,34 @@ def test_detect_rejects_a_two_row_linear_matrix(tmp_path, halves_pair, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "matrix must be 3x3, got (2, 3)" in out.err
+
+
+BOX = {"low": [-1, -1, -1], "high": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"linear": {"box": BOX}}, "linear field has no 'matrix' entry"),
+    ({"linear": [1, 2, 3]}, "linear field has a JSON value of the wrong type"),
+    ({"piecewise": [{"box": BOX, "vector": [1, 0, 0]}, {"box": BOX}]},
+     "piecewise field has no 'vector' entry"),
+    ({"piecewise": {"a": 1}}, "piecewise field has a JSON value of the wrong type"),
+    ({"piecewise": 7}, "piecewise field has a JSON value of the wrong type"),
+    ({"grid": {"box": BOX, "data": [[1, 0, 0]]}},
+     "grid field has no 'resolution' entry"),
+    ({"grid": {"box": {"low": [0, 0, 0]}, "resolution": [1, 1, 1],
+               "data": [[1, 0, 0]]}}, "grid field has no 'high' entry"),
+])
+def test_detect_names_what_a_field_document_lacks(tmp_path, halves_pair, capsys,
+                                                   doc, message):
+    ref, _ = halves_pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
 
 
 def test_detect_rejects_strings_and_booleans_as_numbers(tmp_path, capsys):

@@ -100,6 +100,15 @@ def test_normalized_rejects_zero_field():
         normalized_correlation(scale(FIELD_A, 0.0), FIELD_A)
 
 
+def test_normalized_rejects_an_overflowing_energy():
+    # the energy of 1e200 I is inf, and the correlation scaled by it is NaN
+    huge, unit = LinearVectorField(1e200 * np.eye(3)), LinearVectorField(np.eye(3))
+    for a, b in ((huge, huge), (huge, unit), (unit, huge)):
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^field energy is not finite$"):
+            normalized_correlation(a, b)
+
+
 def test_orthogonal_pair_has_no_polar_form():
     # half-turn in e13 negates the e1 cell: the correlation cancels exactly
     rotated = rotate_outer(FIELD_A, E13, math.pi)

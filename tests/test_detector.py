@@ -532,15 +532,23 @@ def test_detect_moments_builds_no_plane_or_rotor(monkeypatch):
 
 
 def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
-    config = DetectionConfig(epsilon=1e-6)
-    for k, s in seeded_moment_inputs():
-        loop = detect_moments(k, s, config)
+    # net is the fold of the raw steps, bit for bit; the corrections are the
+    # steps renormalised, so their fold agrees with net to rounding (worst
+    # 1.2e-14 measured over these 926 detections)
+    cases = [(k, s, 1e-6) for k, s in seeded_moment_inputs()]
+    for epsilon in (0.1, 1e-3, 1e-6):
+        cases += [(*map(floats, trial_moments(index, epsilon)), epsilon)
+                  for index in range(300)]
+    for k, s, epsilon in cases:
+        loop = detect_moments(k, s, DetectionConfig(epsilon=epsilon))
         assert "corrections" not in vars(loop)
-        net = (1.0, 0.0, 0.0, 0.0)
+        net = folded = (1.0, 0.0, 0.0, 0.0)
         for rotor, step in zip(loop.corrections, loop.steps, strict=True):
             assert rotor.components == unit_parts(*step, "rotor")
-            net = rotor_product(rotor.components, net)
+            net = rotor_product(step, net)
+            folded = rotor_product(rotor.components, folded)
         assert net == loop.net
+        assert np.max(np.abs(np.subtract(folded, loop.net))) <= 4e-14
     spec = draw_trial(0, 3, 1e-3)
     pattern = rotate_outer(spec.field, spec.plane, spec.angle)
     report = detect(spec.field, pattern, DetectionConfig(epsilon=1e-3))
@@ -616,12 +624,31 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
     assert uncertified >= 1 and shortened >= 1
 
 
-def test_a_common_pass_checks_the_step_length(monkeypatch):
-    # the inline renormalisation keeps unit_parts' rule, read from UNIT_ATOL
+@pytest.mark.parametrize("which, entry, value", [
+    ("K", 0, math.nan), ("K", 5, math.nan), ("K", 1, math.inf),
+    ("K", 8, -math.inf), ("S", 1, math.nan), ("S", 5, math.inf),
+    ("S", 6, -math.inf), ("S", 7, math.nan)])
+def test_detect_moments_rejects_a_non_finite_k_or_s(which, entry, value):
+    # checked once, on entry: no pass checks its rotor, so a NaN in K
+    # would otherwise run every pass and return an angle
     k, s = seeded_moment_inputs()[0]
-    monkeypatch.setattr(rotalign.detector, "UNIT_ATOL", -1.0)
-    with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
-        detect_moments(k, s, DetectionConfig(epsilon=1e-6))
+    moments = {"K": list(k), "S": list(s)}
+    moments[which][entry] = value
+    with pytest.raises(ValueError, match=f"^(cross moment|reference self-moment) "
+                                         f"{which} is not finite$"):
+        detect_moments(moments["K"], moments["S"], DetectionConfig(epsilon=1e-6))
+
+
+def test_detect_moments_checks_tr_s_then_s_then_k():
+    # tr S keeps detect's messages and comes first; S is checked before the
+    # misfit model divides by it (this S would divide by zero there)
+    k, config = [math.nan] * 9, DetectionConfig(epsilon=1e-6)
+    with pytest.raises(ValueError, match="reference field energy is not finite"):
+        detect_moments(k, [math.inf, math.nan, 0, 0, 1, 0, 0, 0, 1], config)
+    with pytest.raises(ValueError, match="cannot detect rotation against a zero"):
+        detect_moments(k, [0.0, math.nan, 0, 0, 0, 0, 0, 0, 0], config)
+    with pytest.raises(ValueError, match="reference self-moment S is not finite"):
+        detect_moments(k, [0, 0, 0, 0, 1, math.nan, 0, math.nan, 1], config)
 
 
 def reference_cases():
@@ -701,9 +728,9 @@ def test_detect_rejects_non_finite_references():
                DetectionConfig(epsilon=1e-3))
 
 
-# The three known failure modes (ROADMAP item 3).  Each test asserts the
-# correct outcome and fails on the current detector; strict xfail turns a fix
-# into a failure that asks for the marker to go.
+# The three known failure modes (ROADMAP items 2 and 3).  Each test asserts
+# the correct outcome and fails on the current detector; strict xfail turns a
+# fix into a failure that asks for the marker to go.
 
 def seeded_detection(index, epsilon):
     spec = draw_trial(0, index, epsilon)
@@ -713,7 +740,7 @@ def seeded_detection(index, epsilon):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: the first-order certificate linearises about the "
+    "ROADMAP item 2: the first-order certificate linearises about the "
     "identity and passes a false exit at the half-turn"))
 def test_no_converged_exit_at_the_half_turn():
     # seed-0 trial 242 at eps = 1e-3, angle 3.14136: stops converged after

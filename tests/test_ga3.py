@@ -11,7 +11,7 @@ from scipy.spatial.transform import Rotation
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
-    argument, exp_bivector, polar_decompose, unit_parts,
+    argument, exp_bivector, polar_decompose,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
@@ -312,7 +312,7 @@ def test_halfway_turn_matches_the_angle_and_plane():
             rk, step, net = turn(*feed, IDENTITY, NO_ROTATION)
             assert np.allclose(rk, rotation, rtol=0.0, atol=2e-15)
             assert np.allclose(step, rotor, rtol=0.0, atol=2e-15)
-            assert net == unit_parts(*step, "rotor")
+            assert net == step
 
 
 def left_to_right_product(a, b):
@@ -331,7 +331,7 @@ def test_halfway_turn_multiplies_as_the_reference_products():
             rotation, _, _ = turn(*feed, IDENTITY, NO_ROTATION)
             rk, step, got = turn(*feed, k, net)
             assert rk == left_to_right_product(rotation, k)
-            assert got == rotor_product(unit_parts(*step, "rotor"), net)
+            assert got == rotor_product(step, net)
 
 
 @pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
@@ -459,6 +459,22 @@ def test_argument_table(sc, biv, angle, plane, real_valued):
     assert got_real is real_valued
     assert math.isclose(got_angle, angle, rel_tol=1e-15, abs_tol=0.0)
     assert np.allclose(got_plane.components, plane, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("sc, biv", [
+    (math.nan, (0.0, 0.0, 0.0)), (1.0, (0.0, math.nan, 0.0)),
+    (math.inf, (1.0, 0.0, 0.0)), (-math.inf, (0.0, 0.0, 0.0)),
+    (1.0, (0.0, 0.0, -math.inf)), (math.nan, (math.inf, 0.0, 0.0))])
+def test_polar_reads_reject_non_finite_values(sc, biv):
+    # a NaN scalar over a zero bivector fails the real-fold test and would
+    # divide by |B| = 0; an infinite scalar would read as a real value
+    with pytest.raises(ValueError, match="argument of a non-finite value"):
+        argument(sc, biv)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="argument of a non-finite value"):
+        polar_decompose(mv(s=sc, e12=biv[0], e13=biv[1], e23=biv[2]))
+    with pytest.raises(ValueError, match="argument of a non-finite value"):
+        rotor_rotation((sc, *biv))
 
 
 # ---------------------------------------------------------------------------
