@@ -149,12 +149,15 @@ class _MisfitModel:
     rotation about the only value direction, which moves no value and so
     costs no misfit.  All of it is 3x3 algebra on Python floats; S is nine
     floats, row-major, read from its lower triangle once tr S and then every
-    float are checked (a NaN off the diagonal could divide by zero).
+    float are checked (a NaN off the diagonal could divide by zero); before
+    both, S must have tr S >= 0 and no diagonal below -1e-12 tr S (rounding).
     """
 
     def __init__(self, s):
         s00, _, _, s10, s11, _, s20, s21, s22 = s
         self.energy = energy = s00 + s11 + s22
+        if energy < 0.0 or min(s00, s11, s22) < -1e-12 * energy:
+            raise ValueError("reference self-moment S is not positive semidefinite")
         checked_norm(math.sqrt(energy), "reference field", "detect rotation against")
         if not all(map(math.isfinite, s)):
             raise ValueError("reference self-moment S is not finite")
@@ -243,7 +246,8 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     whose phi is DISTURBANCE_ANGLE on the first pass and 0 or pi after it;
     within epsilon, the certified step picks (phi, n).  R K is a row-major
     product; each step, unrenormalised, multiplies the net by rotor_product.
-    Raises ValueError if tr S is zero or not finite, then if S or K is not.
+    Raises ValueError if S is not positive semidefinite by its trace and
+    diagonal, then if tr S is zero or not finite, then if S or K is not.
     """
     model = _MisfitModel(s)
     if not all(map(math.isfinite, k)):
@@ -319,8 +323,8 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(**vars(loop), alpha=alpha, plane=-undo,
-                           pattern=pattern, undo=undo)
+    return DetectionReport(loop.net, loop.phi_trace, loop.steps, loop.iterations,
+                           loop.converged, alpha, -undo, pattern, undo)
 
 
 def residual_angle(applied, true_plane: UnitBivector,

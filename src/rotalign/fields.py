@@ -15,9 +15,10 @@ hash by identity; a Box compares by its corners.
 Every integral the package needs is a fold of one 3x3 cross moment
 K = integral of a(y) b(y)^T (cross_moment): the L2 norm is sqrt(tr K(v, v)),
 and the correlation folds K into the algebra.  Linear and piecewise fields
-integrate in closed form through box moments; a sampled field integrates by
-the midpoint rule on its own grid, and two sampled fields must share their
-grid geometry exactly.
+integrate in closed form through box moments; two piecewise fields on the
+same cells weigh their values by the cell volumes the constructor stored.  A
+sampled field integrates by the midpoint rule on its own grid, and two
+sampled fields must share their grid geometry exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ class Box:
             raise ValueError("box corners must be 3-vectors")
         if not all(map(_is_real, (*self.low, *self.high))):
             raise ValueError("box corners must be real numbers")
-        lo, hi = tuple(map(float, self.low)), tuple(map(float, self.high))
+        try:
+            lo, hi = tuple(map(float, self.low)), tuple(map(float, self.high))
+        except OverflowError:  # an int too large for a float
+            raise ValueError("box corners must be finite") from None
         if not all(math.isfinite(x) for x in lo + hi):
             raise ValueError("box corners must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
@@ -151,15 +155,17 @@ class LinearVectorField:
 class PiecewiseConstantField:
     """Constant 3-vector per box; the boxes must have disjoint interiors.
 
-    Built from (Box, value) pairs and stored as three read-only (n, 3)
-    arrays: the cells' low corners, high corners and values.  The value and
-    overlap checks run here, once: rotate_outer, scale and decompose share the
-    checked corner arrays, and check their new values as the constructor does.
+    Built from (Box, value) pairs and stored as four read-only arrays: the
+    cells' (n, 3) low corners, high corners and values, and the (n,) volumes
+    on the diagonal of the overlap matrix.  The value and overlap checks run
+    here, once: rotate_outer, scale and decompose share the checked corners
+    and volumes, and check their new values as the constructor does.
     """
 
     low: np.ndarray
     high: np.ndarray
     values: np.ndarray
+    volumes: np.ndarray
 
     def __init__(self, cells):
         cells = tuple(cells)
@@ -168,24 +174,26 @@ class PiecewiseConstantField:
         values = _real_array([v for _, v in cells], "cell values").reshape(-1, 3)
         low = np.array([box.low for box, _ in cells]).reshape(-1, 3)
         high = np.array([box.high for box, _ in cells]).reshape(-1, 3)
-        self._store(low, high, values)
-        overlaps = np.argwhere(np.triu(overlap_volumes(low, high, low, high) > 0.0, 1))
+        w = overlap_volumes(low, high, low, high)
+        self._store(low, high, values, np.diagonal(w).copy())
+        overlaps = np.argwhere(np.triu(w > 0.0, 1))
         if len(overlaps):
             i, j = overlaps[0]
             raise ValueError(f"cells {i} and {j} overlap")
 
-    def _store(self, low, high, values) -> None:
+    def _store(self, low, high, values, volumes) -> None:
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise ValueError(f"cell {int(np.argmin(finite))} value must be finite")
-        for name, a in (("low", low), ("high", high), ("values", values)):
+        for name, a in (("low", low), ("high", high), ("values", values),
+                        ("volumes", volumes)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     def _with_values(self, values: np.ndarray) -> "PiecewiseConstantField":
         """The field with new, finite, (n, 3) values on the same, checked, cells."""
         field = object.__new__(PiecewiseConstantField)
-        field._store(self.low, self.high, values)
+        field._store(self.low, self.high, values, self.volumes)
         return field
 
     @cached_property
@@ -347,9 +355,8 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
         # equal bytes mean equal corners; array_equal also matches -0.0 and 0.0
         if (a.low.tobytes() == b.low.tobytes() and a.high.tobytes() == b.high.tobytes()
                 or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)):
-            # same disjoint cells: W is diagonal, the cell volumes
-            volume = (a.high - a.low).prod(axis=1)
-            return np.ascontiguousarray((a.values * volume[:, None]).T) @ b.values
+            # same disjoint cells: W is diagonal, the stored cell volumes
+            return np.ascontiguousarray((a.values * a.volumes[:, None]).T) @ b.values
         return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
     if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
         return _piecewise_linear_moment(a, b)
@@ -450,7 +457,10 @@ def _numbers(rows: list, what: str) -> np.ndarray:
         ok = False
     if not ok:
         raise ValueError(f"{what} must be lists of three JSON numbers")
-    return np.array(flat, dtype=float).reshape(-1, 3)
+    try:
+        return np.array(flat, dtype=float).reshape(-1, 3)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{what} must be finite") from None
 
 
 def to_dict(field: VectorField) -> dict:

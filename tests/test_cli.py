@@ -225,6 +225,33 @@ def test_detect_rejects_a_two_row_linear_matrix(tmp_path, halves_pair, capsys):
 
 
 BOX = {"low": [-1, -1, -1], "high": [1, 1, 1]}
+HUGE = 10 ** 400  # a 401-digit JSON integer: too large for a float
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"linear": {"matrix": [[1, 0, 0], [0, HUGE, 0], [0, 0, 1]], "box": BOX}},
+     "matrix must be finite"),
+    ({"piecewise": [{"box": BOX, "vector": [1, 0, -HUGE]}]},
+     "cell vectors must be finite"),
+    ({"grid": {"box": BOX, "resolution": [1, 1, 1], "data": [[HUGE, 0, 0]]}},
+     "grid data must be finite"),
+    ({"linear": {"matrix": np.eye(3).tolist(),
+                 "box": {"low": [-1, -1, -1], "high": [1, HUGE, 1]}}},
+     "box corners must be finite"),
+])
+def test_detect_rejects_an_integer_too_large_for_a_float(tmp_path, halves_pair,
+                                                         capsys, doc, message):
+    ref, _ = halves_pair
+    bad = tmp_path / "huge_int.json"
+    bad.write_text(json.dumps(doc))
+    assert str(HUGE) in bad.read_text()
+    code = main(["detect", "--reference", ref, "--pattern", str(bad),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -651,6 +651,25 @@ def test_detect_moments_checks_tr_s_then_s_then_k():
         detect_moments(k, [0, 0, 0, 0, 1, math.nan, 0, math.nan, 1], config)
 
 
+@pytest.mark.parametrize("diagonal", [(-1.0, -1.0, -1.0), (3.0, -1.0, -1.0),
+                                      (1.0, 1.0, -3e-12)])
+def test_detect_moments_rejects_an_s_that_is_no_self_moment(diagonal):
+    # a negative trace, or a diagonal entry below -1e-12 tr S: no field has
+    # that self-moment
+    k = floats(rotation_matrix(E12, 0.3))
+    with pytest.raises(ValueError, match="^reference self-moment S is not "
+                                         "positive semidefinite$"):
+        detect_moments(k, floats(np.diag(diagonal)), DetectionConfig(epsilon=1e-3))
+
+
+def test_detect_moments_allows_rounding_below_zero_on_the_diagonal():
+    # within the 1e-12 tr S floor, a diagonal entry may round below zero
+    s = np.diag((1.0, 1.0, -1e-12))
+    loop = detect_moments(floats(rotation_matrix(E12, 0.3) @ s), floats(s),
+                          DetectionConfig(epsilon=1e-3))
+    assert loop.converged
+
+
 def reference_cases():
     """(K, S, config) for the bit-for-bit comparison with the reference loop:
     seeded linear trials at each tolerance, shared-cell pairs, a real first
@@ -964,10 +983,10 @@ def test_piecewise_field_is_read_only():
     assert len(field.cells) == 18
     assert all(np.array_equal(v, field.values[i])
                for i, (_, v) in enumerate(field.cells))
-    for a in (field.low, field.high, field.values):
+    for a in (field.low, field.high, field.values, field.volumes):
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 0.0
-    for name in ("low", "high", "values", "cells"):
+            a[0] = 0.0
+    for name in ("low", "high", "values", "volumes", "cells"):
         with pytest.raises(AttributeError):
             setattr(field, name, None)
 

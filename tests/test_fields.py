@@ -19,7 +19,9 @@ from rotalign.fields import (
 from rotalign.detector import DetectionConfig, detect
 from rotalign.experiments import draw_trial, run_trial
 
-from conftest import jittered_split, midpoint_linear_shortfall, midpoint_moment
+from conftest import (
+    jittered_split, midpoint_linear_shortfall, midpoint_moment, shared_cell_pair,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -68,6 +70,14 @@ def test_box_rejects_non_finite_corners(bad):
         Box((0.0, bad, 0.0), (1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="box corners must be finite"):
         Box((0.0, 0.0, 0.0), (1.0, 1.0, bad))
+
+
+def test_box_rejects_an_int_too_large_for_a_float():
+    # float() of such an int raises OverflowError rather than give inf
+    with pytest.raises(ValueError, match="box corners must be finite"):
+        Box((0, 10 ** 400, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="box corners must be finite"):
+        Box((0, 0, 0), (1, 1, -(10 ** 400)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -387,6 +397,34 @@ def test_moment_on_shared_cells_equals_the_overlap_matrix_form(overlap_calls):
         assert overlap_calls == []
         for (x, y), k in zip(pairs, got):
             assert np.array_equal(k, overlap_matrix_moment(x, y))
+
+
+def test_piecewise_volumes_are_the_cell_extent_products():
+    # the diagonal of the constructor's overlap check, bit for bit, on the
+    # behaviour lock's 200 piecewise pairs (seed 12)
+    for i in range(200):
+        rng = np.random.default_rng((12, i))
+        for f in shared_cell_pair(rng, rng.uniform(0.0, math.pi)):
+            assert f.volumes.shape == (18,)
+            assert f.volumes.tobytes() == (f.high - f.low).prod(axis=1).tobytes()
+
+
+def test_value_maps_share_the_stored_volumes():
+    field, _ = shared_cell_pair(np.random.default_rng(35))
+    plane = UnitBivector.from_components(1.0, 2.0, 3.0)
+    split = decompose(field, plane)
+    for mapped in (rotate_outer(field, plane, 1.1), scale(field, 0.5),
+                   split.parallel, split.perpendicular):
+        assert mapped.volumes is field.volumes
+        assert mapped.low is field.low and mapped.high is field.high
+
+
+def test_moment_on_shared_cells_reads_the_stored_volumes():
+    a, b = shared_cell_pair(np.random.default_rng(37))
+    doubled = object.__new__(PiecewiseConstantField)
+    doubled._store(a.low, a.high, a.values, 2.0 * a.volumes)
+    assert np.array_equal(cross_moment(doubled, b), 2.0 * cross_moment(a, b))
+    assert np.array_equal(cross_moment(b, doubled), cross_moment(b, a))
 
 
 def test_moment_on_different_cells_takes_the_overlap_matrix(overlap_calls):
