@@ -14,9 +14,9 @@ once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
 of K and the reference's self-moment S held as nine Python floats each and
-checked once, on entry.  Every pass turns K by one written-out block and
-the net rotor by its step, unrenormalised; a common pass feeds the block
-ratios read off the correlation, with no angle and no call.
+checked once, on entry.  It never turns K: a pass reads the fold of R K off
+Horn's 4x4 form of K and the net rotor, its only state, and steps by the
+correlation's half-way rotor, with no angle and no call on a common pass.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -233,19 +233,18 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     """The detection loop on the cross moment K = integral of u v^T and the
     reference's self-moment S = integral of v v^T.
 
-    k and s are 3x3 matrices given as nine floats in row-major order.  A pass
-    folds K into C = tr K + B, B its antisymmetric part, and takes phi =
-    atan2(|B|, tr K).  Every pass turns by one block, fed c = cos(phi) and
-    w = sin(phi) n for its plane's normal n: R = c I + [w]x + w w^T / d,
-    d = 1 + c (|w|^2 / (1 - c) for c < 0, which does not cancel near the
-    half-turn), and the step rotor (d, -w_z, w_y, -w_x) over its length.  A
-    common pass feeds c = tr K / |C| and w = (b23, -b13, b12) / |C|, read
-    off C's half-way rotor |C| + C~ with no angle, and makes no Python call.
-    An explicit pass feeds cos(phi) and sin(phi) n: n = (b23, -b13, b12) /
-    |B|, or E12's normal for a real fold (|B| <= ZERO_BIVECTOR_RTOL |tr K|),
-    whose phi is DISTURBANCE_ANGLE on the first pass and 0 or pi after it;
-    within epsilon, the certified step picks (phi, n).  R K is a row-major
-    product; each step, unrenormalised, multiplies the net by rotor_product.
+    k and s are 3x3 matrices given as nine floats in row-major order.  For
+    the net rotor's rotation R, tr(R K) = q^T N q with Horn's symmetric N of
+    K, built once, and q = (n0, -n23, n13, -n12) (Horn 1987).  A pass reads
+    C = tr K + B of R K off p = N q (tr K = q . p, B is p times q's
+    conjugate), takes phi = atan2(|B|, tr K) and steps by C's half-way rotor
+    (d, -b12, -b13, -b23) / hypot(d, |B|): d = r + tr K, r = hypot(tr K,
+    |B|), or |B| (|B| / (r - tr K)) for tr K < 0, which neither cancels nor
+    overflows.  A common pass feeds C and makes no call; an explicit pass
+    feeds (cos(phi), sin(phi), 1) as (tr K, |B|, r) and sin(phi) (n2, -n1,
+    n0) as B for its normal n: (b23, -b13, b12) / |B|, or E12's for a real
+    fold (|B| <= ZERO_BIVECTOR_RTOL |tr K|), phi DISTURBANCE_ANGLE on pass
+    one and 0 or pi after it; within epsilon, _certified_step picks (phi, n).
     Raises ValueError if S is not positive semidefinite by its trace and
     diagonal, then if tr S is zero or not finite, then if S or K is not.
     """
@@ -254,18 +253,27 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         raise ValueError("cross moment K is not finite")
     epsilon = config.epsilon
     hypot, atan2, rtol = math.hypot, math.atan2, ZERO_BIVECTOR_RTOL
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
+    m00, m01, m02, m03 = k0 + k4 + k8, k5 - k7, k6 - k2, k1 - k3
+    m11, m12, m13 = k0 - k4 - k8, k1 + k3, k2 + k6
+    m22, m23, m33 = k4 - k0 - k8, k5 + k7, k8 - k0 - k4
     n0, n12, n13, n23 = 1.0, 0.0, 0.0, 0.0
     converged, trace, steps = False, [], []
 
     for _ in range(config.max_iterations):
-        sc = k00 + k11 + k22
-        b12, b13, b23 = k01 - k10, k02 - k20, k12 - k21
+        qa, qb, qc = -n23, n13, -n12
+        p0 = m00 * n0 + m01 * qa + m02 * qb + m03 * qc
+        p1 = m01 * n0 + m11 * qa + m12 * qb + m13 * qc
+        p2 = m02 * n0 + m12 * qa + m22 * qb + m23 * qc
+        p3 = m03 * n0 + m13 * qa + m23 * qb + m33 * qc
+        sc = n0 * p0 + qa * p1 + qb * p2 + qc * p3
+        b12 = n0 * p3 + qa * p2 - qb * p1 - qc * p0
+        b13 = qa * p3 - n0 * p2 - qc * p1 + qb * p0
+        b23 = n0 * p1 - qa * p0 + qb * p3 - qc * p2
         bmag = hypot(b12, b13, b23)
         phi = atan2(bmag, sc)
         if phi > epsilon and bmag > rtol * abs(sc):
-            r = hypot(sc, b12, b13, b23)
-            c, x, y, z = sc / r, b23 / r, -b13 / r, b12 / r
+            r = hypot(sc, bmag)
         else:
             if bmag > rtol * abs(sc):
                 n = (b23 / bmag, -b13 / bmag, b12 / bmag)
@@ -276,22 +284,11 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
             if phi <= epsilon:
                 phi, n, converged = _certified_step(model, (b12, b13, b23), phi,
                                                     n, epsilon)
-            c, t = math.cos(phi), math.sin(phi)
-            x, y, z = t * n[0], t * n[1], t * n[2]
-        d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
-        u, v, w = x / d, y / d, z / d
-        xy, xz, yz = x * v, x * w, y * w
-        a00, a01, a02 = c + x * u, xy - z, xz + y
-        a10, a11, a12 = xy + z, c + y * v, yz - x
-        a20, a21, a22 = xz - y, yz + x, c + z * w
-        h = hypot(d, x, y, z)
-        step = s0, s12, s13, s23 = d / h, -z / h, y / h, -x / h
-        k00, k01, k02, k10, k11, k12, k20, k21, k22 = (
-            a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
-            a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
-            a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
-            a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
-            a20 * k02 + a21 * k12 + a22 * k22)
+            sc, bmag, r = math.cos(phi), math.sin(phi), 1.0
+            b12, b13, b23 = bmag * n[2], -bmag * n[1], bmag * n[0]
+        d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
+        h = hypot(d, bmag)
+        step = s0, s12, s13, s23 = d / h, -b12 / h, -b13 / h, -b23 / h
         n0, n12, n13, n23 = (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
                              s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
                              s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,

@@ -45,10 +45,13 @@ def _is_real(x) -> bool:
 def _real_array(x, what: str) -> np.ndarray:
     """x as a new float array, if every entry (of a list, too) is _is_real."""
     a = np.asarray(x)
-    if a.dtype.kind not in "iuf" or a is not x and not all(
+    if a is x and a.dtype.kind not in "iuf" or a is not x and not all(
             map(_is_real, np.asarray(x, dtype=object).flat)):
         raise ValueError(f"{what} must be real numbers")
-    return a.astype(float)
+    try:
+        return a.astype(float)
+    except OverflowError:  # a list's int too large for a float
+        raise ValueError(f"{what} must be finite") from None
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
 builds the seeded piecewise pairs that several test modules detect on.
 
-turn and reference_detect_moments are the detection loop with its rotation
-block as a function of its own, fed by halfway_feed on a common pass and by
-angle_feed, an angle and a unit normal, on an explicit one: the loop
-detect_moments writes out inline, kept here as the bit-for-bit reference
-for it.  An explicit pass reads its normal off the pass's own |B| and takes
-a real fold's angle, 0 or pi, from ga3.argument.  reference_detect is
-detect with the corrected pattern rotated before the report is returned, the
-bit-for-bit reference for a report that rotates it on first read.
+horn_read, turn and reference_detect_moments are the detection loop with
+its correlation read and its step as functions of their own: each pass reads
+tr K and B off Horn's 4x4 N of K0 (horn_matrix) and the net rotor, and turn
+steps by the half-way rotor, fed by halfway_feed on a common pass and by
+angle_feed, an angle and a unit normal, on an explicit one.  That is the
+loop detect_moments writes out inline, kept here as the bit-for-bit
+reference for it.  An explicit pass reads its normal off the pass's own |B|
+and takes a real fold's angle, 0 or pi, from ga3.argument.  reference_detect
+is detect with the corrected pattern rotated before the report is returned,
+the bit-for-bit reference for a report that rotates it on first read.
 """
 
 import math
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from rotalign import fields
-from rotalign.correlation import correlate_at_origin, moment_parts
+from rotalign.correlation import correlate_at_origin
 from rotalign.detector import (
     DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _MisfitModel,
     _certified_step, detect_moments,
@@ -137,56 +139,71 @@ def shared_cell_pair(rng, angle=2.0):
         for vals in (values, rotated))
 
 
-def turn(c: float, x: float, y: float, z: float, k, net
-         ) -> tuple[tuple[float, ...], ...]:
-    """(R k, step, step net) for the rotation by phi about the unit normal n,
-    fed as c = cos(phi) and w = (x, y, z) = sin(phi) n: R = c I + [w]x +
-    w w^T / d with d = 1 + c (as |w|^2 / (1 - c) for c < 0, which does not
-    cancel near the half-turn), and step = (d, -z, y, -x) over its length,
-    the rotor proportional to the half-way rotor of cos(phi) + sin(phi) Q.
-    k is nine floats, row-major, and R k is summed left to right over the
-    shared index; step, as it is, multiplies net by rotor_product.
-    """
-    d = 1.0 + c if c >= 0.0 else (x * x + y * y + z * z) / (1.0 - c)
-    u, v, w = x / d, y / d, z / d
-    xy, xz, yz = x * v, x * w, y * w
-    a00, a01, a02 = c + x * u, xy - z, xz + y
-    a10, a11, a12 = xy + z, c + y * v, yz - x
-    a20, a21, a22 = xz - y, yz + x, c + z * w
-    k00, k01, k02, k10, k11, k12, k20, k21, k22 = k
-    h = math.hypot(d, x, y, z)
-    step = (d / h, -z / h, y / h, -x / h)
-    return ((a00 * k00 + a01 * k10 + a02 * k20, a00 * k01 + a01 * k11 + a02 * k21,
-             a00 * k02 + a01 * k12 + a02 * k22, a10 * k00 + a11 * k10 + a12 * k20,
-             a10 * k01 + a11 * k11 + a12 * k21, a10 * k02 + a11 * k12 + a12 * k22,
-             a20 * k00 + a21 * k10 + a22 * k20, a20 * k01 + a21 * k11 + a22 * k21,
-             a20 * k02 + a21 * k12 + a22 * k22),
-            step,
-            rotor_product(step, net))
+def horn_matrix(k) -> tuple[tuple[float, ...], ...]:
+    """Horn's symmetric 4x4 N of K0, nine floats row-major, as four rows:
+    tr(R(q) K0) = q^T N q for the quaternion q of a rotor (Horn 1987)."""
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
+    return ((k0 + k4 + k8, k5 - k7, k6 - k2, k1 - k3),
+            (k5 - k7, k0 - k4 - k8, k1 + k3, k2 + k6),
+            (k6 - k2, k1 + k3, k4 - k0 - k8, k5 + k7),
+            (k1 - k3, k2 + k6, k5 + k7, k8 - k0 - k4))
 
 
-def halfway_feed(sc: float, biv) -> tuple[float, float, float, float]:
-    """turn's feed for the argument of C = sc + biv in C's plane, read off
-    C's half-way rotor with no angle: c = sc / |C| and w = (b23, -b13,
-    b12) / |C|.  Only ratios to |C| enter, so scaling sc and biv by a power
-    of two changes no bit; biv must name a plane (ga3.argument)."""
+def horn_read(m, net) -> tuple[float, tuple[float, float, float]]:
+    """(tr K, (b12, b13, b23)) of K = R K0, R the rotation of the rotor net
+    (scalar, b12, b13, b23), read off K0's horn_matrix m with no 3x3 R:
+    p = N q for q = (n0, -n23, n13, -n12), tr K = q . p, and B is p times
+    the conjugate of q, each sum taken left to right.  Both scale with
+    |net|^2, and reading -net gives the same bits."""
+    n0, n12, n13, n23 = net
+    q0, qa, qb, qc = q = (n0, -n23, n13, -n12)
+    p0, p1, p2, p3 = [row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3]
+                      for row in m]
+    return (q0 * p0 + qa * p1 + qb * p2 + qc * p3,
+            (q0 * p3 + qa * p2 - qb * p1 - qc * p0,
+             qa * p3 - q0 * p2 - qc * p1 + qb * p0,
+             q0 * p1 - qa * p0 + qb * p3 - qc * p2))
+
+
+def turn(sc: float, bmag: float, r: float, biv, net
+         ) -> tuple[tuple[float, float, float, float], ...]:
+    """(step, step net) for the rotation by the argument phi of sc + biv in
+    its plane, fed as tr K = sc, |B| = bmag and r = |sc + biv|: the step is
+    the half-way rotor r + sc - biv over its length, with r + sc taken as
+    |B| (|B| / (r - sc)) for sc < 0, which neither cancels near the
+    half-turn nor squares |B| out of range.  step, as it is, multiplies net
+    by rotor_product."""
     b12, b13, b23 = biv
-    r = math.hypot(sc, b12, b13, b23)
-    return sc / r, b23 / r, -b13 / r, b12 / r
+    d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
+    h = math.hypot(d, bmag)
+    step = (d / h, -b12 / h, -b13 / h, -b23 / h)
+    return step, rotor_product(step, net)
 
 
-def angle_feed(phi: float, n) -> tuple[float, float, float, float]:
-    """turn's feed for the rotation by phi about the unit normal n."""
+def halfway_feed(sc: float, biv) -> tuple[float, float, float, tuple]:
+    """turn's feed for the argument of C = sc + biv in C's plane, with no
+    angle: (sc, |B|, |C|, biv).  Scaling sc and biv by a power of two scales
+    the feed exactly and changes no bit of the step; biv must name a plane
+    (ga3.argument)."""
+    bmag = math.hypot(*biv)
+    return sc, bmag, math.hypot(sc, bmag), biv
+
+
+def angle_feed(phi: float, n) -> tuple[float, float, float, tuple]:
+    """turn's feed for the rotation by phi about the unit normal n: the unit
+    correlation cos(phi) + sin(phi) Q, Q dual to n."""
     c, t = math.cos(phi), math.sin(phi)
-    return c, t * n[0], t * n[1], t * n[2]
+    return c, t, 1.0, (t * n[2], -t * n[1], t * n[0])
 
 
 def reference_detect_moments(k, s, config) -> MomentDetection:
-    """detect_moments with each pass one turn call: a common pass fed by
-    halfway_feed, an explicit one by angle_feed with the normal (b23, -b13,
-    b12) / |B|, or the disturbance plane's for a real fold."""
+    """detect_moments with each pass one horn_read of the net and one turn
+    call: a common pass fed by halfway_feed, an explicit one by angle_feed
+    with the normal (b23, -b13, b12) / |B|, or the disturbance plane's for
+    a real fold."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
+    m = horn_matrix(k)
     net = (1.0, 0.0, 0.0, 0.0)
     iterations = 0
     converged = False
@@ -195,7 +212,7 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        sc, biv = moment_parts(k)
+        sc, biv = horn_read(m, net)
         b12, b13, b23 = biv
         bmag = math.hypot(*biv)
         phi = math.atan2(bmag, sc)
@@ -211,7 +228,7 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
             if phi <= epsilon:
                 phi, n, converged = _certified_step(model, biv, phi, n, epsilon)
             feed = angle_feed(phi, n)
-        k, step, net = turn(*feed, k, net)
+        step, net = turn(*feed, net)
         trace.append(phi)
         steps.append(step)
 

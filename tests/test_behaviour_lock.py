@@ -46,15 +46,21 @@ def trial_rows(epsilon: float) -> list[tuple[int, bool, float]]:
     return rows
 
 
-def piecewise_rows() -> list[tuple[int, bool, float]]:
-    """Pair i rotates a shared_cell_pair by an angle drawn in [0, pi), all
-    from the stream seeded with (PIECEWISE_SEED, i)."""
-    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
-    rows = []
+def piecewise_pairs():
+    """The lock's (reference, pattern) pairs: pair i rotates a
+    shared_cell_pair by an angle drawn in [0, pi), all from the stream
+    seeded with (PIECEWISE_SEED, i)."""
     for i in range(N_PAIRS):
         rng = np.random.default_rng((PIECEWISE_SEED, i))
         angle = rng.uniform(0.0, math.pi)
-        report = detect(*shared_cell_pair(rng, angle), config)
+        yield shared_cell_pair(rng, angle)
+
+
+def piecewise_rows() -> list[tuple[int, bool, float]]:
+    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
+    rows = []
+    for pair in piecewise_pairs():
+        report = detect(*pair, config)
         rows.append((report.iterations, report.converged, report.alpha))
     return rows
 

@@ -30,9 +30,10 @@ from rotalign.detector import (
 
 import conftest
 from conftest import (
-    angle_feed, halfway_feed, reference_detect, reference_detect_moments,
-    shared_cell_pair, turn,
+    angle_feed, halfway_feed, horn_matrix, horn_read, reference_detect,
+    reference_detect_moments, shared_cell_pair, turn,
 )
+from test_behaviour_lock import piecewise_pairs
 
 RNG = np.random.default_rng(909)
 
@@ -211,19 +212,20 @@ def relative_misfit(a, b):
 
 def phi_only_detection(reference, pattern, epsilon):
     """The paper's loop with the bare exit phi <= epsilon, no disturbance,
-    run on the cross moment with the arithmetic detect uses: every pass turns
-    by the reference turn, fed by halfway_feed above epsilon and by the angle
-    and plane on the last pass."""
-    k = cross_moment(pattern, reference).ravel().tolist()
+    run on the cross moment with the arithmetic detect uses: every pass
+    reads the correlation off K0's Horn matrix and the net rotor, and steps
+    by the reference turn, fed by halfway_feed above epsilon and by the
+    angle and plane on the last pass."""
+    m = horn_matrix(cross_moment(pattern, reference).ravel().tolist())
     net, trace = (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
-        sc, biv = moment_parts(k)
+        sc, biv = horn_read(m, net)
         pf = polar_decompose(Multivector(np.r_[sc, 0.0, 0.0, 0.0, biv, 0.0]))
         if pf.angle > epsilon:
             feed = halfway_feed(sc, biv)
         else:
             feed = angle_feed(pf.angle, pf.plane.normal().tolist())
-        k, _, net = turn(*feed, k, net)
+        _, net = turn(*feed, net)
         trace.append(pf.angle)
     angle, undo = rotor_rotation(net)
     return rotate_outer(pattern, undo, angle), tuple(trace)
@@ -850,6 +852,36 @@ def test_the_paper_steps_shrink_phi_by_the_rate_of_s():
         assert len(ratios) >= 100
         rho = np.linalg.eigvalsh(s)[-1] / np.trace(s)
         assert abs(np.median(ratios) - rho) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+def test_a_half_turn_side_step_is_exact_at_extreme_scales(k):
+    # seed-0 trial 0's first pass is common with tr K < 0, so it takes
+    # r + tr K as |B| (|B| / (r - tr K)).  Its moments are scaled by 2^16
+    # on top of 2^500, or by 2^-16 on top of 2^-500: there |B|^2 would
+    # overflow, or fall below 2^-1022 and lose bits; this form does neither
+    k0, s0 = map(floats, trial_moments(0, 1e-6))
+    config = DetectionConfig(epsilon=1e-6)
+    want = detect_moments(k0, s0, config)
+    sc, biv = moment_parts(k0)
+    assert sc < 0.0 and want.phi_trace[0] == math.atan2(math.hypot(*biv), sc)
+    scale = 2.0 ** (k + math.copysign(16, k))
+    got = detect_moments([x * scale for x in k0], [x * scale for x in s0], config)
+    assert (got.phi_trace, got.steps, got.net) == (want.phi_trace, want.steps,
+                                                   want.net)
+
+
+def test_the_net_rotor_keeps_unit_length():
+    # the loop never renormalises the net, and tr K and B scale with
+    # |net|^2, so its drift from 1 feeds every later pass (worst 4.2e-15
+    # measured on these detections)
+    loops = [detect(*pair, DetectionConfig(epsilon=1e-6))
+             for pair in piecewise_pairs()]
+    for epsilon in (0.1, 1e-3, 1e-6):
+        config = DetectionConfig(epsilon=epsilon)
+        loops += [detect_moments(*map(floats, trial_moments(index, epsilon)),
+                                 config) for index in range(300)]
+    assert max(abs(math.hypot(*loop.net) - 1.0) for loop in loops) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,27 @@ def test_fields_reject_non_finite_values(bad):
         SampledField(UNIT_BOX, (2, 2, 2), data)
 
 
+def test_linear_field_rejects_an_int_too_large_for_a_float():
+    # numpy holds such an int as an object, as it does 10 ** 30, which fits
+    with pytest.raises(ValueError, match="^matrix values must be finite$"):
+        LinearVectorField([[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]])
+    field = LinearVectorField([[10 ** 30, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert field.matrix[0, 0] == 1e30
+
+
+def test_piecewise_field_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(ValueError, match="^cell values must be finite$"):
+        PiecewiseConstantField((
+            (Box((0, 0, 0), (1, 1, 1)), (1.0, 0.0, 0.0)),
+            (Box((1, 0, 0), (2, 1, 1)), (0, -(10 ** 400), 0)),
+        ))
+
+
+def test_sampled_field_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(ValueError, match="^data values must be finite$"):
+        SampledField(UNIT_BOX, (1, 1, 2), [[0.0, 0.0, 1.0], [0, 0, 10 ** 400]])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_from_dict_rejects_non_finite_values(bad):
     box = {"low": [0, 0, 0], "high": [1, 1, 1]}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
+from rotalign.correlation import moment_parts
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
@@ -15,7 +16,9 @@ from rotalign.ga3 import (
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
-from conftest import angle_feed, halfway_feed, oracle_product, turn
+from conftest import (
+    angle_feed, halfway_feed, horn_matrix, horn_read, oracle_product, turn,
+)
 
 RNG = np.random.default_rng(20240915)
 
@@ -285,6 +288,59 @@ IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
 
 
+def folded(k):
+    """(tr K, (b12, b13, b23)) of a 3x3 array K by numpy."""
+    return np.trace(k), (k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1])
+
+
+def rotor_matrix(q):
+    """The 3x3 rotation of the rotor q by rotation_matrix."""
+    angle, plane = rotor_rotation(q)
+    return rotation_matrix(plane, angle)
+
+
+def random_rotor(rng):
+    q = rng.standard_normal(4)
+    return tuple(q / np.linalg.norm(q))
+
+
+def test_horn_read_is_the_fold_of_the_turned_moment():
+    # tr(R K0) and the antisymmetric part of R K0, for R the rotation of
+    # the rotor q, read off K0's 4x4 N and q with no 3x3 R
+    rng = np.random.default_rng(2111)
+    for _ in range(1000):
+        k = rng.uniform(-2.0, 2.0, 9)
+        q = random_rotor(rng)
+        sc, biv = horn_read(horn_matrix(k.tolist()), q)
+        want_sc, want_biv = folded(rotor_matrix(q) @ k.reshape(3, 3))
+        size = np.linalg.norm(k)
+        assert abs(sc - want_sc) <= 1e-14 * size
+        assert np.max(np.abs(np.subtract(biv, want_biv))) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
+def test_horn_read_is_exact_under_power_of_two_scaling(k):
+    # N is sums and differences of K0's entries and the read is linear in
+    # N, so a power of two scales every read exactly; -q reads the same
+    scale = 2.0 ** k
+    rng = np.random.default_rng(2112)
+    for _ in range(200):
+        m = tuple(rng.uniform(-2.0, 2.0, 9))
+        q = random_rotor(rng)
+        sc, biv = horn_read(horn_matrix(m), q)
+        got_sc, got_biv = horn_read(horn_matrix([x * scale for x in m]), q)
+        assert (got_sc, got_biv) == (sc * scale, tuple(b * scale for b in biv))
+        assert horn_read(horn_matrix(m), tuple(-x for x in q)) == (sc, biv)
+
+
+def test_horn_read_at_the_identity_is_the_fold_of_k():
+    # the first pass reads K0 itself, bit for bit as moment_parts folds it
+    rng = np.random.default_rng(2113)
+    for _ in range(100):
+        k = tuple(rng.uniform(-2.0, 2.0, 9))
+        assert horn_read(horn_matrix(k), NO_ROTATION) == moment_parts(k)
+
+
 def halfway_cases():
     """(sc, biv) at random, of either sign of sc, with the argument within
     1e-9 of 0 and of pi, and just above the real-valued threshold."""
@@ -302,47 +358,51 @@ def halfway_cases():
 
 
 def test_halfway_turn_matches_the_angle_and_plane():
-    # the block turns by C's argument in C's plane from either feed
+    # the step turns by C's argument in C's plane from either feed: its
+    # rotor, and the fold of its rotation read off the identity's N
+    identity = horn_matrix(IDENTITY)
     for sc, biv in halfway_cases():
         phi, q, real_valued = argument(sc, biv)
         assert not real_valued
-        rotation = rotation_matrix(q, phi).ravel()
+        want_sc, want_biv = folded(rotation_matrix(q, phi))
         rotor = rotation_rotor(q, phi).components
         for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
-            rk, step, net = turn(*feed, IDENTITY, NO_ROTATION)
-            assert np.allclose(rk, rotation, rtol=0.0, atol=2e-15)
+            step, net = turn(*feed, NO_ROTATION)
             assert np.allclose(step, rotor, rtol=0.0, atol=2e-15)
             assert net == step
-
-
-def left_to_right_product(a, b):
-    """a b for 3x3 matrices given as nine floats, row-major, each entry
-    summed left to right over the shared index."""
-    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
-                 for i in (0, 3, 6) for j in range(3))
+            got_sc, got_biv = horn_read(identity, step)
+            assert abs(got_sc - want_sc) <= 4e-15
+            assert np.allclose(got_biv, want_biv, rtol=0.0, atol=4e-15)
 
 
 def test_halfway_turn_multiplies_as_the_reference_products():
+    # the step is the net's left factor, bit for bit, and the read of the
+    # new net is the fold of the step's rotation times the turned K0
     for sc, biv in halfway_cases()[:200]:
-        k = tuple(RNG.uniform(-2.0, 2.0, 9))
+        k = RNG.uniform(-2.0, 2.0, 9)
         net = rotation_rotor(random_plane(), RNG.uniform(0.0, math.pi)).components
+        turned = rotor_matrix(net) @ k.reshape(3, 3)
         phi, q, _ = argument(sc, biv)
         for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
-            rotation, _, _ = turn(*feed, IDENTITY, NO_ROTATION)
-            rk, step, got = turn(*feed, k, net)
-            assert rk == left_to_right_product(rotation, k)
+            step, got = turn(*feed, net)
             assert got == rotor_product(step, net)
+            want_sc, want_biv = folded(rotation_matrix(q, phi) @ turned)
+            got_sc, got_biv = horn_read(horn_matrix(k.tolist()), got)
+            assert abs(got_sc - want_sc) <= 1e-14 * np.linalg.norm(k)
+            assert np.allclose(got_biv, want_biv, rtol=0.0,
+                               atol=1e-14 * np.linalg.norm(k))
 
 
 @pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
 def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
-    # every quantity is a ratio to |sc + biv|, so the scale drops out exactly
-    m = tuple(RNG.uniform(-2.0, 2.0, 9))
+    # the step is a ratio to its own length, so the scale drops out exactly:
+    # r + sc at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would
+    # leave the float range at 2^600 or lose bits below 2^-1022
     net = rotation_rotor(random_plane(), 1.0).components
     scale = 2.0 ** k
     for sc, biv in halfway_cases():
         feed = halfway_feed(sc * scale, tuple(b * scale for b in biv))
-        assert turn(*feed, m, net) == turn(*halfway_feed(sc, biv), m, net)
+        assert turn(*feed, net) == turn(*halfway_feed(sc, biv), net)
 
 
 def test_rotor_product_against_oracle():
