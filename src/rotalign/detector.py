@@ -14,9 +14,9 @@ once per detection: the correlation of the current pattern is the fold of K
 (scalar tr K, bivector the antisymmetric part), and counter-rotating the
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
 of K and the reference's self-moment S held as nine Python floats each and
-checked once, on entry.  It never turns K: a pass reads the fold of R K off
-Horn's 4x4 form of K and the net rotor, its only state, and steps by the
-correlation's half-way rotor, with no angle and no call on a common pass.
+checked once, on entry.  It never turns K: with Horn's 4x4 form N of K, a
+pass is a shifted power step on the net rotor's quaternion q, its only
+state, q <- (N + |N q| I) q over its length, with no angle or step rotor.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -87,10 +87,9 @@ class DetectionConfig:
 class MomentDetection:
     """Outcome of detect_moments, the loop's part of a DetectionReport.
 
-    net is the left fold of steps by rotor_product as (scalar, b12, b13, b23),
-    the rotor that undoes the generating rotation.  steps holds each pass's
-    rotor, in application order, as the (scalar, b12, b13, b23) that Rotor
-    renormalises; corrections builds those Rotors when read.
+    nets holds the net rotor after each pass as (scalar, b12, b13, b23); net,
+    the last of them, undoes the generating rotation.  steps, each pass's
+    rotor, and corrections, their Rotors, are built on every read.
     phi_trace holds the angle applied in each pass: the argument angle (after
     any disturbance override), the shortened correction of a pass that failed
     the certificate, or 0 for a last pass whose pattern was already within
@@ -102,13 +101,20 @@ class MomentDetection:
 
     net: tuple[float, float, float, float]
     phi_trace: tuple[float, ...]
-    steps: tuple[tuple[float, float, float, float], ...]
+    nets: tuple[tuple[float, float, float, float], ...]
     iterations: int
     converged: bool
 
     @property
+    def steps(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Step i is net i times the reverse of net i - 1 (of 1 for i = 0)."""
+        reverses = [(1.0, 0.0, 0.0, 0.0)] + [
+            (s0, -s12, -s13, -s23) for s0, s12, s13, s23 in self.nets[:-1]]
+        return tuple(map(rotor_product, self.nets, reverses))
+
+    @property
     def corrections(self) -> tuple[Rotor, ...]:
-        """The Rotor of each step, built on every read and not kept."""
+        """The Rotor of each step."""
         return tuple([Rotor(*step) for step in self.steps])
 
 
@@ -236,17 +242,16 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     k and s are 3x3 matrices given as nine floats in row-major order.  For
     the net rotor's rotation R, tr(R K) = q^T N q with Horn's symmetric N of
     K, built once, and q = (n0, -n23, n13, -n12) (Horn 1987).  A pass reads
-    C = tr K + B of R K off p = N q (tr K = q . p, B is p times q's
-    conjugate), takes phi = atan2(|B|, tr K) and steps by C's half-way rotor
-    (d, -b12, -b13, -b23) / hypot(d, |B|): d = r + tr K, r = hypot(tr K,
-    |B|), or |B| (|B| / (r - tr K)) for tr K < 0, which neither cancels nor
-    overflows.  A common pass feeds C and makes no call; an explicit pass
-    feeds (cos(phi), sin(phi), 1) as (tr K, |B|, r) and sin(phi) (n2, -n1,
-    n0) as B for its normal n: (b23, -b13, b12) / |B|, or E12's for a real
-    fold (|B| <= ZERO_BIVECTOR_RTOL |tr K|), phi DISTURBANCE_ANGLE on pass
-    one and 0 or pi after it; within epsilon, _certified_step picks (phi, n).
-    Raises ValueError if S is not positive semidefinite by its trace and
-    diagonal, then if tr S is zero or not finite, then if S or K is not.
+    tr K = q . p and w = p - tr K q (B carried onto q) off p = N q, takes
+    phi = atan2(|w|, tr K) and moves q to (d q + w) / hypot(d, |w|), which is
+    (N + r I) q over its length: r = |N q| = hypot(tr K, |w|), d = r + tr K,
+    or |w| (|w| / (r - tr K)) for tr K < 0, which neither cancels nor
+    overflows.  An explicit pass feeds (cos(phi), sin(phi), 1) as (tr K, |w|,
+    r) and sin(phi) n q as w: n = (b23, -b13, b12) / |w|, B off w, or E12's
+    for a real fold (|w| <= ZERO_BIVECTOR_RTOL |tr K|), phi DISTURBANCE_ANGLE
+    on pass one and 0 or pi after it; within epsilon, _certified_step picks
+    (phi, n).  Raises ValueError if S is not positive semidefinite (trace,
+    diagonal), then if tr S is zero or not finite, then if S or K is not.
     """
     model = _MisfitModel(s)
     if not all(map(math.isfinite, k)):
@@ -257,49 +262,51 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     m00, m01, m02, m03 = k0 + k4 + k8, k5 - k7, k6 - k2, k1 - k3
     m11, m12, m13 = k0 - k4 - k8, k1 + k3, k2 + k6
     m22, m23, m33 = k4 - k0 - k8, k5 + k7, k8 - k0 - k4
-    n0, n12, n13, n23 = 1.0, 0.0, 0.0, 0.0
-    converged, trace, steps = False, [], []
+    q0, qa, qb, qc = 1.0, 0.0, 0.0, 0.0
+    converged, trace, nets = False, [], []
 
     for _ in range(config.max_iterations):
-        qa, qb, qc = -n23, n13, -n12
-        p0 = m00 * n0 + m01 * qa + m02 * qb + m03 * qc
-        p1 = m01 * n0 + m11 * qa + m12 * qb + m13 * qc
-        p2 = m02 * n0 + m12 * qa + m22 * qb + m23 * qc
-        p3 = m03 * n0 + m13 * qa + m23 * qb + m33 * qc
-        sc = n0 * p0 + qa * p1 + qb * p2 + qc * p3
-        b12 = n0 * p3 + qa * p2 - qb * p1 - qc * p0
-        b13 = qa * p3 - n0 * p2 - qc * p1 + qb * p0
-        b23 = n0 * p1 - qa * p0 + qb * p3 - qc * p2
-        bmag = hypot(b12, b13, b23)
+        p0 = m00 * q0 + m01 * qa + m02 * qb + m03 * qc
+        p1 = m01 * q0 + m11 * qa + m12 * qb + m13 * qc
+        p2 = m02 * q0 + m12 * qa + m22 * qb + m23 * qc
+        p3 = m03 * q0 + m13 * qa + m23 * qb + m33 * qc
+        sc = q0 * p0 + qa * p1 + qb * p2 + qc * p3
+        w0 = p0 - sc * q0
+        w1 = p1 - sc * qa
+        w2 = p2 - sc * qb
+        w3 = p3 - sc * qc
+        bmag = hypot(w0, w1, w2, w3)
         phi = atan2(bmag, sc)
         if phi > epsilon and bmag > rtol * abs(sc):
             r = hypot(sc, bmag)
         else:
+            b12 = q0 * w3 + qa * w2 - qb * w1 - qc * w0
+            b13 = qa * w3 - q0 * w2 - qc * w1 + qb * w0
+            b23 = q0 * w1 - qa * w0 + qb * w3 - qc * w2
             if bmag > rtol * abs(sc):
                 n = (b23 / bmag, -b13 / bmag, b12 / bmag)
             else:  # a real fold names no plane
-                n, phi = _REAL_FOLD_NORMAL, 0.0 if sc >= 0.0 else math.pi
-                if not trace:
-                    phi = DISTURBANCE_ANGLE
+                n = _REAL_FOLD_NORMAL
+                phi = (0.0 if sc >= 0.0 else math.pi) if trace else DISTURBANCE_ANGLE
             if phi <= epsilon:
                 phi, n, converged = _certified_step(model, (b12, b13, b23), phi,
                                                     n, epsilon)
             sc, bmag, r = math.cos(phi), math.sin(phi), 1.0
-            b12, b13, b23 = bmag * n[2], -bmag * n[1], bmag * n[0]
+            x, y, z = bmag * n[0], bmag * n[1], bmag * n[2]
+            w0, w1, w2, w3 = (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
+                              q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
         d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
         h = hypot(d, bmag)
-        step = s0, s12, s13, s23 = d / h, -b12 / h, -b13 / h, -b23 / h
-        n0, n12, n13, n23 = (s0 * n0 - s12 * n12 - s13 * n13 - s23 * n23,
-                             s0 * n12 + s12 * n0 - s13 * n23 + s23 * n13,
-                             s0 * n13 + s13 * n0 + s12 * n23 - s23 * n12,
-                             s0 * n23 + s23 * n0 - s12 * n13 + s13 * n12)
+        q0 = (d * q0 + w0) / h
+        qa = (d * qa + w1) / h
+        qb = (d * qb + w2) / h
+        qc = (d * qc + w3) / h
         trace.append(phi)
-        steps.append(step)
+        nets.append((q0, -qc, qb, -qa))
         if converged:
             break
 
-    return MomentDetection((n0, n12, n13, n23), tuple(trace), tuple(steps),
-                           len(trace), converged)
+    return MomentDetection(nets[-1], tuple(trace), tuple(nets), len(trace), converged)
 
 
 def detect(reference: VectorField, pattern: VectorField,
@@ -320,7 +327,7 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(loop.net, loop.phi_trace, loop.steps, loop.iterations,
+    return DetectionReport(loop.net, loop.phi_trace, loop.nets, loop.iterations,
                            loop.converged, alpha, -undo, pattern, undo)
 
 

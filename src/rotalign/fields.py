@@ -43,14 +43,14 @@ def _is_real(x) -> bool:
 
 
 def _real_array(x, what: str) -> np.ndarray:
-    """x as a new float array, if every entry (of a list, too) is _is_real."""
+    """x as a new float array; entries of a list or object array must be _is_real."""
     a = np.asarray(x)
-    if a is x and a.dtype.kind not in "iuf" or a is not x and not all(
-            map(_is_real, np.asarray(x, dtype=object).flat)):
+    if (a.dtype.kind not in "iuf" if a is x and a.dtype.kind != "O" else
+            not all(map(_is_real, np.asarray(x, dtype=object).flat))):
         raise ValueError(f"{what} must be real numbers")
     try:
         return a.astype(float)
-    except OverflowError:  # a list's int too large for a float
+    except OverflowError:  # an int too large for a float
         raise ValueError(f"{what} must be finite") from None
 
 

@@ -8,16 +8,20 @@ The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
 builds the seeded piecewise pairs that several test modules detect on.
 
-horn_read, turn and reference_detect_moments are the detection loop with
-its correlation read and its step as functions of their own: each pass reads
-tr K and B off Horn's 4x4 N of K0 (horn_matrix) and the net rotor, and turn
-steps by the half-way rotor, fed by halfway_feed on a common pass and by
-angle_feed, an angle and a unit normal, on an explicit one.  That is the
-loop detect_moments writes out inline, kept here as the bit-for-bit
-reference for it.  An explicit pass reads its normal off the pass's own |B|
-and takes a real fold's angle, 0 or pi, from ga3.argument.  reference_detect
-is detect with the corrected pattern rotated before the report is returned,
-the bit-for-bit reference for a report that rotates it on first read.
+horn_read and turn are the detection pass as functions of their own, the
+oracle for the step rotor: horn_read reads tr K and B off Horn's 4x4 N of K0
+(horn_matrix) and a net rotor, and turn steps by the half-way rotor, fed by
+halfway_feed on a common pass and by angle_feed, an angle and a unit normal,
+on an explicit one, and multiplies the step into the net.  power_read,
+carried, carried_bivector and power_step are the same pass as the shifted
+power step detect_moments writes out inline: q moves to (d q + w) / h, with
+w the correlation's bivector carried onto the quaternion q, and no step
+rotor.  reference_detect_moments is the loop of those calls, the
+bit-for-bit reference for detect_moments.  An explicit pass reads its normal
+off the pass's own |B| and takes a real fold's angle, 0 or pi, from
+ga3.argument.  reference_detect is detect with the corrected pattern rotated
+before the report is returned, the bit-for-bit reference for a report that
+rotates it on first read.
 """
 
 import math
@@ -149,20 +153,41 @@ def horn_matrix(k) -> tuple[tuple[float, ...], ...]:
             (k1 - k3, k2 + k6, k5 + k7, k8 - k0 - k4))
 
 
-def horn_read(m, net) -> tuple[float, tuple[float, float, float]]:
-    """(tr K, (b12, b13, b23)) of K = R K0, R the rotation of the rotor net
-    (scalar, b12, b13, b23), read off K0's horn_matrix m with no 3x3 R:
-    p = N q for q = (n0, -n23, n13, -n12), tr K = q . p, and B is p times
-    the conjugate of q, each sum taken left to right.  Both scale with
-    |net|^2, and reading -net gives the same bits."""
+def horn_layout(net) -> tuple[float, float, float, float]:
+    """The quaternion (n0, -n23, n13, -n12) of the rotor net (scalar, b12,
+    b13, b23), the layout Horn's N acts on; the map is its own inverse, so
+    it also takes a quaternion back to its rotor."""
     n0, n12, n13, n23 = net
-    q0, qa, qb, qc = q = (n0, -n23, n13, -n12)
-    p0, p1, p2, p3 = [row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3]
-                      for row in m]
-    return (q0 * p0 + qa * p1 + qb * p2 + qc * p3,
-            (q0 * p3 + qa * p2 - qb * p1 - qc * p0,
-             qa * p3 - q0 * p2 - qc * p1 + qb * p0,
-             q0 * p1 - qa * p0 + qb * p3 - qc * p2))
+    return n0, -n23, n13, -n12
+
+
+def horn_times(m, q) -> tuple[float, list[float]]:
+    """(q . p, p) for p = N q, K0's horn_matrix m times the quaternion q,
+    each sum taken left to right."""
+    p = [row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3]
+         for row in m]
+    return q[0] * p[0] + q[1] * p[1] + q[2] * p[2] + q[3] * p[3], p
+
+
+def carried_bivector(q, w) -> tuple[float, float, float]:
+    """(b12, b13, b23) of w times the conjugate of the quaternion q, each sum
+    taken left to right: B read back off a bivector carried onto q, or C's
+    bivector read off p = N q."""
+    q0, qa, qb, qc = q
+    w0, w1, w2, w3 = w
+    return (q0 * w3 + qa * w2 - qb * w1 - qc * w0,
+            qa * w3 - q0 * w2 - qc * w1 + qb * w0,
+            q0 * w1 - qa * w0 + qb * w3 - qc * w2)
+
+
+def horn_read(m, net) -> tuple[float, tuple[float, float, float]]:
+    """(tr K, (b12, b13, b23)) of K = R K0, R the rotation of the rotor net,
+    read off K0's horn_matrix m with no 3x3 R: for q = horn_layout(net) and
+    p = N q, tr K = q . p and B is carried_bivector(q, p).  Both scale with
+    |net|^2, and reading -net gives the same bits."""
+    q = horn_layout(net)
+    sc, p = horn_times(m, q)
+    return sc, carried_bivector(q, p)
 
 
 def turn(sc: float, bmag: float, r: float, biv, net
@@ -196,43 +221,76 @@ def angle_feed(phi: float, n) -> tuple[float, float, float, tuple]:
     return c, t, 1.0, (t * n[2], -t * n[1], t * n[0])
 
 
+def power_read(m, q) -> tuple[float, tuple[float, float, float, float]]:
+    """(tr K, w) of K = R K0 for the quaternion q of R, read off K0's
+    horn_matrix m: p = N q, tr K = q . p and w = p - tr K q, C's bivector
+    B carried onto q, whose length is |B| for a unit q."""
+    sc, p = horn_times(m, q)
+    return sc, tuple(pi - sc * qi for pi, qi in zip(p, q))
+
+
+def carried(feed, q) -> tuple[float, float, float, tuple]:
+    """turn's feed (sc, |B|, r, B) as power_step's, with B = (b12, b13, b23)
+    carried onto q as power_read's w: the pure quaternion
+    (x, y, z) = (b23, -b13, b12) times q."""
+    sc, bmag, r, (b12, b13, b23) = feed
+    q0, qa, qb, qc = q
+    x, y, z = b23, -b13, b12
+    return sc, bmag, r, (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
+                         q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
+
+
+def power_step(sc: float, bmag: float, r: float, w, q
+               ) -> tuple[float, float, float, float]:
+    """q after turn's step for the feed (sc, |B|, r) with B carried onto q
+    as w, without the step: (d q + w) / hypot(d, |B|), d as turn takes it.
+    For a common pass's feed, halfway_feed(tr K, w), that is the shifted
+    power step (N + r I) q over its length, with r = |N q|."""
+    d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
+    h = math.hypot(d, bmag)
+    return tuple((d * qi + wi) / h for qi, wi in zip(q, w))
+
+
 def reference_detect_moments(k, s, config) -> MomentDetection:
-    """detect_moments with each pass one horn_read of the net and one turn
-    call: a common pass fed by halfway_feed, an explicit one by angle_feed
-    with the normal (b23, -b13, b12) / |B|, or the disturbance plane's for
-    a real fold."""
+    """detect_moments with each pass one power_read of q and one
+    power_step: a common pass fed by halfway_feed(tr K, w), an explicit one
+    by angle_feed with its bivector carried onto q, for the normal
+    (b23, -b13, b12) / |B| of B read back off w, or the disturbance
+    plane's for a real fold."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     m = horn_matrix(k)
-    net = (1.0, 0.0, 0.0, 0.0)
+    q = (1.0, 0.0, 0.0, 0.0)
     iterations = 0
     converged = False
     trace: list[float] = []
-    steps: list[tuple[float, float, float, float]] = []
+    nets: list[tuple[float, float, float, float]] = []
 
     while not converged and iterations < config.max_iterations:
         iterations += 1
-        sc, biv = horn_read(m, net)
-        b12, b13, b23 = biv
-        bmag = math.hypot(*biv)
+        sc, w = power_read(m, q)
+        bmag = math.hypot(*w)
         phi = math.atan2(bmag, sc)
         real_valued = bmag <= ZERO_BIVECTOR_RTOL * abs(sc)
         if phi > epsilon and not real_valued:
-            feed = halfway_feed(sc, biv)
+            feed = halfway_feed(sc, w)
         else:
+            biv = b12, b13, b23 = carried_bivector(q, w)
             if real_valued:
                 n = tuple(DISTURBANCE_PLANE.normal().tolist())
-                phi = DISTURBANCE_ANGLE if iterations == 1 else argument(sc, biv)[0]
+                # the argument of a bivector of length |B|: 0 or pi
+                phi = (DISTURBANCE_ANGLE if iterations == 1 else
+                       argument(sc, (bmag, 0.0, 0.0))[0])
             else:
                 n = (b23 / bmag, -b13 / bmag, b12 / bmag)
             if phi <= epsilon:
                 phi, n, converged = _certified_step(model, biv, phi, n, epsilon)
-            feed = angle_feed(phi, n)
-        step, net = turn(*feed, net)
+            feed = carried(angle_feed(phi, n), q)
+        q = power_step(*feed, q)
         trace.append(phi)
-        steps.append(step)
+        nets.append(horn_layout(q))
 
-    return MomentDetection(net, tuple(trace), tuple(steps), iterations,
+    return MomentDetection(nets[-1], tuple(trace), tuple(nets), iterations,
                            converged)
 
 

@@ -118,6 +118,45 @@ def test_sampled_field_rejects_an_int_too_large_for_a_float():
         SampledField(UNIT_BOX, (1, 1, 2), [[0.0, 0.0, 1.0], [0, 0, 10 ** 400]])
 
 
+def objects(rows):
+    return np.array(rows, dtype=object)
+
+
+def test_linear_field_reads_an_object_array_as_its_list():
+    # an object array is scanned entry by entry, as a list is: it builds,
+    # names an int too large for a float as not finite and a string as no
+    # number
+    rows = [[1, 0.5, 0], [0, 1, 0], [0, 0, 2.0]]
+    field = LinearVectorField(objects(rows))
+    assert np.array_equal(field.matrix, LinearVectorField(rows).matrix)
+    assert field.matrix.dtype == float
+    with pytest.raises(ValueError, match="^matrix values must be finite$"):
+        LinearVectorField(objects([[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="^matrix values must be real numbers$"):
+        LinearVectorField(objects([["1", 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_piecewise_field_reads_object_array_values_as_their_lists():
+    boxes = (Box((0, 0, 0), (1, 1, 1)), Box((1, 0, 0), (2, 1, 1)))
+    values = ([1.0, 0, 0], [0, 2, 0.5])
+    field = PiecewiseConstantField(zip(boxes, map(objects, values)))
+    assert np.array_equal(field.values,
+                          PiecewiseConstantField(zip(boxes, values)).values)
+    for bad, message in ((10 ** 400, "finite"), ("2", "real numbers")):
+        with pytest.raises(ValueError, match=f"^cell values must be {message}$"):
+            PiecewiseConstantField(zip(boxes, (objects([1.0, 0, 0]),
+                                               objects([0, bad, 0]))))
+
+
+def test_sampled_field_reads_an_object_array_as_its_list():
+    rows = [[0.0, 0, 1], [0, 2, 0.5]]
+    field = SampledField(UNIT_BOX, (1, 1, 2), objects(rows))
+    assert np.array_equal(field.data, SampledField(UNIT_BOX, (1, 1, 2), rows).data)
+    for bad, message in ((10 ** 400, "finite"), ("2", "real numbers")):
+        with pytest.raises(ValueError, match=f"^data values must be {message}$"):
+            SampledField(UNIT_BOX, (1, 1, 2), objects([[0.0, 0, 1], [0, bad, 0]]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_from_dict_rejects_non_finite_values(bad):
     box = {"low": [0, 0, 0], "high": [1, 1, 1]}

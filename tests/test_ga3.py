@@ -20,8 +20,6 @@ from conftest import (
     angle_feed, halfway_feed, horn_matrix, horn_read, oracle_product, turn,
 )
 
-RNG = np.random.default_rng(20240915)
-
 
 def mv(**kw):
     names = ["s", "e1", "e2", "e3", "e12", "e13", "e23", "e123"]
@@ -31,14 +29,14 @@ def mv(**kw):
     return Multivector(c)
 
 
-def random_mv():
-    return Multivector(RNG.uniform(-2.0, 2.0, 8))
+def random_mv(rng):
+    return Multivector(rng.uniform(-2.0, 2.0, 8))
 
 
-def random_plane():
-    v = RNG.standard_normal(3)
+def random_plane(rng):
+    v = rng.standard_normal(3)
     while np.linalg.norm(v) < 1e-6:
-        v = RNG.standard_normal(3)
+        v = rng.standard_normal(3)
     return UnitBivector.from_components(*(v / np.linalg.norm(v)))
 
 
@@ -67,15 +65,17 @@ def test_product_examples():
 
 
 def test_product_random_against_oracle():
+    rng = np.random.default_rng(2201)
     for _ in range(200):
-        a, b = random_mv(), random_mv()
+        a, b = random_mv(rng), random_mv(rng)
         assert np.allclose((a * b).coeffs, oracle_product(a.coeffs, b.coeffs),
                            atol=1e-12)
 
 
 def test_product_associative_and_distributive():
+    rng = np.random.default_rng(2202)
     for _ in range(1000):
-        a, b, c = random_mv(), random_mv(), random_mv()
+        a, b, c = random_mv(rng), random_mv(rng), random_mv(rng)
         left = (a * b) * c
         right = a * (b * c)
         assert np.allclose(left.coeffs, right.coeffs, atol=1e-10)
@@ -85,7 +85,8 @@ def test_product_associative_and_distributive():
 
 
 def test_scalar_multiplication_commutes():
-    a = random_mv()
+    rng = np.random.default_rng(2203)
+    a = random_mv(rng)
     assert (2.5 * a).close_to(a * 2.5)
     assert (a * Multivector.from_scalar(2.5)).close_to(2.5 * a)
 
@@ -101,14 +102,16 @@ def test_reverse_examples():
 
 
 def test_reverse_is_antiautomorphism():
+    rng = np.random.default_rng(2204)
     for _ in range(1000):
-        a, b = random_mv(), random_mv()
+        a, b = random_mv(rng), random_mv(rng)
         assert np.allclose((a * b).reverse().coeffs, (b.reverse() * a.reverse()).coeffs,
                            atol=1e-10)
 
 
 def test_reverse_involution():
-    a = random_mv()
+    rng = np.random.default_rng(2205)
+    a = random_mv(rng)
     assert a.reverse().reverse().close_to(a)
 
 
@@ -130,8 +133,9 @@ def test_grade_out_of_range():
 
 
 def test_vector_square_is_scalar_norm():
+    rng = np.random.default_rng(2206)
     for _ in range(100):
-        v = RNG.uniform(-3, 3, 3)
+        v = rng.uniform(-3, 3, 3)
         m = Multivector.from_vector(v)
         sq = m * m
         assert np.allclose(sq.coeffs[0], np.dot(v, v), atol=1e-12)
@@ -171,8 +175,9 @@ def test_unit_bivector_and_rotor_reject_non_finite_components():
 
 
 def test_unit_bivector_normal_roundtrip():
+    rng = np.random.default_rng(2207)
     for _ in range(50):
-        p = random_plane()
+        p = random_plane(rng)
         q = UnitBivector.from_normal(p.normal())
         assert np.allclose(p.components, q.components, atol=1e-12)
 
@@ -240,20 +245,22 @@ def test_sandwich_rejects_non_vectors():
 
 
 def test_sandwich_against_scipy():
+    rng = np.random.default_rng(2208)
     for _ in range(300):
-        p = random_plane()
-        angle = RNG.uniform(-math.pi, math.pi)
-        v = RNG.uniform(-2, 2, 3)
+        p = random_plane(rng)
+        angle = rng.uniform(-math.pi, math.pi)
+        v = rng.uniform(-2, 2, 3)
         got = sandwich(p, angle, Multivector.from_vector(v)).vector
         want = Rotation.from_rotvec(angle * p.normal()).apply(v)
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_sandwich_preserves_norm_and_fixes_normal():
+    rng = np.random.default_rng(2209)
     for _ in range(200):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
-        v = RNG.uniform(-2, 2, 3)
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
+        v = rng.uniform(-2, 2, 3)
         out = sandwich(p, angle, Multivector.from_vector(v)).vector
         assert math.isclose(np.linalg.norm(out), np.linalg.norm(v),
                             rel_tol=0, abs_tol=1e-12)
@@ -263,9 +270,10 @@ def test_sandwich_preserves_norm_and_fixes_normal():
 
 
 def test_rotation_matrix_properties():
+    rng = np.random.default_rng(2210)
     for _ in range(100):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
         m = rotation_matrix(p, angle)
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert math.isclose(np.linalg.det(m), 1.0, abs_tol=1e-12)
@@ -274,9 +282,10 @@ def test_rotation_matrix_properties():
 
 
 def test_rotation_matrix_is_rodrigues_about_the_normal():
+    rng = np.random.default_rng(2211)
     for _ in range(100):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
         x, y, z = p.normal()
         cross = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
         want = (np.eye(3) + math.sin(angle) * cross +
@@ -344,12 +353,13 @@ def test_horn_read_at_the_identity_is_the_fold_of_k():
 def halfway_cases():
     """(sc, biv) at random, of either sign of sc, with the argument within
     1e-9 of 0 and of pi, and just above the real-valued threshold."""
+    rng = np.random.default_rng(2212)
     cases = []
     for _ in range(200):
-        sc = RNG.uniform(-2.0, 2.0)
-        biv = tuple(RNG.uniform(-2.0, 2.0, 3))
-        n = np.array(random_plane().components)
-        angle = RNG.uniform(0.0, 1e-9)
+        sc = rng.uniform(-2.0, 2.0)
+        biv = tuple(rng.uniform(-2.0, 2.0, 3))
+        n = np.array(random_plane(rng).components)
+        angle = rng.uniform(0.0, 1e-9)
         for phi in (angle, math.pi - angle):
             cases.append((math.cos(phi), tuple(math.sin(phi) * n)))
         size = 1.01 * ZERO_BIVECTOR_RTOL * abs(sc)
@@ -378,9 +388,11 @@ def test_halfway_turn_matches_the_angle_and_plane():
 def test_halfway_turn_multiplies_as_the_reference_products():
     # the step is the net's left factor, bit for bit, and the read of the
     # new net is the fold of the step's rotation times the turned K0
+    rng = np.random.default_rng(2213)
     for sc, biv in halfway_cases()[:200]:
-        k = RNG.uniform(-2.0, 2.0, 9)
-        net = rotation_rotor(random_plane(), RNG.uniform(0.0, math.pi)).components
+        k = rng.uniform(-2.0, 2.0, 9)
+        net = rotation_rotor(random_plane(rng),
+                             rng.uniform(0.0, math.pi)).components
         turned = rotor_matrix(net) @ k.reshape(3, 3)
         phi, q, _ = argument(sc, biv)
         for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
@@ -398,7 +410,8 @@ def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
     # the step is a ratio to its own length, so the scale drops out exactly:
     # r + sc at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would
     # leave the float range at 2^600 or lose bits below 2^-1022
-    net = rotation_rotor(random_plane(), 1.0).components
+    rng = np.random.default_rng(2214)
+    net = rotation_rotor(random_plane(rng), 1.0).components
     scale = 2.0 ** k
     for sc, biv in halfway_cases():
         feed = halfway_feed(sc * scale, tuple(b * scale for b in biv))
@@ -406,8 +419,9 @@ def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
 
 
 def test_rotor_product_against_oracle():
+    rng = np.random.default_rng(2215)
     for _ in range(100):
-        a, b = RNG.uniform(-2, 2, 4), RNG.uniform(-2, 2, 4)
+        a, b = rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)
         want = oracle_product(np.r_[a[0], 0, 0, 0, a[1:], 0],
                               np.r_[b[0], 0, 0, 0, b[1:], 0])
         assert np.allclose(rotor_product(a, b), want[[0, 4, 5, 6]], atol=1e-12)
@@ -415,9 +429,10 @@ def test_rotor_product_against_oracle():
 
 
 def test_rotor_rotation_reads_both_signs_of_a_rotor():
+    rng = np.random.default_rng(2216)
     for _ in range(100):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
         r = np.array(rotation_rotor(p, angle).components)
         for sign in (1.0, -1.0):
             got_angle, got_plane = rotor_rotation(sign * 3.0 * r)
@@ -576,7 +591,8 @@ def test_compose_examples():
 def test_compose_identity_factor_exact():
     # a zero step's rotor is (1, -0, -0, -0): multiplying by it, on either
     # side, leaves a rotor unchanged to the bit
-    p = random_plane()
+    rng = np.random.default_rng(2217)
+    p = random_plane(rng)
     r = rotation_rotor(p, 0.7).components
     zero = rotation_rotor(E12, 0.0).components
     assert rotor_product(zero, r) == r
@@ -605,10 +621,11 @@ def test_compose_full_turn_cancels():
 
 
 def test_compose_against_scipy():
+    rng = np.random.default_rng(2218)
     for _ in range(300):
-        p, q = random_plane(), random_plane()
-        alpha = RNG.uniform(0, math.pi)
-        phi = RNG.uniform(0, math.pi)
+        p, q = random_plane(rng), random_plane(rng)
+        alpha = rng.uniform(0, math.pi)
+        phi = rng.uniform(0, math.pi)
         beta, plane = compose(alpha, p, phi, q)
         want_angle, want_plane = _compose_oracle(alpha, p, phi, q)
         assert math.isclose(beta, want_angle, abs_tol=1e-9)
@@ -626,7 +643,8 @@ def test_str_formatting():
 
 
 def test_multivector_immutable():
-    a = random_mv()
+    rng = np.random.default_rng(2219)
+    a = random_mv(rng)
     with pytest.raises(AttributeError):
         a.coeffs = np.zeros(8)
     with pytest.raises(ValueError):
