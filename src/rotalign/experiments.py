@@ -3,11 +3,11 @@ detection error and iteration statistics.
 
 Each trial draws a field with nine coefficients uniform on [-1, 1] over the
 standard box, an outer rotation with a uniformly distributed plane normal and
-an angle uniform up to just below pi, and detects it from its moments: the
-pattern's coefficients are R A, so its cross moment is K = (R A) X A^T and
-the reference's S = A X A^T, X the box's second moment, and run_trial hands
-them to detect_moments, the loop that detect runs, with no pattern field
-built.  The error is the Frobenius distance of the coefficient matrices.
+an angle uniform up to just below pi, and detects it from its moments,
+S = A X A^T (X the box's second moment) and K = R S, with detect_moments,
+the loop that detect runs, and no pattern field built.  The error is the
+Frobenius distance of the coefficient matrices, read off the residual rotor
+and equal to detect's on rotate_outer's copy to 1e-12.
 
 Seeding is positional: trial i derives its generator from
 SeedSequence(master_seed, spawn_key=(i,)), so statistics are independent of
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ga3 import UnitBivector, rotation_matrix, rotor_rotation
+from .ga3 import UnitBivector, rotation_matrix, rotation_rotor, rotor_product
 from .fields import LinearVectorField, check_angle
 from .detector import DetectionConfig, detect_moments
 
@@ -89,24 +89,32 @@ def run_trial(spec: TrialSpec,
     """Run one detection; returns (coefficient error, iterations, converged).
 
     detect(field, rotate_outer(field, plane, angle)) scored by
-    coefficient_error, with no field built: K = (R A) X A^T and S = A X A^T
-    are the products cross_moment computes, the corrected coefficients
-    U (R A) the one rotate_outer computes, U the rotation the net rotor
-    undoes, and |A - U R A| coefficient_error's norm, so the result is
-    bit-identical.  An angle outside [0, pi] raises ValueError.  The loop's
-    check of tr S rejects a zero or non-finite field, and covers the pattern
-    too: an exact rotated copy has the reference's energy.
+    coefficient_error, with no field built: S = A X A^T and K = R S, R the
+    outer rotation acting on K as the correlation module states, so R A is
+    never formed.  The corrected coefficients are E A, E the sandwich by the
+    residual rotor e = net * rotation_rotor(R).  For a unit e = w + v, with
+    v = (e23, -e13, e12) read as rotation_matrix reads a plane,
+    |(E - I) a|^2 = 4 |v x a|^2, so |A - E A| = 2 sqrt(sum_j |v x a_j|^2)
+    over A's columns, with no angle read.  Passes and exit are detect's, and
+    the error agrees with the field path to 1e-12.  An angle outside [0, pi]
+    raises ValueError.  The loop's check of tr S rejects a zero or
+    non-finite field, and covers the pattern too: an exact rotated copy has
+    the reference's energy.
     """
     check_angle(spec.angle)
     a = spec.field.matrix
-    x = spec.field.box.second_moment_matrix()
-    ra = rotation_matrix(spec.plane, spec.angle) @ a
-    loop = detect_moments((ra @ x @ a.T).ravel().tolist(),
-                          (a @ x @ a.T).ravel().tolist(),
-                          DetectionConfig(spec.epsilon, max_iterations))
-    alpha, undo = rotor_rotation(loop.net)
-    return (float(np.linalg.norm(a - rotation_matrix(undo, alpha) @ ra)),
-            loop.iterations, loop.converged)
+    s = a @ spec.field.box.second_moment_matrix() @ a.T
+    loop = detect_moments(
+        (rotation_matrix(spec.plane, spec.angle) @ s).ravel().tolist(),
+        s.ravel().tolist(), DetectionConfig(spec.epsilon, max_iterations))
+    _, e12, e13, e23 = rotor_product(
+        loop.net, rotation_rotor(spec.plane, spec.angle).components)
+    x, y, z = e23, -e13, e12
+    sq = 0.0
+    for ax, ay, az in a.T.tolist():
+        sq += ((y * az - z * ay) ** 2 + (z * ax - x * az) ** 2
+               + (x * ay - y * ax) ** 2)
+    return 2.0 * math.sqrt(sq), loop.iterations, loop.converged
 
 
 def run_trials(n: int, epsilon: float, master_seed: int,

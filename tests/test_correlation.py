@@ -20,8 +20,6 @@ from rotalign.correlation import (
 
 from conftest import midpoint_correlate, midpoint_linear_shortfall, midpoint_moment
 
-RNG = np.random.default_rng(4242)
-
 
 def mv(**kw):
     names = ["s", "e1", "e2", "e3", "e12", "e13", "e23", "e123"]
@@ -38,13 +36,13 @@ def two_halves(right, left):
     ))
 
 
-def random_plane():
-    v = RNG.standard_normal(3)
+def random_plane(rng):
+    v = rng.standard_normal(3)
     return UnitBivector.from_components(*(v / np.linalg.norm(v)))
 
 
-def random_linear():
-    return LinearVectorField(RNG.uniform(-1, 1, (3, 3)))
+def random_linear(rng):
+    return LinearVectorField(rng.uniform(-1, 1, (3, 3)))
 
 
 FIELD_A = two_halves((1.0, 0, 0), (0, 1.0, 0))          # e1 | e2
@@ -126,9 +124,10 @@ def test_disjoint_supports_correlate_to_zero():
 # structural properties
 
 def test_argument_swap_conjugates():
+    rng = np.random.default_rng(424201)
     pairs = [
-        (random_linear(), random_linear()),
-        (FIELD_B, random_linear()),
+        (random_linear(rng), random_linear(rng)),
+        (FIELD_B, random_linear(rng)),
         (FIELD_A, FIELD_B),
     ]
     for a, b in pairs:
@@ -138,7 +137,8 @@ def test_argument_swap_conjugates():
 
 
 def test_bilinearity():
-    a, b, c = random_linear(), random_linear(), random_linear()
+    rng = np.random.default_rng(424202)
+    a, b, c = random_linear(rng), random_linear(rng), random_linear(rng)
     lhs = correlate_at_origin(a, LinearVectorField(b.matrix + 2.0 * c.matrix))
     rhs = correlate_at_origin(a, b) + 2.0 * correlate_at_origin(a, c)
     assert lhs.close_to(rhs, tol=1e-12)
@@ -147,10 +147,11 @@ def test_bilinearity():
 def test_rotation_argument_identity():
     # the angle halves: correlating R(v) against v reads e^{-alpha P} through
     # the parallel energy
+    rng = np.random.default_rng(424203)
     for _ in range(200):
-        v = normalize(random_linear())
-        p = random_plane()
-        alpha = RNG.uniform(0, math.pi)
+        v = normalize(random_linear(rng))
+        p = random_plane(rng)
+        alpha = rng.uniform(0, math.pi)
         u = rotate_outer(v, p, alpha)
         cor = normalized_correlation(u, v).normalized
 
@@ -166,9 +167,10 @@ def test_rotation_argument_identity():
 
 
 def test_mixed_term_cauchy_schwarz():
+    rng = np.random.default_rng(424204)
     for _ in range(200):
-        v = random_linear()
-        p = random_plane()
+        v = random_linear(rng)
+        p = random_plane(rng)
         d = decompose(v, p)
         w = correlate_at_origin(d.parallel, d.perpendicular)
         bound = l2_norm(d.parallel) * l2_norm(d.perpendicular)
@@ -178,7 +180,8 @@ def test_mixed_term_cauchy_schwarz():
 def test_planar_field_correlation_is_unit_rotor():
     # no perpendicular energy: the normalized correlation is exactly
     # e^{-alpha e12} and the full angle is read in one step
-    m = RNG.uniform(-1, 1, (3, 3))
+    rng = np.random.default_rng(424205)
+    m = rng.uniform(-1, 1, (3, 3))
     m[2, :] = 0.0
     v = normalize(LinearVectorField(m))
     alpha = 0.9
@@ -193,8 +196,9 @@ def test_planar_field_correlation_is_unit_rotor():
 # closed form versus quadrature
 
 def test_closed_form_matches_package_quadrature_linear():
+    rng = np.random.default_rng(424206)
     for _ in range(10):
-        a, b = random_linear(), random_linear()
+        a, b = random_linear(rng), random_linear(rng)
         exact = correlate_at_origin(a, b)
         quad = quadrature_correlate(a, b, resolution=64)
         assert np.allclose(exact.coeffs, quad.coeffs,
@@ -220,7 +224,8 @@ def test_mixed_pair_closed_form():
 
 def test_package_quadrature_matches_independent_oracle():
     from rotalign.fields import evaluate
-    a, b = random_linear(), random_linear()
+    rng = np.random.default_rng(424207)
+    a, b = random_linear(rng), random_linear(rng)
     got = quadrature_correlate(a, b, box=UNIT_BOX, resolution=6)
     want = midpoint_correlate(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
                               (-1, -1, -1), (1, 1, 1), (6, 6, 6))
@@ -231,7 +236,8 @@ def test_package_quadrature_matches_independent_oracle():
 # sampled fields
 
 def test_sampled_pair_matches_analytic():
-    a, b = random_linear(), random_linear()
+    rng = np.random.default_rng(424208)
+    a, b = random_linear(rng), random_linear(rng)
     sa = sample(a, UNIT_BOX, (32, 32, 32))
     sb = sample(b, UNIT_BOX, (32, 32, 32))
     exact = correlate_at_origin(a, b)
@@ -241,17 +247,19 @@ def test_sampled_pair_matches_analytic():
 
 
 def test_sampled_grid_mismatch_raises():
-    a = sample(random_linear(), UNIT_BOX, (8, 8, 8))
-    b = sample(random_linear(), UNIT_BOX, (8, 8, 9))
+    rng = np.random.default_rng(424209)
+    a = sample(random_linear(rng), UNIT_BOX, (8, 8, 8))
+    b = sample(random_linear(rng), UNIT_BOX, (8, 8, 9))
     with pytest.raises(ValueError):
         correlate_at_origin(a, b)
-    c = sample(random_linear(), Box((-2, -1, -1), (1, 1, 1)), (8, 8, 8))
+    c = sample(random_linear(rng), Box((-2, -1, -1), (1, 1, 1)), (8, 8, 8))
     with pytest.raises(ValueError):
         correlate_at_origin(a, c)
 
 
 def test_sampled_against_exact_field_uses_sampling_grid():
-    a = random_linear()
+    rng = np.random.default_rng(424210)
+    a = random_linear(rng)
     sa = sample(a, UNIT_BOX, (16, 16, 16))
     lhs = correlate_at_origin(sa, a)
     rhs = correlate_at_origin(sa, sa)
@@ -262,23 +270,24 @@ def test_sampled_against_exact_field_uses_sampling_grid():
 # ---------------------------------------------------------------------------
 # the cross moment behind every correlation
 
-def moment_kinds():
+def moment_kinds(rng):
     """One field of each kind on the unit box.  The piecewise cells and the
     grid line up with a 4^3 midpoint grid, on which the midpoint rule is
     exact for every pair except linear times linear."""
     pw = PiecewiseConstantField((
-        (Box((0.0, -1.0, -1.0), (1.0, 1.0, 1.0)), RNG.uniform(-1, 1, 3)),
-        (Box((-1.0, -1.0, -1.0), (0.0, 0.5, 1.0)), RNG.uniform(-1, 1, 3)),
-        (Box((-0.5, 0.5, -1.0), (0.0, 1.0, 0.5)), RNG.uniform(-1, 1, 3)),
+        (Box((0.0, -1.0, -1.0), (1.0, 1.0, 1.0)), rng.uniform(-1, 1, 3)),
+        (Box((-1.0, -1.0, -1.0), (0.0, 0.5, 1.0)), rng.uniform(-1, 1, 3)),
+        (Box((-0.5, 0.5, -1.0), (0.0, 1.0, 0.5)), rng.uniform(-1, 1, 3)),
     ))
-    grid = sample(random_linear(), UNIT_BOX, (4, 4, 4))
-    return {"linear": random_linear(), "piecewise": pw, "grid": grid}
+    grid = sample(random_linear(rng), UNIT_BOX, (4, 4, 4))
+    return {"linear": random_linear(rng), "piecewise": pw, "grid": grid}
 
 
 @pytest.mark.parametrize("kind_a", ["linear", "piecewise", "grid"])
 @pytest.mark.parametrize("kind_b", ["linear", "piecewise", "grid"])
 def test_cross_moment_matches_midpoint_oracle(kind_a, kind_b):
-    fields = moment_kinds()
+    rng = np.random.default_rng(424211)
+    fields = moment_kinds(rng)
     a, b = fields[kind_a], fields[kind_b]
     want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
                            (-1, -1, -1), (1, 1, 1), (4, 4, 4))
@@ -288,8 +297,9 @@ def test_cross_moment_matches_midpoint_oracle(kind_a, kind_b):
 
 
 def test_cross_moment_of_partly_overlapping_linear_boxes():
-    a = random_linear()
-    b = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+    rng = np.random.default_rng(424212)
+    a = random_linear(rng)
+    b = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
                           Box((-0.5, -1.0, 0.0), (1.5, 0.5, 1.0)))
     # the overlap [-0.5, 1) x [-1, 0.5) x [0, 1) lies on the grid lines
     want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
@@ -303,10 +313,11 @@ def test_cross_moment_of_partly_overlapping_linear_boxes():
 @pytest.mark.parametrize("kind_a", ["linear", "piecewise", "grid"])
 @pytest.mark.parametrize("kind_b", ["linear", "piecewise", "grid"])
 def test_cross_moment_is_rotation_equivariant(kind_a, kind_b):
-    fields = moment_kinds()
+    rng = np.random.default_rng(424213)
+    fields = moment_kinds(rng)
     u, v = fields[kind_a], fields[kind_b]
     for _ in range(5):
-        p, angle = random_plane(), RNG.uniform(0, math.pi)
+        p, angle = random_plane(rng), rng.uniform(0, math.pi)
         lhs = cross_moment(rotate_outer(u, p, angle), v)
         rhs = rotation_matrix(p, angle) @ cross_moment(u, v)
         assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)

@@ -23,8 +23,6 @@ from conftest import (
     jittered_split, midpoint_linear_shortfall, midpoint_moment, shared_cell_pair,
 )
 
-RNG = np.random.default_rng(77)
-
 
 def two_halves_field():
     """e1 on the right half of the standard box, e2 on the left."""
@@ -34,13 +32,13 @@ def two_halves_field():
     ))
 
 
-def random_plane():
-    v = RNG.standard_normal(3)
+def random_plane(rng):
+    v = rng.standard_normal(3)
     return UnitBivector.from_components(*(v / np.linalg.norm(v)))
 
 
-def random_linear():
-    return LinearVectorField(RNG.uniform(-1, 1, (3, 3)))
+def random_linear(rng):
+    return LinearVectorField(rng.uniform(-1, 1, (3, 3)))
 
 
 def piecewise_on(low, high, values):
@@ -343,9 +341,10 @@ def test_sampled_evaluation_picks_containing_cell():
 
 
 def test_evaluate_many_matches_pointwise():
-    pts = RNG.uniform(-1.5, 1.5, (200, 3))
-    for field in (random_linear(), two_halves_field(),
-                  sample(random_linear(), UNIT_BOX, (8, 8, 8))):
+    rng = np.random.default_rng(7701)
+    pts = rng.uniform(-1.5, 1.5, (200, 3))
+    for field in (random_linear(rng), two_halves_field(),
+                  sample(random_linear(rng), UNIT_BOX, (8, 8, 8))):
         batch = evaluate_many(field, pts)
         single = np.array([evaluate(field, p) for p in pts])
         assert np.allclose(batch, single, atol=1e-14)
@@ -523,11 +522,12 @@ def intersect_path_moment(a, b):
 
 
 def test_linear_moment_on_equal_boxes_equals_the_intersect_path(box_constructions):
+    rng = np.random.default_rng(7702)
     box = Box((-0.3, 0.1, -2.0), (1.7, 0.9, 0.5))
-    a = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), box)
+    a = LinearVectorField(rng.uniform(-1, 1, (3, 3)), box)
     # an equal box as a distinct object, and a rotated copy sharing a's box
-    twin = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), Box(box.low, box.high))
-    rotated = rotate_outer(a, random_plane(), 2.1)
+    twin = LinearVectorField(rng.uniform(-1, 1, (3, 3)), Box(box.low, box.high))
+    rotated = rotate_outer(a, random_plane(rng), 2.1)
     pairs = ((a, a), (a, twin), (twin, a), (a, rotated), (rotated, twin))
     box_constructions.clear()
     got = [cross_moment(x, y) for x, y in pairs]
@@ -537,10 +537,11 @@ def test_linear_moment_on_equal_boxes_equals_the_intersect_path(box_construction
 
 
 def test_linear_moment_on_partly_overlapping_boxes_after_caching():
-    a = LinearVectorField(RNG.uniform(-1, 1, (3, 3)))
-    b = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+    rng = np.random.default_rng(7703)
+    a = LinearVectorField(rng.uniform(-1, 1, (3, 3)))
+    b = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
                           Box((-0.5, -1.0, 0.0), (1.5, 0.5, 1.0)))
-    inner = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+    inner = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
                               Box((-0.5, -0.5, 0.0), (0.5, 1.0, 0.5)))
     for f in (a, b, inner):
         cross_moment(f, f)  # every box has cached its own moment
@@ -556,9 +557,10 @@ def test_linear_moment_on_partly_overlapping_boxes_after_caching():
 
 
 def test_linear_detection_on_one_box_builds_no_box(box_constructions):
+    rng = np.random.default_rng(7704)
     box = Box((-0.3, 0.1, -2.0), (1.7, 0.9, 0.5))
-    reference = LinearVectorField(RNG.uniform(-1, 1, (3, 3)), box)
-    pattern = rotate_outer(reference, random_plane(), 1.3)
+    reference = LinearVectorField(rng.uniform(-1, 1, (3, 3)), box)
+    pattern = rotate_outer(reference, random_plane(rng), 1.3)
     specs = [draw_trial(0, i, eps) for i, eps in enumerate((0.1, 0.01, 0.001, 1e-6))]
     box_constructions.clear()
     report = detect(reference, pattern, DetectionConfig(epsilon=1e-6))
@@ -581,7 +583,8 @@ def test_identity_linear_norm():
 
 
 def test_linear_norm_against_quadrature():
-    f = random_linear()
+    rng = np.random.default_rng(7705)
+    f = random_linear(rng)
     g = sample(f, UNIT_BOX, (64, 64, 64))
     assert math.isclose(l2_norm(f), l2_norm(g), rel_tol=1e-3)
 
@@ -600,7 +603,8 @@ def midpoint_self_moment(field, box, resolution):
 
 
 def test_self_moment_of_linear_field_against_midpoint_sum():
-    f = LinearVectorField(RNG.uniform(-1, 1, (3, 3)),
+    rng = np.random.default_rng(7706)
+    f = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
                           Box((-1.0, -0.5, 0.0), (0.5, 1.0, 2.0)))
     s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
@@ -610,9 +614,10 @@ def test_self_moment_of_linear_field_against_midpoint_sum():
 
 
 def test_self_moment_of_piecewise_field_against_midpoint_sum():
+    rng = np.random.default_rng(7707)
     f = PiecewiseConstantField((
-        (Box((0, -1, -1), (1, 1, 1)), RNG.uniform(-1, 1, 3)),
-        (Box((-1, -1, -1), (0, 1, 0)), RNG.uniform(-1, 1, 3)),
+        (Box((0, -1, -1), (1, 1, 1)), rng.uniform(-1, 1, 3)),
+        (Box((-1, -1, -1), (0, 1, 0)), rng.uniform(-1, 1, 3)),
     ))
     s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
@@ -635,8 +640,9 @@ def test_piecewise_norm_is_linear_in_the_cell_count(overlap_calls):
 
 
 def test_self_moment_of_sampled_field_against_midpoint_sum():
+    rng = np.random.default_rng(7708)
     box = Box((-1.0, 0.0, -0.5), (1.0, 1.5, 0.5))
-    g = sample(random_linear(), box, (4, 5, 6))
+    g = sample(random_linear(rng), box, (4, 5, 6))
     s = cross_moment(g, g)
     assert math.isclose(np.trace(s), l2_norm(g) ** 2, rel_tol=1e-12)
     want = midpoint_self_moment(g, box, (4, 5, 6))
@@ -679,20 +685,22 @@ def test_rotate_two_halves_example():
 
 
 def test_rotate_preserves_support_and_norm():
-    for field in (random_linear(), two_halves_field(),
-                  sample(random_linear(), UNIT_BOX, (8, 8, 8))):
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
+    rng = np.random.default_rng(7709)
+    for field in (random_linear(rng), two_halves_field(),
+                  sample(random_linear(rng), UNIT_BOX, (8, 8, 8))):
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
         r = rotate_outer(field, p, angle)
         assert support(r) == support(field)
         assert math.isclose(l2_norm(r), l2_norm(field), rel_tol=1e-12)
 
 
 def test_rotate_roundtrip():
+    rng = np.random.default_rng(7710)
     for _ in range(20):
-        f = random_linear()
-        p = random_plane()
-        angle = RNG.uniform(0, math.pi)
+        f = random_linear(rng)
+        p = random_plane(rng)
+        angle = rng.uniform(0, math.pi)
         back = rotate_outer(rotate_outer(f, p, angle), -p, angle)
         assert np.allclose(back.matrix, f.matrix, atol=1e-12)
 
@@ -705,8 +713,9 @@ def test_rotate_rejects_bad_angle():
 
 
 def test_rotate_linear_is_matrix_product():
-    f = random_linear()
-    p = random_plane()
+    rng = np.random.default_rng(7711)
+    f = random_linear(rng)
+    p = random_plane(rng)
     angle = 0.9
     assert np.allclose(rotate_outer(f, p, angle).matrix,
                        rotation_matrix(p, angle) @ f.matrix, atol=1e-14)
@@ -741,8 +750,9 @@ def contraction_projection(plane):
 
 
 def test_projection_matrix_matches_normal_form():
+    rng = np.random.default_rng(7712)
     for _ in range(50):
-        p = random_plane()
+        p = random_plane(rng)
         assert np.allclose(plane_projection_matrix(p), contraction_projection(p),
                            atol=1e-12)
 
@@ -760,9 +770,10 @@ def test_decompose_examples():
 
 
 def test_decompose_pythagoras():
+    rng = np.random.default_rng(7713)
     for _ in range(50):
-        f = random_linear()
-        p = random_plane()
+        f = random_linear(rng)
+        p = random_plane(rng)
         d = decompose(f, p)
         assert math.isclose(l2_norm(f) ** 2,
                             l2_norm(d.parallel) ** 2 + l2_norm(d.perpendicular) ** 2,
@@ -770,8 +781,9 @@ def test_decompose_pythagoras():
 
 
 def test_decompose_parts_recombine():
-    f = random_linear()
-    p = random_plane()
+    rng = np.random.default_rng(7714)
+    f = random_linear(rng)
+    p = random_plane(rng)
     d = decompose(f, p)
     assert np.allclose(d.parallel.matrix + d.perpendicular.matrix, f.matrix,
                        atol=1e-12)
@@ -779,8 +791,9 @@ def test_decompose_parts_recombine():
 
 def test_rotation_fixes_perpendicular_part():
     # rotating in the plane leaves the normal component untouched
-    f = random_linear()
-    p = random_plane()
+    rng = np.random.default_rng(7715)
+    f = random_linear(rng)
+    p = random_plane(rng)
     d = decompose(f, p)
     r = rotate_outer(d.perpendicular, p, 1.1)
     assert np.allclose(r.matrix, d.perpendicular.matrix, atol=1e-12)
@@ -790,17 +803,18 @@ def test_rotation_fixes_perpendicular_part():
 # document format
 
 def test_json_roundtrip_all_kinds(tmp_path):
+    rng = np.random.default_rng(7716)
     fields = [
-        random_linear(),
+        random_linear(rng),
         two_halves_field(),
-        sample(random_linear(), UNIT_BOX, (4, 4, 4)),
+        sample(random_linear(rng), UNIT_BOX, (4, 4, 4)),
     ]
     for i, f in enumerate(fields):
         path = tmp_path / f"field_{i}.json"
         save_field(f, path)
         g = load_field(path)
         assert type(g) is type(f)
-        pts = RNG.uniform(-1, 1, (50, 3))
+        pts = rng.uniform(-1, 1, (50, 3))
         assert np.allclose(evaluate_many(f, pts), evaluate_many(g, pts),
                            atol=1e-15)
 
@@ -825,15 +839,17 @@ def test_to_dict_shapes():
 # sampling
 
 def test_sample_matches_source_at_centers():
-    f = random_linear()
+    rng = np.random.default_rng(7717)
+    f = random_linear(rng)
     g = sample(f, UNIT_BOX, (6, 6, 6))
     centers = g.cell_centers()
     assert np.allclose(g.data, evaluate_many(f, centers), atol=1e-14)
 
 
 def test_sample_evaluates_at_the_grid_cell_centers_exactly():
+    rng = np.random.default_rng(7718)
     box = Box((-1.0, -0.5, 0.25), (0.7, 1.3, 2.0))
-    f = LinearVectorField(RNG.uniform(-1.0, 1.0, (3, 3)), box)
+    f = LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)), box)
     g = sample(f, box, (3, 4, 5))
     centers = g.cell_centers()
     assert centers.shape == (60, 3)
@@ -844,8 +860,9 @@ def test_sample_evaluates_at_the_grid_cell_centers_exactly():
 
 
 def test_sampled_rotation_consistent_with_source():
-    f = random_linear()
-    p = random_plane()
+    rng = np.random.default_rng(7719)
+    f = random_linear(rng)
+    p = random_plane(rng)
     angle = 0.77
     a = sample(rotate_outer(f, p, angle), UNIT_BOX, (5, 5, 5))
     b = rotate_outer(sample(f, UNIT_BOX, (5, 5, 5)), p, angle)
