@@ -206,23 +206,34 @@ class _MisfitModel:
         return math.sqrt(max(quad, 0.0))
 
 
-def _certified_step(model: _MisfitModel, biv: tuple[float, float, float],
-                    phi: float, n: tuple[float, float, float], epsilon: float
-                    ) -> tuple[float, tuple[float, float, float], bool]:
-    """Step for a pass whose angle phi is within epsilon, as an angle and
-    the unit normal it turns about, and whether to stop.
+def _explicit_step(model: _MisfitModel, sc: float, biv: tuple[float, float, float],
+                   bmag: float, phi: float, first: bool, epsilon: float
+                   ) -> tuple[float, tuple[float, float, float], bool]:
+    """Angle, unit normal and exit of an explicit pass on the correlation
+    sc + biv, of bivector length bmag and argument phi.
 
-    The paper's step, phi about n, ends the loop when the misfit it leaves,
-    predicted from omega + phi n, is within epsilon.  Otherwise the pass
-    stops without a step if the pattern is already within epsilon, or
-    applies the Gauss-Newton correction about -omega / |omega|, shortened to
-    (1 - epsilon / misfit) |omega| so that the predicted misfit lands at
-    epsilon: the full correction over-solves at loose tolerances, and the
-    paper's steps alone can need more than max_iterations passes.  Only
-    rounding reaches the exit without a step: to first order the paper's
-    step maps omega to (S / tr S) omega, whose misfit is never larger than
-    omega's.  Without that exit the shortened step could have length <= 0.
+    n = (b23, -b13, b12) / bmag, or E12's normal for a real fold (bmag <=
+    ZERO_BIVECTOR_RTOL |sc|), which turns by DISTURBANCE_ANGLE on the first
+    pass and by 0 or pi after it.  An angle above epsilon is the step.
+    Within it the step is certified: the paper's step ends the loop when the
+    misfit it leaves, predicted from omega + phi n, is within epsilon.
+    Otherwise the pass stops without a step if the pattern is already within
+    epsilon, or turns about -omega / |omega| by (1 - epsilon / misfit)
+    |omega|, so that the predicted misfit lands at epsilon: the full
+    correction over-solves at loose tolerances, and the paper's steps alone
+    can need more than max_iterations passes.  Only rounding reaches the
+    stop without a step: to first order the paper's step maps omega to
+    (S / tr S) omega, whose misfit is never larger than omega's.  Without
+    that stop the shortened step could have length <= 0.
     """
+    b12, b13, b23 = biv
+    if bmag > ZERO_BIVECTOR_RTOL * abs(sc):
+        n = (b23 / bmag, -b13 / bmag, b12 / bmag)
+    else:  # a real fold names no plane
+        n = _REAL_FOLD_NORMAL
+        phi = DISTURBANCE_ANGLE if first else (0.0 if sc >= 0.0 else math.pi)
+    if phi > epsilon:
+        return phi, n, False
     x, y, z = model.rotation(biv)
     n0, n1, n2 = n
     if model.misfit((x + phi * n0, y + phi * n1, z + phi * n2)) <= epsilon:
@@ -246,12 +257,12 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     phi = atan2(|w|, tr K) and moves q to (d q + w) / hypot(d, |w|), which is
     (N + r I) q over its length: r = |N q| = hypot(tr K, |w|), d = r + tr K,
     or |w| (|w| / (r - tr K)) for tr K < 0, which neither cancels nor
-    overflows.  An explicit pass feeds (cos(phi), sin(phi), 1) as (tr K, |w|,
-    r) and sin(phi) n q as w: n = (b23, -b13, b12) / |w|, B off w, or E12's
-    for a real fold (|w| <= ZERO_BIVECTOR_RTOL |tr K|), phi DISTURBANCE_ANGLE
-    on pass one and 0 or pi after it; within epsilon, _certified_step picks
-    (phi, n).  Raises ValueError if S is not positive semidefinite (trace,
-    diagonal), then if tr S is zero or not finite, then if S or K is not.
+    overflows.  A pass within epsilon or on a real fold (|w| <=
+    ZERO_BIVECTOR_RTOL |tr K|) is explicit: _explicit_step picks its angle
+    phi, normal n and exit from B, read back off w, and the pass feeds
+    (cos(phi), sin(phi), 1) as (tr K, |w|, r) and sin(phi) n q as w.
+    Raises ValueError if S is not positive semidefinite (trace, diagonal),
+    then if tr S is zero or not finite, then if S or K is not.
     """
     model = _MisfitModel(s)
     if not all(map(math.isfinite, k)):
@@ -280,17 +291,11 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         if phi > epsilon and bmag > rtol * abs(sc):
             r = hypot(sc, bmag)
         else:
-            b12 = q0 * w3 + qa * w2 - qb * w1 - qc * w0
-            b13 = qa * w3 - q0 * w2 - qc * w1 + qb * w0
-            b23 = q0 * w1 - qa * w0 + qb * w3 - qc * w2
-            if bmag > rtol * abs(sc):
-                n = (b23 / bmag, -b13 / bmag, b12 / bmag)
-            else:  # a real fold names no plane
-                n = _REAL_FOLD_NORMAL
-                phi = (0.0 if sc >= 0.0 else math.pi) if trace else DISTURBANCE_ANGLE
-            if phi <= epsilon:
-                phi, n, converged = _certified_step(model, (b12, b13, b23), phi,
-                                                    n, epsilon)
+            biv = (q0 * w3 + qa * w2 - qb * w1 - qc * w0,
+                   qa * w3 - q0 * w2 - qc * w1 + qb * w0,
+                   q0 * w1 - qa * w0 + qb * w3 - qc * w2)
+            phi, n, converged = _explicit_step(model, sc, biv, bmag, phi,
+                                               not trace, epsilon)
             sc, bmag, r = math.cos(phi), math.sin(phi), 1.0
             x, y, z = bmag * n[0], bmag * n[1], bmag * n[2]
             w0, w1, w2, w3 = (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,

@@ -17,11 +17,11 @@ carried, carried_bivector and power_step are the same pass as the shifted
 power step detect_moments writes out inline: q moves to (d q + w) / h, with
 w the correlation's bivector carried onto the quaternion q, and no step
 rotor.  reference_detect_moments is the loop of those calls, the
-bit-for-bit reference for detect_moments.  An explicit pass reads its normal
-off the pass's own |B| and takes a real fold's angle, 0 or pi, from
-ga3.argument.  reference_detect is detect with the corrected pattern rotated
-before the report is returned, the bit-for-bit reference for a report that
-rotates it on first read.
+bit-for-bit reference for detect_moments.  An explicit pass takes its angle,
+normal and exit from detector._explicit_step, on B read back off w and the
+pass's own |B|.  reference_detect is detect with the corrected pattern
+rotated before the report is returned, the bit-for-bit reference for a
+report that rotates it on first read.
 """
 
 import math
@@ -33,11 +33,10 @@ import pytest
 from rotalign import fields
 from rotalign.correlation import correlate_at_origin
 from rotalign.detector import (
-    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, MomentDetection, _MisfitModel,
-    _certified_step, detect_moments,
+    MomentDetection, _MisfitModel, _explicit_step, detect_moments,
 )
 from rotalign.ga3 import (
-    ZERO_BIVECTOR_RTOL, UnitBivector, argument, rotation_matrix, rotor_product,
+    ZERO_BIVECTOR_RTOL, UnitBivector, rotation_matrix, rotor_product,
     rotor_rotation,
 )
 
@@ -254,9 +253,8 @@ def power_step(sc: float, bmag: float, r: float, w, q
 def reference_detect_moments(k, s, config) -> MomentDetection:
     """detect_moments with each pass one power_read of q and one
     power_step: a common pass fed by halfway_feed(tr K, w), an explicit one
-    by angle_feed with its bivector carried onto q, for the normal
-    (b23, -b13, b12) / |B| of B read back off w, or the disturbance
-    plane's for a real fold."""
+    by angle_feed with its bivector carried onto q, for the angle and normal
+    that _explicit_step reads off B, read back off w."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     m = horn_matrix(k)
@@ -271,20 +269,11 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
         sc, w = power_read(m, q)
         bmag = math.hypot(*w)
         phi = math.atan2(bmag, sc)
-        real_valued = bmag <= ZERO_BIVECTOR_RTOL * abs(sc)
-        if phi > epsilon and not real_valued:
+        if phi > epsilon and bmag > ZERO_BIVECTOR_RTOL * abs(sc):
             feed = halfway_feed(sc, w)
         else:
-            biv = b12, b13, b23 = carried_bivector(q, w)
-            if real_valued:
-                n = tuple(DISTURBANCE_PLANE.normal().tolist())
-                # the argument of a bivector of length |B|: 0 or pi
-                phi = (DISTURBANCE_ANGLE if iterations == 1 else
-                       argument(sc, (bmag, 0.0, 0.0))[0])
-            else:
-                n = (b23 / bmag, -b13 / bmag, b12 / bmag)
-            if phi <= epsilon:
-                phi, n, converged = _certified_step(model, biv, phi, n, epsilon)
+            phi, n, converged = _explicit_step(model, sc, carried_bivector(q, w),
+                                               bmag, phi, iterations == 1, epsilon)
             feed = carried(angle_feed(phi, n), q)
         q = power_step(*feed, q)
         trace.append(phi)

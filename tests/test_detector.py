@@ -5,6 +5,7 @@ on rotated fields, and the report's corrected pattern built on first read."""
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ import rotalign.fields
 import rotalign.ga3
 from rotalign.detector import (
     DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, _MisfitModel,
-    _certified_step, detect, detect_moments, residual_angle,
+    _explicit_step, detect, detect_moments, residual_angle,
 )
 
 import conftest
@@ -292,10 +293,64 @@ class RoundedModel:
         return 0.5e-6 if omega == self.omega else 2e-6
 
 
-def test_certified_step_stops_without_a_step_when_only_rounding_fails():
-    n = (0.0, 0.6, 0.8)
-    assert _certified_step(RoundedModel(), (0.1, 0.2, 0.3), 1e-7, n,
-                           1e-6) == (0.0, n, True)
+class FixedModel:
+    """A misfit model with a fixed residual rotation omega and its plain
+    length as the misfit."""
+
+    def __init__(self, *omega):
+        self.omega = omega
+
+    def rotation(self, biv):
+        return self.omega
+
+    def misfit(self, omega):
+        return math.hypot(*omega)
+
+
+class UnreadModel:
+    """A misfit model that fails the test when the certificate reads it."""
+
+    def rotation(self, biv):
+        raise AssertionError("the certificate read the misfit model")
+
+    misfit = rotation
+
+
+E12_NORMAL = (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("model, sc, biv, bmag, phi, first, epsilon, want", [
+    # a real C on pass one: the disturbance, above epsilon, so no certificate
+    pytest.param(UnreadModel(), 2.0, (0.0, 0.0, 0.0), 0.0, 0.0, True, 1e-6,
+                 (math.pi / 4, E12_NORMAL, False), id="disturbance"),
+    # a real C after it with tr K < 0 (|B| within 1e-12 |tr K|): a half-turn
+    pytest.param(UnreadModel(), -2.0, (1e-13, 0.0, 0.0), 1e-13, math.pi, False,
+                 1e-6, (math.pi, E12_NORMAL, False), id="half-turn-fold"),
+    # a real C after it with tr K > 0: angle 0, and omega's misfit 5e-7 passes
+    pytest.param(FixedModel(0.0, 0.0, 5e-7), 2.0, (0.0, 0.0, 0.0), 0.0, 0.0,
+                 False, 1e-6, (0.0, E12_NORMAL, True), id="real-fold-at-0"),
+    # n = (1, 0, 0); the paper's step leaves omega + phi n = (-5e-7, 0, 0),
+    # within epsilon though omega's own misfit 1.5e-6 is not
+    pytest.param(FixedModel(-1.5e-6, 0.0, 0.0), 2.0, (0.0, 0.0, 1e-6), 1e-6, 1e-6,
+                 False, 1e-6, (1e-6, (1.0, 0.0, 0.0), True), id="paper-step"),
+    # n = (0, 0.6, 0.8); only rounding makes the paper's step worse
+    pytest.param(RoundedModel(), 1.0, (0.8, -0.6, 0.0), 1.0, 1e-7, False, 1e-6,
+                 (0.0, (0.0, 0.6, 0.8), True), id="stop-without-a-step"),
+    # |omega| = 5e-6 is its misfit: (1 - 1e-6 / 5e-6) 5e-6 about -omega / 5e-6
+    pytest.param(FixedModel(3e-6, 4e-6, 0.0), 1.0, (0.0, 0.0, 1e-6), 1e-6, 1e-7,
+                 False, 1e-6, (4e-6, (-0.6, -0.8, 0.0), False), id="shortened-step"),
+    # epsilon >= pi/4 certifies the disturbance: omega + (pi/4) n has misfit
+    # pi/4 - 0.5 <= 1
+    pytest.param(FixedModel(0.0, 0.0, -0.5), 2.0, (0.0, 0.0, 0.0), 0.0, 0.0, True,
+                 1.0, (math.pi / 4, E12_NORMAL, True), id="certified-disturbance"),
+])
+def test_explicit_step(model, sc, biv, bmag, phi, first, epsilon, want):
+    got_phi, got_n, got_stop = _explicit_step(model, sc, biv, bmag, phi, first,
+                                              epsilon)
+    want_phi, want_n, want_stop = want
+    assert got_stop is want_stop
+    assert got_phi == pytest.approx(want_phi, rel=1e-15, abs=0.0)
+    assert got_n == pytest.approx(want_n, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -603,39 +658,42 @@ def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
 
 
 def test_a_common_pass_calls_no_helper(monkeypatch):
-    # an explicit pass calls cos and sin once each and, within epsilon,
-    # _certified_step before them; the last pass is a certified exit.  A
-    # common pass is written out in the loop and calls none of these.
+    # an explicit pass calls _explicit_step, then cos and sin once each; the
+    # last pass is a certified exit.  A common pass is written out in the
+    # loop and calls none of these.
     calls = counted(monkeypatch, math, ("cos", "sin"))
     counted(monkeypatch, rotalign.detector,
             ("rotor_product", "rotation_rotor", "rotor_rotation"), calls)
-    certified = []
+    steps = []
 
-    def certified_step(model, biv, phi, n, epsilon, f=_certified_step):
-        calls.append("_certified_step")
-        certified.append((phi, epsilon, f(model, biv, phi, n, epsilon)))
-        return certified[-1][2]
+    def explicit_step(model, *args, f=_explicit_step):
+        # only the certificate reads the misfit model
+        reads = []
+        probe = SimpleNamespace(misfit=model.misfit, rotation=lambda biv:
+                                reads.append(biv) or model.rotation(biv))
+        calls.append("_explicit_step")
+        steps.append((f(probe, *args), bool(reads)))
+        return steps[-1][0]
 
-    monkeypatch.setattr(rotalign.detector, "_certified_step", certified_step)
+    monkeypatch.setattr(rotalign.detector, "_explicit_step", explicit_step)
     config = DetectionConfig(epsilon=1e-6)
-    explicit_passes = re.compile("((_certified_step;)?cos;sin;)*"
-                                 "_certified_step;cos;sin;")
-    uncertified, shortened = 0, 0
+    above, shortened = 0, 0
     for k, s in seeded_moment_inputs():
         calls.clear()
-        certified.clear()
+        steps.clear()
         loop = detect_moments(k, s, config)
         called = "".join(name + ";" for name in calls)
-        assert explicit_passes.fullmatch(called), called
-        assert loop.iterations > called.count("cos;")
-        assert all(phi <= epsilon for phi, epsilon, _ in certified)
-        stops = [stop for _, _, (_, _, stop) in certified]
+        assert re.fullmatch("(_explicit_step;cos;sin;)+", called), called
+        assert loop.iterations > len(steps)
+        stops = [stop for (_, _, stop), _ in steps]
         assert loop.converged and stops == [False] * (len(stops) - 1) + [True]
-        uncertified += called.count("cos;") - len(certified)
-        shortened += len(stops) - 1
-    # the disturbance, an explicit pass with no certified step, and a
-    # shortened step, a certified step that does not stop, both occur
-    assert uncertified >= 1 and shortened >= 1
+        above += sum(phi > config.epsilon and not certified
+                     for (phi, _, _), certified in steps)
+        shortened += sum(certified and not stop
+                         for (_, _, stop), certified in steps)
+    # the disturbance, an explicit pass above epsilon with no certificate,
+    # and a shortened step, a certified step that does not stop, both occur
+    assert above >= 1 and shortened >= 1
 
 
 @pytest.mark.parametrize("which, entry, value", [
@@ -948,21 +1006,19 @@ def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
 
 def field_form_detection(reference, pattern, config):
     """The paper's loop as written: every pass correlates the rotated pattern
-    with correlate_at_origin, rotates it with rotate_outer and multiplies the
-    step's rotation_rotor into the net rotor, read at the end by
-    rotor_rotation.  Returns the fields of a DetectionReport."""
+    with correlate_at_origin, takes the angle and plane _explicit_step reads
+    off the correlation, rotates the pattern with rotate_outer and
+    multiplies the step's rotation_rotor into the net rotor, read at the end
+    by rotor_rotation.  Returns the fields of a DetectionReport."""
     model = _MisfitModel(self_moment(reference))
     u, net, trace, converged = pattern, (1.0, 0.0, 0.0, 0.0), [], False
     while not converged and len(trace) < config.max_iterations:
         cor = correlate_at_origin(u, reference)
-        phi, q, real_valued = argument(cor.scalar, cor.bivector)
-        if not trace and real_valued:
-            phi, q = DISTURBANCE_ANGLE, DISTURBANCE_PLANE
-        if phi <= config.epsilon:
-            phi, n, converged = _certified_step(model, cor.bivector, phi,
-                                                tuple(q.normal().tolist()),
-                                                config.epsilon)
-            q = UnitBivector.from_normal(n)
+        bmag = math.hypot(*cor.bivector)
+        phi, n, converged = _explicit_step(
+            model, cor.scalar, cor.bivector, bmag, math.atan2(bmag, cor.scalar),
+            not trace, config.epsilon)
+        q = UnitBivector.from_normal(n)
         u = rotate_outer(u, q, phi)
         net = rotor_product(rotation_rotor(q, phi).components, net)
         trace.append(phi)

@@ -1,5 +1,5 @@
-"""Every name a module of the package or of its tests imports is used in
-that module.
+"""Every name a module of the package, of its tests or of perfbench imports
+is used in that module.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.
@@ -12,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ([(p, p.name) for p in sorted((ROOT / "src" / "rotalign").glob("*.py"))]
-           + [(p, f"tests/{p.name}") for p in sorted((ROOT / "tests").glob("*.py"))])
+           + [(p, f"{d}/{p.name}") for d in ("tests", "perfbench")
+              for p in sorted((ROOT / d).glob("*.py"))])
 
 
 def unused_imports(source: str) -> list[str]:
