@@ -53,7 +53,7 @@ from .ga3 import (
     E12, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, rotation_rotor, rotor_product,
     rotor_rotation,
 )
-from .fields import VectorField, checked_norm, cross_moment, rotate_outer
+from .fields import VectorField, _is_real, checked_norm, cross_moment, rotate_outer
 from .correlation import correlate_at_origin
 
 # The rotation injected on the first pass when the correlation is real, and
@@ -76,8 +76,9 @@ class DetectionConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        eps = self.epsilon
+        if not (_is_real(eps) and math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
         if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be an int of at least 1, "
                              f"got {self.max_iterations!r}")
@@ -332,8 +333,9 @@ def detect(reference: VectorField, pattern: VectorField,
 
     loop = detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
-    return DetectionReport(loop.net, loop.phi_trace, loop.nets, loop.iterations,
-                           loop.converged, alpha, -undo, pattern, undo)
+    report = object.__new__(DetectionReport)  # each field written once
+    vars(report).update(vars(loop), alpha=alpha, plane=-undo, pattern=pattern, undo=undo)
+    return report
 
 
 def residual_angle(applied, true_plane: UnitBivector,

@@ -103,9 +103,9 @@ def run_trial(spec: TrialSpec,
     """
     check_angle(spec.angle)
     a = spec.field.matrix
-    s = a @ spec.field.box.second_moment_matrix() @ a.T
+    s = a.dot(spec.field.box.second_moment_matrix()).dot(a.T)  # .dot: see cross_moment
     loop = detect_moments(
-        (rotation_matrix(spec.plane, spec.angle) @ s).ravel().tolist(),
+        rotation_matrix(spec.plane, spec.angle).dot(s).ravel().tolist(),
         s.ravel().tolist(), DetectionConfig(spec.epsilon, max_iterations))
     _, e12, e13, e23 = rotor_product(
         loop.net, rotation_rotor(spec.plane, spec.angle).components)

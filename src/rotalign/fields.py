@@ -349,17 +349,19 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
     field integrates by the midpoint rule on its grid.  cross_moment(v, v)
     is the self-moment S, whose trace is l2_norm(v)**2.
     """
+    # .dot on 3 x n operands: @'s dgemm, bit for bit, without the ufunc dispatch
     if isinstance(a, LinearVectorField) and isinstance(b, LinearVectorField):
         overlap = a.box.intersect(b.box)
         if overlap is None:
             return np.zeros((3, 3))
-        return a.matrix @ overlap.second_moment_matrix() @ b.matrix.T
+        return a.matrix.dot(overlap.second_moment_matrix()).dot(b.matrix.T)
     if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        # equal bytes mean equal corners; array_equal also matches -0.0 and 0.0
-        if (a.low.tobytes() == b.low.tobytes() and a.high.tobytes() == b.high.tobytes()
+        # one field or equal bytes mean equal corners; array_equal matches -0.0, 0.0
+        if (a is b or a.low.tobytes() == b.low.tobytes()
+                and a.high.tobytes() == b.high.tobytes()
                 or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)):
             # same disjoint cells: W is diagonal, the stored cell volumes
-            return np.ascontiguousarray((a.values * a.volumes[:, None]).T) @ b.values
+            return np.multiply(a.values.T, a.volumes, order="C").dot(b.values)
         return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
     if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
         return _piecewise_linear_moment(a, b)

@@ -211,7 +211,7 @@ def unit_parts(sc: float, b12: float, b13: float, b23: float,
     return sc / mag, b12 / mag, b13 / mag, b23 / mag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitBivector:
     """Unit-magnitude bivector: an oriented rotation plane.
 
@@ -223,10 +223,10 @@ class UnitBivector:
     b13: float
     b23: float
 
-    def __post_init__(self):
+    def __init__(self, b12: float, b13: float, b23: float):
         d = self.__dict__
         _, d["b12"], d["b13"], d["b23"] = unit_parts(
-            0.0, self.b12, self.b13, self.b23, "bivector")
+            0.0, b12, b13, b23, "bivector")
 
     def __iter__(self):
         """(b12, b13, b23): a UnitBivector passes as plane components."""
@@ -271,7 +271,7 @@ E13 = UnitBivector(0.0, 1.0, 0.0)
 E23 = UnitBivector(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rotor:
     """Even unit multivector scalar + bivector; acts on vectors by sandwich.
 
@@ -284,10 +284,10 @@ class Rotor:
     b13: float
     b23: float
 
-    def __post_init__(self):
+    def __init__(self, scalar: float, b12: float, b13: float, b23: float):
         d = self.__dict__
         d["scalar"], d["b12"], d["b13"], d["b23"] = unit_parts(
-            self.scalar, self.b12, self.b13, self.b23, "rotor")
+            scalar, b12, b13, b23, "rotor")
 
     def as_multivector(self) -> Multivector:
         return Multivector((self.scalar, 0.0, 0.0, 0.0,

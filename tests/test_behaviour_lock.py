@@ -14,19 +14,36 @@ a checkout of the version to lock against), name them by their keys, 0.1,
 file unchanged:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py --write piecewise
+
+A refactor that claims bit-identical behaviour compares the full outputs,
+not the lock's tolerance.  --digest prints one SHA-256 over them on the
+sets in DIGEST_TRIALS and on the lock's piecewise pairs and the grid pairs
+(grid_pairs): run_trial's (error, iterations, converged), and the
+(nets, phi_trace, iterations, converged) of the detect_moments call it
+makes; detect's (nets, phi_trace, iterations, converged, alpha, plane) on
+each pair.  Run it with the package of each checkout on the path and
+compare the two lines:
+
+    PYTHONPATH=src python tests/test_behaviour_lock.py --digest
 """
 
+import hashlib
 import json
 import math
 import sys
+from itertools import chain, islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import shared_cell_pair
-from rotalign.detector import DetectionConfig, detect
+from rotalign import experiments
+from rotalign.detector import DetectionConfig, detect, detect_moments
 from rotalign.experiments import draw_trial, run_trial
+from rotalign.fields import UNIT_BOX, SampledField, rotate_outer
+from rotalign.ga3 import UnitBivector, rotation_matrix
 
 LOCK = Path(__file__).parent / "data" / "behaviour_lock.json"
 MASTER_SEED = 0
@@ -66,6 +83,50 @@ def piecewise_rows() -> list[tuple[int, bool, float]]:
 
 
 KEYS = tuple(map(repr, EPSILONS)) + ("piecewise",)
+
+# The digest's seed-0 trial sets, (epsilon, number of trials), and its grid
+# pairs: N_PAIRS reference fields sampled on a GRID_RESOLUTION grid.
+DIGEST_TRIALS = ((0.1, 10_000), (0.01, 10_000), (0.001, 10_000), (1e-6, 1_000))
+GRID_SEED = 26
+GRID_RESOLUTION = (6, 5, 4)
+
+
+def grid_pairs(n=N_PAIRS):
+    """(reference, pattern) pairs on a grid over the unit box: pair i
+    rotates uniform [-1, 1] samples about a random plane by an angle in
+    [0, pi), all from the stream seeded with (GRID_SEED, i)."""
+    for i in range(n):
+        rng = np.random.default_rng((GRID_SEED, i))
+        reference = SampledField(UNIT_BOX, GRID_RESOLUTION, rng.uniform(
+            -1.0, 1.0, (math.prod(GRID_RESOLUTION), 3)))
+        plane = UnitBivector.from_normal(rng.standard_normal(3))
+        yield reference, rotate_outer(reference, plane, rng.uniform(0.0, math.pi))
+
+
+def loop_outputs(loop) -> tuple:
+    return loop.nets, loop.phi_trace, loop.iterations, loop.converged
+
+
+def digest(trials=DIGEST_TRIALS, n_pairs=N_PAIRS) -> str:
+    """SHA-256 of the reprs, exact for floats, of every output named in the
+    module docstring, set by set in a fixed order."""
+    h = hashlib.sha256()
+
+    def record(*args):
+        loop = detect_moments(*args)
+        h.update(repr(loop_outputs(loop)).encode())
+        return loop
+
+    with mock.patch.object(experiments, "detect_moments", record):
+        for epsilon, n in trials:
+            for i in range(n):
+                h.update(repr(run_trial(draw_trial(MASTER_SEED, i, epsilon))).encode())
+    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
+    for pair in chain(islice(piecewise_pairs(), n_pairs), grid_pairs(n_pairs)):
+        report = detect(*pair, config)
+        h.update(repr((*loop_outputs(report), report.alpha,
+                       tuple(report.plane))).encode())
+    return h.hexdigest()
 
 
 def write_lock(keys, path=LOCK) -> None:
@@ -123,7 +184,29 @@ def test_write_records_only_the_named_sets(tmp_path, monkeypatch):
         write_lock(["1e-6"], copy)
 
 
+def test_digest_hashes_each_trial_its_loop_and_each_kind_of_pair():
+    # trial 0 at 0.1 and the first pair of each kind, hashed here from the
+    # trial's K = R S and S = A X A^T taken through @
+    spec = draw_trial(MASTER_SEED, 0, 0.1)
+    a = spec.field.matrix
+    s = a @ spec.field.box.second_moment_matrix() @ a.T
+    k = rotation_matrix(spec.plane, spec.angle) @ s
+    want = hashlib.sha256()
+    want.update(repr(loop_outputs(detect_moments(
+        k.ravel().tolist(), s.ravel().tolist(), DetectionConfig(0.1)))).encode())
+    want.update(repr(run_trial(spec)).encode())
+    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
+    for pair in (next(piecewise_pairs()), next(grid_pairs())):
+        report = detect(*pair, config)
+        want.update(repr((*loop_outputs(report), report.alpha,
+                          tuple(report.plane))).encode())
+    assert digest(((0.1, 1),), 1) == want.hexdigest()
+
+
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--write"] or not sys.argv[2:]:
+    if sys.argv[1:] == ["--digest"]:
+        print(digest())
+    elif sys.argv[1:2] == ["--write"] and sys.argv[2:]:
+        write_lock(sys.argv[2:])
+    else:
         sys.exit(__doc__)
-    write_lock(sys.argv[2:])

@@ -862,9 +862,14 @@ def test_slow_trial_converges_within_max_iterations():
 
 
 def test_config_validation():
-    for epsilon in (0.0, -1e-3, math.inf, -math.inf, math.nan, float("1e400")):
+    # a bool is no tolerance, though True compares as 1 (as max_iterations
+    # and the field constructors read it)
+    for epsilon in (0.0, -1e-3, math.inf, -math.inf, math.nan, float("1e400"),
+                    True, False, np.True_, "0.1", None):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             DetectionConfig(epsilon=epsilon)
+    for epsilon in (1, 0.5, np.float64(1e-3), np.int64(2)):
+        assert DetectionConfig(epsilon=epsilon).epsilon == epsilon
     for budget in (0, True, 10.0, "10", np.int64(10)):
         with pytest.raises(ValueError, match="max_iterations must be an int"):
             DetectionConfig(epsilon=1e-3, max_iterations=budget)

@@ -1,6 +1,7 @@
 """Algebra layer tests: generated table against the matrix oracle, fixed
 worked examples, and the algebraic laws the rest of the package leans on."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.spatial.transform import Rotation
 from rotalign.correlation import moment_parts
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
-    Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
+    UNIT_ATOL, Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
     argument, exp_bivector, polar_decompose,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
@@ -208,6 +209,41 @@ def test_rotor_validation_and_normalization():
         Rotor(1.0, 1.0, 0.0, 0.0)
     r = Rotor(1.0 + 1e-12, 0.0, 0.0, 0.0)
     assert math.isclose(r.scalar, 1.0, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("cls, names, parts", [
+    (UnitBivector, ("b12", "b13", "b23"), (0.6, 0.0, 0.8)),
+    (Rotor, ("scalar", "b12", "b13", "b23"), (0.5, -0.5, 0.5, 0.5)),
+])
+def test_unit_objects_keep_their_dataclass_contract(cls, names, parts):
+    # the fields, in order, by position or keyword, frozen, and compared,
+    # hashed and printed by value
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert cls.__match_args__ == names
+    u = cls(*parts)
+    assert u == cls(**dict(zip(names, parts))) == cls(
+        parts[0], **dict(zip(names[1:], parts[1:])))
+    assert tuple(getattr(u, name) for name in names) == parts
+    assert hash(u) == hash(cls(*parts)) and len({u, cls(*parts)}) == 1
+    assert repr(u) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, parts)) + ")"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(u, names[0], 1.0)
+    with pytest.raises(TypeError):
+        cls(*parts[:-1])
+    # replace builds through the constructor: it renormalises and checks
+    flipped = dataclasses.replace(u, **{names[-1]: -parts[-1]})
+    assert flipped == cls(*parts[:-1], -parts[-1]) and flipped != u
+    with pytest.raises(ValueError, match="is not 1"):
+        dataclasses.replace(u, **{names[-1]: 0.0})
+    # drift within UNIT_ATOL is divided out; beyond it, or NaN, raises
+    grow = 1.0 + 0.5 * UNIT_ATOL
+    drifted = cls(*(grow * x for x in parts))
+    assert all(math.isclose(getattr(drifted, n), x, rel_tol=0.0, abs_tol=1e-15)
+               for n, x in zip(names, parts))
+    for bad in (1.0 + 2.0 * UNIT_ATOL, 1.0 - 2.0 * UNIT_ATOL, math.nan):
+        with pytest.raises(ValueError, match="magnitude .* is not 1"):
+            cls(*(bad * x for x in parts))
 
 
 def test_exp_bivector_examples():
