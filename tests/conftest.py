@@ -6,22 +6,23 @@ and never touches the package's generated table.  The integration oracle is a
 brute-force midpoint sum written with explicit loops over a modest grid.
 The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
-builds the seeded piecewise pairs that several test modules detect on.
+builds the seeded piecewise pairs that several test modules detect on, and
+mv, two_halves, random_plane and random_linear build the small multivectors
+and fields the test modules share.
 
-horn_read and turn are the detection pass as functions of their own, the
-oracle for the step rotor: horn_read reads tr K and B off Horn's 4x4 N of K0
-(horn_matrix) and a net rotor, and turn steps by the half-way rotor, fed by
-halfway_feed on a common pass and by angle_feed, an angle and a unit normal,
-on an explicit one, and multiplies the step into the net.  power_read,
-carried, carried_bivector and power_step are the same pass as the shifted
-power step detect_moments writes out inline: q moves to (d q + w) / h, with
-w the correlation's bivector carried onto the quaternion q, and no step
-rotor.  reference_detect_moments is the loop of those calls, the
-bit-for-bit reference for detect_moments.  An explicit pass takes its angle,
-normal and exit from detector._explicit_step, on B read back off w and the
-pass's own |B|.  reference_detect is detect with the corrected pattern
-rotated before the report is returned, the bit-for-bit reference for a
-report that rotates it on first read.
+The detection pass is here as functions of their own, the shifted power step
+detect_moments writes out inline: power_read reads tr K and w, the
+correlation's bivector B carried onto the quaternion q, off Horn's 4x4 N of
+K0 (horn_matrix) and q; power_step moves q to (d q + w) / h, fed by
+halfway_feed on a common pass and by angle_feed, an angle and a unit normal
+carried onto q, on an explicit one; carried_bivector reads B back off w,
+and horn_layout maps q to the net rotor and back.  reference_detect_moments
+is the loop of those calls, the bit-for-bit reference for detect_moments.
+An explicit pass takes its angle, normal and exit from
+detector._explicit_step, on B read back off w and the pass's own |B|.
+reference_detect is detect with the corrected pattern rotated before the
+report is returned, the bit-for-bit reference for a report that rotates it
+on first read.
 """
 
 import math
@@ -36,7 +37,7 @@ from rotalign.detector import (
     MomentDetection, _MisfitModel, _explicit_step, detect_moments,
 )
 from rotalign.ga3 import (
-    ZERO_BIVECTOR_RTOL, UnitBivector, rotation_matrix, rotor_product,
+    ZERO_BIVECTOR_RTOL, Multivector, UnitBivector, rotation_matrix,
     rotor_rotation,
 )
 
@@ -68,6 +69,32 @@ def pauli_coeffs(m):
 def oracle_product(a, b):
     """Geometric product of two coefficient arrays via the matrix picture."""
     return pauli_coeffs(pauli_matrix(a) @ pauli_matrix(b))
+
+
+def mv(**kw):
+    """The multivector with the named coefficients, the rest 0."""
+    names = ["s", "e1", "e2", "e3", "e12", "e13", "e23", "e123"]
+    c = np.zeros(8)
+    for k, v in kw.items():
+        c[names.index(k)] = v
+    return Multivector(c)
+
+
+def two_halves(right, left):
+    """right on the x > 0 half of [-1, 1]^3, left on the x < 0 half."""
+    return fields.PiecewiseConstantField((
+        (fields.Box((0, -1, -1), (1, 1, 1)), right),
+        (fields.Box((-1, -1, -1), (0, 1, 1)), left),
+    ))
+
+
+def random_plane(rng):
+    v = rng.standard_normal(3)
+    return UnitBivector.from_components(*(v / np.linalg.norm(v)))
+
+
+def random_linear(rng):
+    return fields.LinearVectorField(rng.uniform(-1, 1, (3, 3)))
 
 
 def midpoint_correlate(eval_a, eval_b, low, high, resolution):
@@ -170,8 +197,7 @@ def horn_times(m, q) -> tuple[float, list[float]]:
 
 def carried_bivector(q, w) -> tuple[float, float, float]:
     """(b12, b13, b23) of w times the conjugate of the quaternion q, each sum
-    taken left to right: B read back off a bivector carried onto q, or C's
-    bivector read off p = N q."""
+    taken left to right: B read back off w, a bivector carried onto q."""
     q0, qa, qb, qc = q
     w0, w1, w2, w3 = w
     return (q0 * w3 + qa * w2 - qb * w1 - qc * w0,
@@ -179,72 +205,45 @@ def carried_bivector(q, w) -> tuple[float, float, float]:
             q0 * w1 - qa * w0 + qb * w3 - qc * w2)
 
 
-def horn_read(m, net) -> tuple[float, tuple[float, float, float]]:
-    """(tr K, (b12, b13, b23)) of K = R K0, R the rotation of the rotor net,
-    read off K0's horn_matrix m with no 3x3 R: for q = horn_layout(net) and
-    p = N q, tr K = q . p and B is carried_bivector(q, p).  Both scale with
-    |net|^2, and reading -net gives the same bits."""
-    q = horn_layout(net)
-    sc, p = horn_times(m, q)
-    return sc, carried_bivector(q, p)
+def halfway_feed(sc: float, w) -> tuple[float, float, float, tuple]:
+    """power_step's feed for the argument of C = sc + B in C's plane, with
+    B carried onto q as w and no angle: (sc, |B|, |C|, w).  Scaling sc and w
+    by a power of two scales the feed exactly and changes no bit of the
+    step; B must name a plane (ga3.argument)."""
+    bmag = math.hypot(*w)
+    return sc, bmag, math.hypot(sc, bmag), w
 
 
-def turn(sc: float, bmag: float, r: float, biv, net
-         ) -> tuple[tuple[float, float, float, float], ...]:
-    """(step, step net) for the rotation by the argument phi of sc + biv in
-    its plane, fed as tr K = sc, |B| = bmag and r = |sc + biv|: the step is
-    the half-way rotor r + sc - biv over its length, with r + sc taken as
-    |B| (|B| / (r - sc)) for sc < 0, which neither cancels near the
-    half-turn nor squares |B| out of range.  step, as it is, multiplies net
-    by rotor_product."""
-    b12, b13, b23 = biv
-    d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
-    h = math.hypot(d, bmag)
-    step = (d / h, -b12 / h, -b13 / h, -b23 / h)
-    return step, rotor_product(step, net)
-
-
-def halfway_feed(sc: float, biv) -> tuple[float, float, float, tuple]:
-    """turn's feed for the argument of C = sc + biv in C's plane, with no
-    angle: (sc, |B|, |C|, biv).  Scaling sc and biv by a power of two scales
-    the feed exactly and changes no bit of the step; biv must name a plane
-    (ga3.argument)."""
-    bmag = math.hypot(*biv)
-    return sc, bmag, math.hypot(sc, bmag), biv
-
-
-def angle_feed(phi: float, n) -> tuple[float, float, float, tuple]:
-    """turn's feed for the rotation by phi about the unit normal n: the unit
-    correlation cos(phi) + sin(phi) Q, Q dual to n."""
+def angle_feed(phi: float, n, q) -> tuple[float, float, float, tuple]:
+    """power_step's feed for the rotation by phi about the unit normal n:
+    the unit correlation cos(phi) + sin(phi) Q, Q dual to n, as
+    (cos(phi), sin(phi), 1) and w = sin(phi) n carried onto q, the pure
+    quaternion sin(phi) n times q."""
     c, t = math.cos(phi), math.sin(phi)
-    return c, t, 1.0, (t * n[2], -t * n[1], t * n[0])
+    x, y, z = t * n[0], t * n[1], t * n[2]
+    q0, qa, qb, qc = q
+    return c, t, 1.0, (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
+                       q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
 
 
 def power_read(m, q) -> tuple[float, tuple[float, float, float, float]]:
     """(tr K, w) of K = R K0 for the quaternion q of R, read off K0's
     horn_matrix m: p = N q, tr K = q . p and w = p - tr K q, C's bivector
-    B carried onto q, whose length is |B| for a unit q."""
+    B carried onto q, whose length is |B| for a unit q.  Both scale with
+    |q|^2, and reading -q gives -w and the same B."""
     sc, p = horn_times(m, q)
     return sc, tuple(pi - sc * qi for pi, qi in zip(p, q))
 
 
-def carried(feed, q) -> tuple[float, float, float, tuple]:
-    """turn's feed (sc, |B|, r, B) as power_step's, with B = (b12, b13, b23)
-    carried onto q as power_read's w: the pure quaternion
-    (x, y, z) = (b23, -b13, b12) times q."""
-    sc, bmag, r, (b12, b13, b23) = feed
-    q0, qa, qb, qc = q
-    x, y, z = b23, -b13, b12
-    return sc, bmag, r, (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
-                         q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
-
-
 def power_step(sc: float, bmag: float, r: float, w, q
                ) -> tuple[float, float, float, float]:
-    """q after turn's step for the feed (sc, |B|, r) with B carried onto q
-    as w, without the step: (d q + w) / hypot(d, |B|), d as turn takes it.
-    For a common pass's feed, halfway_feed(tr K, w), that is the shifted
-    power step (N + r I) q over its length, with r = |N q|."""
+    """q after the paper's step for the feed (sc, |B|, r) with B carried
+    onto q as w: (d q + w) / hypot(d, |B|), d = r + sc, or |B| (|B| / (r -
+    sc)) for sc < 0, which neither cancels near the half-turn nor squares
+    |B| out of range.  That is the step rotor (d - B) / hypot(d, |B|) times
+    q's rotor, with no step rotor formed; for a common pass's feed,
+    halfway_feed(tr K, w), it is the shifted power step (N + r I) q over its
+    length, with r = |N q|."""
     d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
     h = math.hypot(d, bmag)
     return tuple((d * qi + wi) / h for qi, wi in zip(q, w))
@@ -253,8 +252,8 @@ def power_step(sc: float, bmag: float, r: float, w, q
 def reference_detect_moments(k, s, config) -> MomentDetection:
     """detect_moments with each pass one power_read of q and one
     power_step: a common pass fed by halfway_feed(tr K, w), an explicit one
-    by angle_feed with its bivector carried onto q, for the angle and normal
-    that _explicit_step reads off B, read back off w."""
+    by angle_feed, for the angle and normal that _explicit_step reads off
+    B, read back off w."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     m = horn_matrix(k)
@@ -274,7 +273,7 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
         else:
             phi, n, converged = _explicit_step(model, sc, carried_bivector(q, w),
                                                bmag, phi, iterations == 1, epsilon)
-            feed = carried(angle_feed(phi, n), q)
+            feed = angle_feed(phi, n, q)
         q = power_step(*feed, q)
         trace.append(phi)
         nets.append(horn_layout(q))

@@ -18,14 +18,15 @@ from rotalign.ga3 import (
     rotation_rotor, sandwich,
 )
 from rotalign.fields import (
-    Box, LinearVectorField, PiecewiseConstantField, decompose, l2_norm,
-    normalize, rotate_outer,
+    LinearVectorField, decompose, l2_norm, normalize, rotate_outer,
 )
 from rotalign.correlation import (
     correlate_at_origin, normalized_correlation, quadrature_correlate,
 )
 from rotalign.detector import DetectionConfig, detect, residual_angle
 from rotalign.experiments import draw_trial, run_trials, coefficient_error
+
+from conftest import two_halves
 
 MASTER_SEED = 0          # fixed for bit-reproducible acceptance runs
 N_CONVERGENCE = 1000
@@ -36,13 +37,6 @@ def report(capsys, number, name, ok, detail):
     with capsys.disabled():
         print(f"[criterion {number}] {'PASS' if ok else 'FAIL'} "
               f"{name}: {detail}")
-
-
-def two_halves(right, left):
-    return PiecewiseConstantField((
-        (Box((0, -1, -1), (1, 1, 1)), right),
-        (Box((-1, -1, -1), (0, 1, 1)), left),
-    ))
 
 
 def best_of(repeats, fn):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, Multivector, UnitBivector, exp_bivector, polar_decompose,
+    E12, E13, Multivector, exp_bivector, polar_decompose,
 )
 from rotalign.ga3 import rotation_matrix
 from rotalign.fields import (
@@ -18,31 +18,10 @@ from rotalign.correlation import (
     correlate_at_origin, normalized_correlation, quadrature_correlate,
 )
 
-from conftest import midpoint_correlate, midpoint_linear_shortfall, midpoint_moment
-
-
-def mv(**kw):
-    names = ["s", "e1", "e2", "e3", "e12", "e13", "e23", "e123"]
-    c = np.zeros(8)
-    for k, v in kw.items():
-        c[names.index(k)] = v
-    return Multivector(c)
-
-
-def two_halves(right, left):
-    return PiecewiseConstantField((
-        (Box((0, -1, -1), (1, 1, 1)), right),
-        (Box((-1, -1, -1), (0, 1, 1)), left),
-    ))
-
-
-def random_plane(rng):
-    v = rng.standard_normal(3)
-    return UnitBivector.from_components(*(v / np.linalg.norm(v)))
-
-
-def random_linear(rng):
-    return LinearVectorField(rng.uniform(-1, 1, (3, 3)))
+from conftest import (
+    midpoint_correlate, midpoint_linear_shortfall, midpoint_moment, mv,
+    random_linear, random_plane, two_halves,
+)
 
 
 FIELD_A = two_halves((1.0, 0, 0), (0, 1.0, 0))          # e1 | e2

@@ -1,7 +1,9 @@
 """Detector tests: worked detection runs, the disturbance branch at the
 half-turn, convergence/monotonicity behavior, the known failure modes, the
-residual-angle helper, the moment-matrix loop locked to the paper's loop
-on rotated fields, and the report's corrected pattern built on first read."""
+residual-angle helper, the conftest oracle of a pass (power_read and
+power_step on Horn's N) against numpy, the moment-matrix loop locked to the
+paper's loop on rotated fields, and the report's corrected pattern built on
+first read."""
 
 import math
 import re
@@ -31,26 +33,14 @@ from rotalign.detector import (
 
 import conftest
 from conftest import (
-    angle_feed, carried, carried_bivector, halfway_feed, horn_layout,
-    horn_matrix, power_read, power_step, reference_detect,
-    reference_detect_moments, shared_cell_pair,
+    angle_feed, carried_bivector, halfway_feed, horn_layout, horn_matrix,
+    power_read, power_step, random_plane, reference_detect,
+    reference_detect_moments, shared_cell_pair, two_halves,
 )
 from test_behaviour_lock import piecewise_pairs
 
 
-def two_halves(right, left):
-    return PiecewiseConstantField((
-        (Box((0, -1, -1), (1, 1, 1)), right),
-        (Box((-1, -1, -1), (0, 1, 1)), left),
-    ))
-
-
 FIELD_A = two_halves((1.0, 0, 0), (0, 1.0, 0))
-
-
-def random_plane(rng):
-    v = rng.standard_normal(3)
-    return UnitBivector.from_components(*(v / np.linalg.norm(v)))
 
 
 def field_distance(a, b, pts):
@@ -221,8 +211,8 @@ def phi_only_detection(reference, pattern, epsilon):
     """The paper's loop with the bare exit phi <= epsilon, no disturbance,
     run on the cross moment with the arithmetic detect uses: every pass
     reads tr K and w off K0's Horn matrix and q, and takes the power step,
-    fed by halfway_feed above epsilon and by the angle and plane of B, read
-    back off w, on the last pass."""
+    fed by halfway_feed above epsilon and on the last pass by angle_feed,
+    for the angle and plane of B read back off w."""
     m = horn_matrix(cross_moment(pattern, reference).ravel().tolist())
     q, trace = (1.0, 0.0, 0.0, 0.0), []
     while not trace or trace[-1] > epsilon:
@@ -232,7 +222,7 @@ def phi_only_detection(reference, pattern, epsilon):
             feed = halfway_feed(sc, w)
         else:
             plane = argument(sc, carried_bivector(q, w))[1]
-            feed = carried(angle_feed(phi, plane.normal().tolist()), q)
+            feed = angle_feed(phi, plane.normal().tolist(), q)
         q = power_step(*feed, q)
         trace.append(phi)
     angle, undo = rotor_rotation(horn_layout(q))
@@ -326,6 +316,9 @@ E12_NORMAL = (0.0, 0.0, 1.0)
     # a real C after it with tr K < 0 (|B| within 1e-12 |tr K|): a half-turn
     pytest.param(UnreadModel(), -2.0, (1e-13, 0.0, 0.0), 1e-13, math.pi, False,
                  1e-6, (math.pi, E12_NORMAL, False), id="half-turn-fold"),
+    # |B| exactly 1e-12 |tr K| is still a real fold, whatever B's plane
+    pytest.param(UnreadModel(), -2.0, (0.0, 0.0, 2e-12), 2e-12, math.pi, False,
+                 1e-6, (math.pi, E12_NORMAL, False), id="fold-at-the-threshold"),
     # a real C after it with tr K > 0: angle 0, and omega's misfit 5e-7 passes
     pytest.param(FixedModel(0.0, 0.0, 5e-7), 2.0, (0.0, 0.0, 0.0), 0.0, 0.0,
                  False, 1e-6, (0.0, E12_NORMAL, True), id="real-fold-at-0"),
@@ -390,11 +383,11 @@ def certificate_fields():
     rng = np.random.default_rng(41)
     planar = rng.uniform(-1.0, 1.0, (3, 3))
     planar[2, :] = 0.0
-    turn = rotation_matrix(UnitBivector.from_components(1.0, -2.0, 0.5), 0.8)
+    tilt = rotation_matrix(UnitBivector.from_components(1.0, -2.0, 0.5), 0.8)
     return {
         "full rank": LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3))),
         "nearly rank one": field_with_singular_values(1.9, 0.3, 0.2),
-        "rank two": LinearVectorField(turn @ planar),
+        "rank two": LinearVectorField(tilt @ planar),
         "rank one": LinearVectorField(np.outer(rng.uniform(-1.0, 1.0, 3),
                                                rng.uniform(-1.0, 1.0, 3))),
         # tr S = 1 and S diagonal, so J is exact; its smallest eigenvalue is
@@ -658,9 +651,11 @@ def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
 
 
 def test_a_common_pass_calls_no_helper(monkeypatch):
-    # an explicit pass calls _explicit_step, then cos and sin once each; the
-    # last pass is a certified exit.  A common pass is written out in the
-    # loop and calls none of these.
+    # an explicit pass calls _explicit_step, then cos and sin once each for
+    # its feed; the last pass is a certified exit.  A common pass is written
+    # out in the loop and calls none of these, so only the disturbance and
+    # the passes within epsilon take cos and sin.  The reference loop gives
+    # the same detection, bit for bit.
     calls = counted(monkeypatch, math, ("cos", "sin"))
     counted(monkeypatch, rotalign.detector,
             ("rotor_product", "rotation_rotor", "rotor_rotation"), calls)
@@ -684,13 +679,15 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
         loop = detect_moments(k, s, config)
         called = "".join(name + ";" for name in calls)
         assert re.fullmatch("(_explicit_step;cos;sin;)+", called), called
-        assert loop.iterations > len(steps)
+        assert 1 <= len(steps) <= 2 and loop.iterations > len(steps)
+        assert reference_detect_moments(k, s, config) == loop
         stops = [stop for (_, _, stop), _ in steps]
         assert loop.converged and stops == [False] * (len(stops) - 1) + [True]
         above += sum(phi > config.epsilon and not certified
                      for (phi, _, _), certified in steps)
         shortened += sum(certified and not stop
                          for (_, _, stop), certified in steps)
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
     # the disturbance, an explicit pass above epsilon with no certificate,
     # and a shortened step, a certified step that does not stop, both occur
     assert above >= 1 and shortened >= 1
@@ -745,7 +742,8 @@ def test_detect_moments_allows_rounding_below_zero_on_the_diagonal():
 def reference_cases():
     """(K, S, config) for the bit-for-bit comparison with the reference loop:
     seeded linear trials at each tolerance, shared-cell pairs, a real first
-    fold at angle 0 and at the half-turn, a rank-one S, and short budgets."""
+    fold at angle 0 and at the half-turn, a first fold with tr K < 0 and |B|
+    exactly at the real-valued threshold, a rank-one S, and short budgets."""
     cases = []
     for epsilon in (0.1, 0.01, 0.001, 1e-6):
         config = DetectionConfig(epsilon=epsilon)
@@ -770,7 +768,12 @@ def reference_cases():
                            1.2)
     cases.append((floats(cross_moment(pattern, rank_one)), self_moment(rank_one),
                   config))
-    picked = cases[::50] + cases[-3:]
+    # the half-turn about e3 times S = diag(3, 2, 1), with |B| exactly
+    # ZERO_BIVECTOR_RTOL |tr K|: a real fold, so pass one takes the disturbance
+    edge = np.diag([-3.0, -2.0, 1.0])
+    edge[0, 1] = ZERO_BIVECTOR_RTOL * 4.0
+    cases.append((floats(edge), floats(np.diag([3.0, 2.0, 1.0])), config))
+    picked = cases[::50] + cases[-4:]
     for budget in (1, 2, 3, 7):
         short = DetectionConfig(epsilon=1e-6, max_iterations=budget)
         cases += [(k, s, short) for k, s, _ in picked]
@@ -831,8 +834,9 @@ def seeded_detection(index, epsilon):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the first-order certificate linearises about the "
-    "identity and passes a false exit at the half-turn"))
+    "ROADMAP item 2: the loop settles on N's second eigenvector, where the "
+    "bivector vanishes, and the first-order certificate, linearised about "
+    "the current rotation, passes a false exit at the half-turn"))
 def test_no_converged_exit_at_the_half_turn():
     # seed-0 trial 242 at eps = 1e-3, angle 3.14136: stops converged after
     # 4 passes with the residual rotation still 3.1411 rad
@@ -851,8 +855,10 @@ def test_nearly_rank_one_trial_converges():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: the paper's steps can need more than max_iterations "
-    "passes at eps = 1e-3 too"))
+    "ROADMAP items 2 and 3: the trial starts near N's second eigenvector, "
+    "where phi rises for about 600 passes before it falls at the rate of S, "
+    "so the paper's steps need more than max_iterations passes at "
+    "eps = 1e-3 too"))
 def test_slow_trial_converges_within_max_iterations():
     # trial 0 of master seed 6914897348323 at eps = 1e-3 (angle 2.893) stops
     # unconverged at 1000 passes with error 0.046; let run, it converges in
@@ -1004,6 +1010,148 @@ def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
                 unclear += 1
             q = got
     assert common > 20000 and unclear == 0
+
+
+IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
+
+
+def numpy_fold(k):
+    """(tr K, (b12, b13, b23)) of a 3x3 array K by numpy."""
+    return np.trace(k), (k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1])
+
+
+def rotor_matrix(net):
+    """The 3x3 rotation of the rotor net by rotation_matrix."""
+    angle, plane = rotor_rotation(net)
+    return rotation_matrix(plane, angle)
+
+
+def random_rotor(rng):
+    q = rng.standard_normal(4)
+    return tuple(q / np.linalg.norm(q))
+
+
+def carried_onto(biv, net):
+    """The bivector B carried onto the quaternion of the rotor net, as
+    power_read's w: the rotor -B net, by rotor_product, in Horn's layout."""
+    b12, b13, b23 = biv
+    return horn_layout(rotor_product((0.0, -b12, -b13, -b23), net))
+
+
+def test_power_read_is_the_fold_of_the_turned_moment():
+    # tr(R K0) and the antisymmetric part of R K0, for R the rotation of
+    # the rotor net, read off K0's 4x4 N and net's quaternion with no 3x3 R
+    rng = np.random.default_rng(2111)
+    for _ in range(1000):
+        k = rng.uniform(-2.0, 2.0, 9)
+        net = random_rotor(rng)
+        q = horn_layout(net)
+        sc, w = power_read(horn_matrix(k.tolist()), q)
+        want_sc, want_biv = numpy_fold(rotor_matrix(net) @ k.reshape(3, 3))
+        size = np.linalg.norm(k)
+        assert abs(sc - want_sc) <= 1e-14 * size
+        assert np.max(np.abs(np.subtract(carried_bivector(q, w), want_biv))
+                      ) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
+def test_power_read_is_exact_under_power_of_two_scaling(k):
+    # N is sums and differences of K0's entries and the read is linear in
+    # N, so a power of two scales every read exactly; -q reads the same B
+    scale = 2.0 ** k
+    rng = np.random.default_rng(2112)
+    for _ in range(200):
+        m = tuple(rng.uniform(-2.0, 2.0, 9))
+        q = random_rotor(rng)
+        sc, w = power_read(horn_matrix(m), q)
+        got_sc, got_w = power_read(horn_matrix([x * scale for x in m]), q)
+        assert (got_sc, got_w) == (sc * scale, tuple(x * scale for x in w))
+        minus_q = tuple(-x for x in q)
+        minus_sc, minus_w = power_read(horn_matrix(m), minus_q)
+        assert (minus_sc, carried_bivector(minus_q, minus_w)) == (
+            sc, carried_bivector(q, w))
+
+
+def test_power_read_at_the_identity_is_the_fold_of_k():
+    # the first pass reads K0 itself, bit for bit as moment_parts folds it
+    rng = np.random.default_rng(2113)
+    for _ in range(100):
+        k = tuple(rng.uniform(-2.0, 2.0, 9))
+        sc, w = power_read(horn_matrix(k), NO_ROTATION)
+        assert (sc, carried_bivector(NO_ROTATION, w)) == moment_parts(k)
+
+
+def halfway_cases():
+    """(sc, biv) at random, of either sign of sc, with the argument within
+    1e-9 of 0 and of pi, and just above the real-valued threshold."""
+    rng = np.random.default_rng(2212)
+    cases = []
+    for _ in range(200):
+        sc = rng.uniform(-2.0, 2.0)
+        biv = tuple(rng.uniform(-2.0, 2.0, 3))
+        n = np.array(random_plane(rng).components)
+        angle = rng.uniform(0.0, 1e-9)
+        for phi in (angle, math.pi - angle):
+            cases.append((math.cos(phi), tuple(math.sin(phi) * n)))
+        size = 1.01 * ZERO_BIVECTOR_RTOL * abs(sc)
+        cases += [(sc, biv), (sc, tuple(size * n)), (-sc, tuple(size * n))]
+    return cases
+
+
+def test_a_power_step_from_the_identity_turns_by_the_angle_and_plane():
+    # the step turns by C's argument in C's plane from either feed: its
+    # rotor, and the fold of its rotation read off the identity's N
+    identity = horn_matrix(IDENTITY)
+    for sc, biv in halfway_cases():
+        phi, plane, real_valued = argument(sc, biv)
+        assert not real_valued
+        want_sc, want_biv = numpy_fold(rotation_matrix(plane, phi))
+        rotor = rotation_rotor(plane, phi).components
+        for feed in (halfway_feed(sc, carried_onto(biv, NO_ROTATION)),
+                     angle_feed(phi, plane.normal().tolist(), NO_ROTATION)):
+            q = power_step(*feed, NO_ROTATION)
+            assert np.allclose(horn_layout(q), rotor, rtol=0.0, atol=2e-15)
+            got_sc, got_w = power_read(identity, q)
+            assert abs(got_sc - want_sc) <= 4e-15
+            assert np.allclose(carried_bivector(q, got_w), want_biv, rtol=0.0,
+                               atol=4e-15)
+
+
+def test_a_power_step_turns_the_moment_as_numpy_does():
+    # the read of the new net is the fold of the step's rotation times the
+    # turned K0
+    rng = np.random.default_rng(2213)
+    for sc, biv in halfway_cases()[:200]:
+        k = rng.uniform(-2.0, 2.0, 9)
+        net = rotation_rotor(random_plane(rng),
+                             rng.uniform(0.0, math.pi)).components
+        turned = rotor_matrix(net) @ k.reshape(3, 3)
+        phi, plane, _ = argument(sc, biv)
+        want_sc, want_biv = numpy_fold(rotation_matrix(plane, phi) @ turned)
+        q, size = horn_layout(net), np.linalg.norm(k)
+        for feed in (halfway_feed(sc, carried_onto(biv, net)),
+                     angle_feed(phi, plane.normal().tolist(), q)):
+            got = power_step(*feed, q)
+            got_sc, got_w = power_read(horn_matrix(k.tolist()), got)
+            assert abs(got_sc - want_sc) <= 1e-14 * size
+            assert np.allclose(carried_bivector(got, got_w), want_biv,
+                               rtol=0.0, atol=1e-14 * size)
+
+
+@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
+def test_a_power_step_is_exact_under_power_of_two_scaling(k):
+    # the step is a ratio to its own length, so the scale drops out exactly:
+    # d at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would leave the
+    # float range at 2^600 or lose bits below 2^-1022
+    rng = np.random.default_rng(2214)
+    net = rotation_rotor(random_plane(rng), 1.0).components
+    q = horn_layout(net)
+    scale = 2.0 ** k
+    for sc, biv in halfway_cases():
+        w = carried_onto(biv, net)
+        feed = halfway_feed(sc * scale, tuple(x * scale for x in w))
+        assert power_step(*feed, q) == power_step(*halfway_feed(sc, w), q)
 
 
 # ---------------------------------------------------------------------------

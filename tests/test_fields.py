@@ -20,25 +20,14 @@ from rotalign.detector import DetectionConfig, detect
 from rotalign.experiments import draw_trial, run_trial
 
 from conftest import (
-    jittered_split, midpoint_linear_shortfall, midpoint_moment, shared_cell_pair,
+    jittered_split, midpoint_linear_shortfall, midpoint_moment, random_linear,
+    random_plane, shared_cell_pair, two_halves,
 )
 
 
 def two_halves_field():
     """e1 on the right half of the standard box, e2 on the left."""
-    return PiecewiseConstantField((
-        (Box((0, -1, -1), (1, 1, 1)), (1.0, 0.0, 0.0)),
-        (Box((-1, -1, -1), (0, 1, 1)), (0.0, 1.0, 0.0)),
-    ))
-
-
-def random_plane(rng):
-    v = rng.standard_normal(3)
-    return UnitBivector.from_components(*(v / np.linalg.norm(v)))
-
-
-def random_linear(rng):
-    return LinearVectorField(rng.uniform(-1, 1, (3, 3)))
+    return two_halves((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 
 def piecewise_on(low, high, values):

@@ -1,5 +1,7 @@
 """Algebra layer tests: generated table against the matrix oracle, fixed
-worked examples, and the algebraic laws the rest of the package leans on."""
+worked examples, and the algebraic laws the rest of the package leans on.
+The detection pass, a power step on Horn's N, is tested in
+test_detector.py."""
 
 import dataclasses
 import math
@@ -9,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from rotalign.correlation import moment_parts
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
     UNIT_ATOL, Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
@@ -17,28 +18,11 @@ from rotalign.ga3 import (
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
 )
 
-from conftest import (
-    angle_feed, halfway_feed, horn_matrix, horn_read, oracle_product, turn,
-)
-
-
-def mv(**kw):
-    names = ["s", "e1", "e2", "e3", "e12", "e13", "e23", "e123"]
-    c = np.zeros(8)
-    for k, v in kw.items():
-        c[names.index(k)] = v
-    return Multivector(c)
+from conftest import mv, oracle_product, random_plane
 
 
 def random_mv(rng):
     return Multivector(rng.uniform(-2.0, 2.0, 8))
-
-
-def random_plane(rng):
-    v = rng.standard_normal(3)
-    while np.linalg.norm(v) < 1e-6:
-        v = rng.standard_normal(3)
-    return UnitBivector.from_components(*(v / np.linalg.norm(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,131 +311,6 @@ def test_rotation_matrix_is_rodrigues_about_the_normal():
         want = (np.eye(3) + math.sin(angle) * cross +
                 (1.0 - math.cos(angle)) * cross @ cross)
         assert np.max(np.abs(rotation_matrix(p, angle) - want)) <= 1e-15
-
-
-IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-NO_ROTATION = (1.0, 0.0, 0.0, 0.0)
-
-
-def folded(k):
-    """(tr K, (b12, b13, b23)) of a 3x3 array K by numpy."""
-    return np.trace(k), (k[0, 1] - k[1, 0], k[0, 2] - k[2, 0], k[1, 2] - k[2, 1])
-
-
-def rotor_matrix(q):
-    """The 3x3 rotation of the rotor q by rotation_matrix."""
-    angle, plane = rotor_rotation(q)
-    return rotation_matrix(plane, angle)
-
-
-def random_rotor(rng):
-    q = rng.standard_normal(4)
-    return tuple(q / np.linalg.norm(q))
-
-
-def test_horn_read_is_the_fold_of_the_turned_moment():
-    # tr(R K0) and the antisymmetric part of R K0, for R the rotation of
-    # the rotor q, read off K0's 4x4 N and q with no 3x3 R
-    rng = np.random.default_rng(2111)
-    for _ in range(1000):
-        k = rng.uniform(-2.0, 2.0, 9)
-        q = random_rotor(rng)
-        sc, biv = horn_read(horn_matrix(k.tolist()), q)
-        want_sc, want_biv = folded(rotor_matrix(q) @ k.reshape(3, 3))
-        size = np.linalg.norm(k)
-        assert abs(sc - want_sc) <= 1e-14 * size
-        assert np.max(np.abs(np.subtract(biv, want_biv))) <= 1e-14 * size
-
-
-@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
-def test_horn_read_is_exact_under_power_of_two_scaling(k):
-    # N is sums and differences of K0's entries and the read is linear in
-    # N, so a power of two scales every read exactly; -q reads the same
-    scale = 2.0 ** k
-    rng = np.random.default_rng(2112)
-    for _ in range(200):
-        m = tuple(rng.uniform(-2.0, 2.0, 9))
-        q = random_rotor(rng)
-        sc, biv = horn_read(horn_matrix(m), q)
-        got_sc, got_biv = horn_read(horn_matrix([x * scale for x in m]), q)
-        assert (got_sc, got_biv) == (sc * scale, tuple(b * scale for b in biv))
-        assert horn_read(horn_matrix(m), tuple(-x for x in q)) == (sc, biv)
-
-
-def test_horn_read_at_the_identity_is_the_fold_of_k():
-    # the first pass reads K0 itself, bit for bit as moment_parts folds it
-    rng = np.random.default_rng(2113)
-    for _ in range(100):
-        k = tuple(rng.uniform(-2.0, 2.0, 9))
-        assert horn_read(horn_matrix(k), NO_ROTATION) == moment_parts(k)
-
-
-def halfway_cases():
-    """(sc, biv) at random, of either sign of sc, with the argument within
-    1e-9 of 0 and of pi, and just above the real-valued threshold."""
-    rng = np.random.default_rng(2212)
-    cases = []
-    for _ in range(200):
-        sc = rng.uniform(-2.0, 2.0)
-        biv = tuple(rng.uniform(-2.0, 2.0, 3))
-        n = np.array(random_plane(rng).components)
-        angle = rng.uniform(0.0, 1e-9)
-        for phi in (angle, math.pi - angle):
-            cases.append((math.cos(phi), tuple(math.sin(phi) * n)))
-        size = 1.01 * ZERO_BIVECTOR_RTOL * abs(sc)
-        cases += [(sc, biv), (sc, tuple(size * n)), (-sc, tuple(size * n))]
-    return cases
-
-
-def test_halfway_turn_matches_the_angle_and_plane():
-    # the step turns by C's argument in C's plane from either feed: its
-    # rotor, and the fold of its rotation read off the identity's N
-    identity = horn_matrix(IDENTITY)
-    for sc, biv in halfway_cases():
-        phi, q, real_valued = argument(sc, biv)
-        assert not real_valued
-        want_sc, want_biv = folded(rotation_matrix(q, phi))
-        rotor = rotation_rotor(q, phi).components
-        for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
-            step, net = turn(*feed, NO_ROTATION)
-            assert np.allclose(step, rotor, rtol=0.0, atol=2e-15)
-            assert net == step
-            got_sc, got_biv = horn_read(identity, step)
-            assert abs(got_sc - want_sc) <= 4e-15
-            assert np.allclose(got_biv, want_biv, rtol=0.0, atol=4e-15)
-
-
-def test_halfway_turn_multiplies_as_the_reference_products():
-    # the step is the net's left factor, bit for bit, and the read of the
-    # new net is the fold of the step's rotation times the turned K0
-    rng = np.random.default_rng(2213)
-    for sc, biv in halfway_cases()[:200]:
-        k = rng.uniform(-2.0, 2.0, 9)
-        net = rotation_rotor(random_plane(rng),
-                             rng.uniform(0.0, math.pi)).components
-        turned = rotor_matrix(net) @ k.reshape(3, 3)
-        phi, q, _ = argument(sc, biv)
-        for feed in (halfway_feed(sc, biv), angle_feed(phi, q.normal().tolist())):
-            step, got = turn(*feed, net)
-            assert got == rotor_product(step, net)
-            want_sc, want_biv = folded(rotation_matrix(q, phi) @ turned)
-            got_sc, got_biv = horn_read(horn_matrix(k.tolist()), got)
-            assert abs(got_sc - want_sc) <= 1e-14 * np.linalg.norm(k)
-            assert np.allclose(got_biv, want_biv, rtol=0.0,
-                               atol=1e-14 * np.linalg.norm(k))
-
-
-@pytest.mark.parametrize("k", [-600, -300, -40, 40, 300, 600])
-def test_halfway_turn_is_exact_under_power_of_two_scaling(k):
-    # the step is a ratio to its own length, so the scale drops out exactly:
-    # r + sc at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would
-    # leave the float range at 2^600 or lose bits below 2^-1022
-    rng = np.random.default_rng(2214)
-    net = rotation_rotor(random_plane(rng), 1.0).components
-    scale = 2.0 ** k
-    for sc, biv in halfway_cases():
-        feed = halfway_feed(sc * scale, tuple(b * scale for b in biv))
-        assert turn(*feed, net) == turn(*halfway_feed(sc, biv), net)
 
 
 def test_rotor_product_against_oracle():

@@ -1,8 +1,12 @@
 """Every name a module of the package, of its tests or of perfbench imports
-is used in that module.
+is used in that module, and every function of tests/conftest.py is read by
+a test.
 
 A stdlib ast check: an import binds a name, and the module must read that
-name somewhere or list it in __all__.  __future__ imports are exempt.
+name somewhere or list it in __all__.  __future__ imports are exempt.  A
+conftest function or fixture must be reached from a test module, as a name,
+an attribute or a fixture argument, directly or through conftest functions
+that are; pytest hooks are exempt.
 """
 
 import ast
@@ -43,3 +47,48 @@ def test_the_check_finds_an_unused_import():
                          ids=[name for _, name in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.arg
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.arg))}
+
+
+def unread_helpers(conftest: str, modules: list[str]) -> list[str]:
+    tree = ast.parse(conftest)
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("pytest_")}
+    reached = set()
+    todo = set().union(*map(names_read, map(ast.parse, modules)),
+                       *(names_read(node) for node in tree.body
+                         if not isinstance(node, ast.FunctionDef)))
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo |= names_read(defs[name])
+    return sorted(defs.keys() - reached)
+
+
+def test_the_check_finds_an_unread_helper():
+    conftest = ("import pytest\n"
+                "def pytest_configure(config): pass\n"
+                "def read(): return inner()\n"
+                "def inner(): return 1\n"
+                "def attribute(): pass\n"
+                "@pytest.fixture\ndef table(): return 1\n"
+                "def retired(): return chained()\n"
+                "def chained(): return retired()\n")
+    module = ("import conftest\nfrom conftest import read\n"
+              "def test_x(table): read(), conftest.attribute()\n")
+    assert unread_helpers(conftest, [module]) == ["chained", "retired"]
+
+
+def test_every_conftest_function_is_read_by_a_test():
+    tests = ROOT / "tests"
+    modules = [p.read_text() for p in sorted(tests.glob("*.py"))
+               if p.name != "conftest.py"]
+    assert unread_helpers((tests / "conftest.py").read_text(), modules) == []
