@@ -22,13 +22,9 @@ import numpy as np
 
 from .ga3 import Multivector, PolarForm, polar_decompose
 from .fields import (
-    Box, VectorField, checked_norm, cross_moment, evaluate_many, l2_norm,
-    support,
+    Box, VectorField, _checked_resolution, checked_norm, cross_moment,
+    evaluate_many, l2_norm, support,
 )
-
-
-def _even_mv(scalar: float, biv: tuple[float, float, float]) -> Multivector:
-    return Multivector((scalar, 0.0, 0.0, 0.0, *biv, 0.0))
 
 
 def moment_parts(k) -> tuple[float, tuple[float, float, float]]:
@@ -46,7 +42,8 @@ def correlate_at_origin(a: VectorField, b: VectorField) -> Multivector:
     The first argument is the one that gets reversed; vectors are their own
     reverse, so swapping the arguments flips the sign of the bivector part.
     """
-    return _even_mv(*moment_parts(cross_moment(a, b).ravel().tolist()))
+    sc, biv = moment_parts(cross_moment(a, b).ravel().tolist())
+    return Multivector.from_even((sc, *biv))
 
 
 @dataclass(frozen=True)
@@ -83,13 +80,13 @@ def quadrature_correlate(a: VectorField, b: VectorField,
     Independent of the closed-form path; used to cross-check it.  The grid
     covers ``box`` (default: the union bounding box of both supports) with
     ``resolution`` cells per axis, processed one x-slab at a time to bound
-    memory.
+    memory.  A resolution that is not a positive integer raises ValueError.
     """
+    n = _checked_resolution((resolution,) * 3)[0]
     if box is None:
         sa, sb = support(a), support(b)
         box = Box(tuple(np.minimum(sa.low_array, sb.low_array)),
                   tuple(np.maximum(sa.high_array, sb.high_array)))
-    n = int(resolution)
     lo, hi = box.low_array, box.high_array
     h = (hi - lo) / n
     cell_vol = float(np.prod(h))
@@ -103,4 +100,5 @@ def quadrature_correlate(a: VectorField, b: VectorField,
     for i in range(n):
         slab[:, 0] = lo[0] + (i + 0.5) * h[0]
         total += evaluate_many(a, slab).T @ evaluate_many(b, slab)
-    return _even_mv(*moment_parts((cell_vol * total).ravel().tolist()))
+    sc, biv = moment_parts((cell_vol * total).ravel().tolist())
+    return Multivector.from_even((sc, *biv))

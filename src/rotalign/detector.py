@@ -38,9 +38,8 @@ DISTURBANCE_PLANE, on the first pass and letting the loop take it back out
 again.
 
 The report states the *generating* rotation: rotating the reference by
-(plane, alpha) reproduces the input pattern.  The applied corrections undo
-that rotation, so the accumulated correction plane is the reported plane with
-its orientation flipped.
+(plane, alpha) reproduces the input pattern.  The net rotor undoes that
+rotation, so its plane is the reported plane with its orientation flipped.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ga3 import (
-    E12, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, rotation_rotor, rotor_product,
+    E12, ZERO_BIVECTOR_RTOL, UnitBivector, rotation_rotor, rotor_product,
     rotor_rotation,
 )
 from .fields import VectorField, _is_real, checked_norm, cross_moment, rotate_outer
@@ -89,11 +88,10 @@ class MomentDetection:
     """Outcome of detect_moments, the loop's part of a DetectionReport.
 
     nets holds the net rotor after each pass as (scalar, b12, b13, b23); net,
-    the last of them, undoes the generating rotation.  steps, each pass's
-    rotor, and corrections, their Rotors, are built on every read.
-    phi_trace holds the angle applied in each pass: the argument angle (after
-    any disturbance override), the shortened correction of a pass that failed
-    the certificate, or 0 for a last pass whose pattern was already within
+    the last of them, undoes the generating rotation.  phi_trace holds the
+    angle applied in each pass: the argument angle (after any disturbance
+    override), the shortened correction of a pass that failed the
+    certificate, or 0 for a last pass whose pattern was already within
     epsilon.  converged is True when the loop stopped on the certified exit:
     phi within epsilon and the corrected pattern's relative L2 misfit within
     epsilon, as predicted to first order.  It is False when the loop hit
@@ -105,18 +103,6 @@ class MomentDetection:
     nets: tuple[tuple[float, float, float, float], ...]
     iterations: int
     converged: bool
-
-    @property
-    def steps(self) -> tuple[tuple[float, float, float, float], ...]:
-        """Step i is net i times the reverse of net i - 1 (of 1 for i = 0)."""
-        reverses = [(1.0, 0.0, 0.0, 0.0)] + [
-            (s0, -s12, -s13, -s23) for s0, s12, s13, s23 in self.nets[:-1]]
-        return tuple(map(rotor_product, self.nets, reverses))
-
-    @property
-    def corrections(self) -> tuple[Rotor, ...]:
-        """The Rotor of each step."""
-        return tuple([Rotor(*step) for step in self.steps])
 
 
 @dataclass(frozen=True)
@@ -338,15 +324,10 @@ def detect(reference: VectorField, pattern: VectorField,
     return report
 
 
-def residual_angle(applied, true_plane: UnitBivector,
-                   true_angle: float) -> float:
-    """Rotation angle left after applying corrections to a known misalignment.
-
-    Composes the true generating rotation (true_plane, true_angle) and then
-    every applied correction rotor, in order, and returns the angle in
-    [0, pi] of the net rotation; 0 means the corrections undo it exactly.
-    """
-    net = rotation_rotor(true_plane, true_angle).components
-    for c in applied:
-        net = rotor_product(c.components, net)
-    return rotor_rotation(net)[0]
+def residual_angle(net, true_plane: UnitBivector, true_angle: float) -> float:
+    """Angle in [0, pi] left when the net rotor net, (scalar, b12, b13, b23),
+    corrects the generating rotation (true_plane, true_angle); 0 means net
+    undoes it exactly.  After pass k of a detection the residual is that of
+    nets[k - 1]; before the first pass it is that of (1, 0, 0, 0)."""
+    true = rotation_rotor(true_plane, true_angle)
+    return rotor_rotation(rotor_product(net, true))[0]

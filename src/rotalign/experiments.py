@@ -108,7 +108,7 @@ def run_trial(spec: TrialSpec,
         rotation_matrix(spec.plane, spec.angle).dot(s).ravel().tolist(),
         s.ravel().tolist(), DetectionConfig(spec.epsilon, max_iterations))
     _, e12, e13, e23 = rotor_product(
-        loop.net, rotation_rotor(spec.plane, spec.angle).components)
+        loop.net, rotation_rotor(spec.plane, spec.angle))
     x, y, z = e23, -e13, e12
     sq = 0.0
     for ax, ay, az in a.T.tolist():

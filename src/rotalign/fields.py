@@ -514,7 +514,11 @@ def save_field(field: VectorField, path) -> None:
 
 def load_field(path) -> VectorField:
     with open(path) as f:
-        return from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except RecursionError:  # a malformed file, like any other bad document
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ to a handful of operations on 8-component multivectors over the ordered basis
 
 with an orthonormal metric (each ``e_i`` squares to +1).  The multiplication
 table is generated from the anticommutation rules rather than written out by
-hand, so a single rule error cannot hide in one table entry.
+hand, so a single rule error cannot hide in one table entry.  A rotor is
+the tuple (scalar, b12, b13, b23) of its even parts: rotor_product
+multiplies two, and Multivector.from_even embeds one among the eight.
 """
 
 from __future__ import annotations
@@ -102,6 +104,11 @@ class Multivector:
     @classmethod
     def from_vector(cls, v) -> "Multivector":
         return cls((0.0, *v, 0.0, 0.0, 0.0, 0.0))
+
+    @classmethod
+    def from_even(cls, r) -> "Multivector":
+        """The even element r = (scalar, b12, b13, b23), a rotor for one."""
+        return cls((r[0], 0.0, 0.0, 0.0, *r[1:], 0.0))
 
     # -- parts ------------------------------------------------------------
 
@@ -203,8 +210,8 @@ E3 = Multivector.from_vector((0.0, 0.0, 1.0))
 def unit_parts(sc: float, b12: float, b13: float, b23: float,
                what: str) -> tuple[float, float, float, float]:
     """sc + (b12, b13, b23) over its length, which must be within UNIT_ATOL
-    of 1: the renormalisation of UnitBivector and Rotor.  A plane passes
-    sc = 0.0, which adds exactly nothing to the sum."""
+    of 1: the renormalisation of a UnitBivector and of a rotor.  A plane
+    passes sc = 0.0, which adds exactly nothing to the sum."""
     mag = math.sqrt(sc * sc + b12 * b12 + b13 * b13 + b23 * b23)
     if not abs(mag - 1.0) <= UNIT_ATOL:  # NaN fails this too
         raise ValueError(f"{what} magnitude {mag} is not 1")
@@ -259,9 +266,6 @@ class UnitBivector:
         """Unit normal n with (b12, b13, b23) dual to (n_z, -n_y, n_x)."""
         return np.array([self.b23, -self.b13, self.b12])
 
-    def as_multivector(self) -> Multivector:
-        return Multivector((0.0, 0.0, 0.0, 0.0, *self, 0.0))
-
     def __neg__(self) -> "UnitBivector":
         return UnitBivector(-self.b12, -self.b13, -self.b23)
 
@@ -269,34 +273,6 @@ class UnitBivector:
 E12 = UnitBivector(1.0, 0.0, 0.0)
 E13 = UnitBivector(0.0, 1.0, 0.0)
 E23 = UnitBivector(0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True, init=False)
-class Rotor:
-    """Even unit multivector scalar + bivector; acts on vectors by sandwich.
-
-    The sandwich is R v reverse(R), so the rotor that rotates by ``angle``
-    in ``plane`` is ``exp_bivector(plane, -angle / 2)``.
-    """
-
-    scalar: float
-    b12: float
-    b13: float
-    b23: float
-
-    def __init__(self, scalar: float, b12: float, b13: float, b23: float):
-        d = self.__dict__
-        d["scalar"], d["b12"], d["b13"], d["b23"] = unit_parts(
-            scalar, b12, b13, b23, "rotor")
-
-    def as_multivector(self) -> Multivector:
-        return Multivector((self.scalar, 0.0, 0.0, 0.0,
-                            self.b12, self.b13, self.b23, 0.0))
-
-    @property
-    def components(self) -> tuple[float, float, float, float]:
-        """(scalar, b12, b13, b23), the layout rotor_product works on."""
-        return (self.scalar, self.b12, self.b13, self.b23)
 
 
 def rotor_product(a, b) -> tuple[float, float, float, float]:
@@ -313,15 +289,16 @@ def rotor_product(a, b) -> tuple[float, float, float, float]:
             a0 * b23 + a23 * b0 - a12 * b13 + a13 * b12)
 
 
-def exp_bivector(plane: UnitBivector, angle: float) -> Rotor:
-    """Exponential of a scaled bivector: cos(angle) + sin(angle) * plane."""
+def exp_bivector(plane, angle: float) -> tuple[float, float, float, float]:
+    """cos(angle) + sin(angle) * plane as (scalar, b12, b13, b23), for a
+    UnitBivector plane or its components; unit_parts checks the length."""
     b12, b13, b23 = plane
     c, s = math.cos(angle), math.sin(angle)
-    return Rotor(c, s * b12, s * b13, s * b23)
+    return unit_parts(c, s * b12, s * b13, s * b23, "rotor")
 
 
-def rotation_rotor(plane: UnitBivector, angle: float) -> Rotor:
-    """Rotor whose sandwich rotates by ``angle`` in ``plane``."""
+def rotation_rotor(plane, angle: float) -> tuple[float, float, float, float]:
+    """Rotor whose sandwich R v reverse(R) rotates by ``angle`` in ``plane``."""
     return exp_bivector(plane, -angle / 2.0)
 
 
@@ -335,7 +312,7 @@ def sandwich(plane: UnitBivector, angle: float, v: Multivector) -> Multivector:
     nonvec = math.sqrt(c[0] ** 2 + c[4] ** 2 + c[5] ** 2 + c[6] ** 2 + c[7] ** 2)
     if nonvec > 1e-12 * max(1.0, v.norm()):
         raise ValueError("sandwich expects a pure grade-1 multivector")
-    r = rotation_rotor(plane, angle).as_multivector()
+    r = Multivector.from_even(rotation_rotor(plane, angle))
     return Multivector(_gp(_gp(r.coeffs, c), r.reverse().coeffs))
 
 

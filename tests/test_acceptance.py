@@ -117,20 +117,19 @@ def test_criterion_4_residual_monotonicity(convergence_trials, capsys):
     t0 = time.perf_counter()
     worst_increase = -math.inf
     for spec, pattern, rep in trials:
-        # Same recurrence residual_angle evaluates, kept incremental so the
-        # scan stays linear in the step count; the last value is cross-checked
-        # against the public function below.
-        prev = residual_angle((), spec.plane, spec.angle)
-        net = rotation_rotor(spec.plane, spec.angle).as_multivector()
+        # Each pass's net rotor composed with the true rotor by multivector
+        # products, the algebra residual_angle does not use; the last value
+        # is cross-checked against the public function below.
+        prev = residual_angle((1.0, 0.0, 0.0, 0.0), spec.plane, spec.angle)
+        true = Multivector.from_even(rotation_rotor(spec.plane, spec.angle))
         cur = prev
-        for c in rep.corrections:
-            net = c.as_multivector() * net
-            cur = 2.0 * polar_decompose(net).angle
+        for net in rep.nets:
+            cur = 2.0 * polar_decompose(Multivector.from_even(net) * true).angle
             if cur > math.pi:
                 cur = 2.0 * math.pi - cur
             worst_increase = max(worst_increase, cur - prev)
             prev = cur
-        full = residual_angle(rep.corrections, spec.plane, spec.angle)
+        full = residual_angle(rep.net, spec.plane, spec.angle)
         assert abs(cur - full) <= 1e-12
     seconds = detect_seconds + (time.perf_counter() - t0)
     ok = worst_increase <= 1e-9 and seconds < 30.0
@@ -199,7 +198,7 @@ def test_criterion_7_identity_suite(capsys):
         parts = decompose(field, plane)
         r = l2_norm(parts.parallel) ** 2
         w = correlate_at_origin(parts.parallel, parts.perpendicular)
-        exp_neg = exp_bivector(plane, -angle).as_multivector()
+        exp_neg = Multivector.from_even(exp_bivector(plane, -angle))
         predicted = r * exp_neg + (exp_neg - 1.0) * w + \
             Multivector.from_scalar(1.0 - r)
         worst_identity = max(worst_identity, (cor - predicted).norm())

@@ -142,6 +142,21 @@ def test_detect_malformed_file(tmp_path, halves_pair, capsys):
     assert "error:" in out.err
 
 
+def test_detect_rejects_a_file_nested_too_deeply_for_json(tmp_path, halves_pair,
+                                                         capsys):
+    # json.load raises RecursionError here; that is a malformed file, not an
+    # internal error
+    ref, _ = halves_pair
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code = main(["detect", "--reference", ref, "--pattern", str(deep),
+                 "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "nested too deeply" in out.err
+
+
 def test_detect_rejects_non_finite_pattern(tmp_path, halves_pair, capsys):
     # the loader accepts the NaN literal; the field constructor rejects it
     ref, _ = halves_pair

@@ -139,7 +139,7 @@ def test_rotation_argument_identity():
         w = correlate_at_origin(d.parallel, d.perpendicular)
         assert abs(w.scalar) < 1e-12  # pointwise orthogonal parts
 
-        exp_neg = exp_bivector(p, -alpha).as_multivector()
+        exp_neg = Multivector.from_even(exp_bivector(p, -alpha))
         expected = r * exp_neg + (exp_neg - 1.0) * w + \
             Multivector.from_scalar(1.0 - r)
         assert cor.close_to(expected, tol=1e-10), (cor, expected)
@@ -209,6 +209,23 @@ def test_package_quadrature_matches_independent_oracle():
     want = midpoint_correlate(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
                               (-1, -1, -1), (1, 1, 1), (6, 6, 6))
     assert np.allclose(got.coeffs, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("resolution, ok", [
+    (4, True), (4.0, True), (np.int64(4), True),
+    (0, False), (-2, False), (True, False), ("3", False), (2.5, False),
+    (math.inf, False), (None, False),
+])
+def test_quadrature_takes_sample_s_resolutions(resolution, ok):
+    # a positive integer cell count, as sample takes it: 0 used to divide by
+    # zero, -2 failed in numpy, and True and "3" passed as 1 and 3
+    if ok:
+        got = quadrature_correlate(FIELD_A, FIELD_B, resolution=resolution)
+        want = quadrature_correlate(FIELD_A, FIELD_B, resolution=4)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    else:
+        with pytest.raises(ValueError, match="bad resolution"):
+            quadrature_correlate(FIELD_A, FIELD_B, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from rotalign.ga3 import (
-    E12, E13, ZERO_BIVECTOR_RTOL, Rotor, UnitBivector, argument,
-    rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, unit_parts,
+    E12, E13, ZERO_BIVECTOR_RTOL, UnitBivector, argument,
+    rotation_matrix, rotation_rotor, rotor_product, rotor_rotation,
 )
 from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, random_rotation, run_trials
@@ -151,8 +151,9 @@ def test_residual_sequence_monotone():
         alpha = rng.uniform(0, math.pi * (1 - 1e-9))
         pattern = rotate_outer(v, p, alpha)
         report = detect(v, pattern, DetectionConfig(epsilon=1e-6))
-        residuals = [residual_angle(report.corrections[:k], p, alpha)
-                     for k in range(report.iterations + 1)]
+        # before the first pass, then after each
+        residuals = [residual_angle(net, p, alpha)
+                     for net in ((1.0, 0.0, 0.0, 0.0), *report.nets)]
         assert math.isclose(residuals[0], alpha, abs_tol=1e-12)
         for before, after in zip(residuals, residuals[1:]):
             assert after <= before + 1e-9
@@ -481,7 +482,7 @@ def test_detect_moments_recovers_the_rotation_of_k_equal_r_s():
         k = rotation_matrix(plane, angle) @ s
         loop = detect_moments(floats(k), floats(s), DetectionConfig(epsilon=eps))
         assert loop.converged
-        assert loop.iterations == len(loop.phi_trace) == len(loop.corrections)
+        assert loop.iterations == len(loop.phi_trace) == len(loop.nets)
         # the certified quantity: the relative L2 misfit left on u = R0 v,
         # |(Rc R0 - I) v| / |v| for the net correction Rc
         alpha, undo = rotor_rotation(loop.net)
@@ -494,8 +495,8 @@ def test_detect_moments_takes_the_disturbance_on_a_real_valued_k():
     s = hand_made_s()
     loop = detect_moments(floats(s), floats(s), DetectionConfig(epsilon=1e-6))
     assert loop.phi_trace[0] == DISTURBANCE_ANGLE
-    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE).components
-    assert np.max(np.abs(np.subtract(loop.corrections[0].components, want))) <= 1e-15
+    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE)
+    assert np.max(np.abs(np.subtract(loop.nets[0], want))) <= 1e-15
     assert loop.converged
     assert rotor_rotation(loop.net)[0] <= 1e-6
 
@@ -507,7 +508,7 @@ def test_detect_moments_exits_on_pass_one_when_k_is_within_epsilon():
     loop = detect_moments(floats(k), floats(s), DetectionConfig(epsilon=1e-6))
     assert loop.converged and loop.iterations == 1
     assert 0.0 < loop.phi_trace[0] <= 1e-6
-    assert residual_angle(loop.corrections, plane, 1e-8) < 1e-8
+    assert residual_angle(loop.net, plane, 1e-8) < 1e-8
 
 
 def test_detect_moments_rejects_a_zero_or_non_finite_s():
@@ -575,49 +576,16 @@ def test_detect_moments_builds_no_plane_or_rotor(monkeypatch):
             init(self, *args)
         return counted
 
-    for cls in (UnitBivector, Rotor):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    monkeypatch.setattr(UnitBivector, "__init__", counting(UnitBivector.__init__))
     config = DetectionConfig(epsilon=1e-6)
     loops = [detect_moments(k, s, config) for k, s in cases]
     assert all(loop.converged for loop in loops)
     assert loops[-1].phi_trace[0] == DISTURBANCE_ANGLE
     assert sum(loop.iterations for loop in loops) > 10 * len(loops)
     assert built == []
-    # the count sees every construction: reading corrections builds Rotors
-    assert len(loops[0].corrections) == loops[0].iterations
-    assert built == ["Rotor"] * loops[0].iterations
-
-
-def test_corrections_are_built_on_read_and_fold_to_the_net_rotor():
-    # net is the last pass's net, bit for bit.  steps and corrections are
-    # built from nets on every read and not kept: a step is net i times the
-    # reverse of net i - 1, and the corrections are the steps renormalised,
-    # so the folds of both agree with net to rounding (worst 4.7e-15 and
-    # 1.9e-14 measured over these 926 detections)
-    cases = [(k, s, 1e-6) for k, s in seeded_moment_inputs()]
-    for epsilon in (0.1, 1e-3, 1e-6):
-        cases += [(*map(floats, trial_moments(index, epsilon)), epsilon)
-                  for index in range(300)]
-    for k, s, epsilon in cases:
-        loop = detect_moments(k, s, DetectionConfig(epsilon=epsilon))
-        assert loop.net == loop.nets[-1]
-        assert len(loop.nets) == loop.iterations
-        assert "steps" not in vars(loop) and "corrections" not in vars(loop)
-        assert loop.steps == loop.steps and loop.steps is not loop.steps
-        net = folded = (1.0, 0.0, 0.0, 0.0)
-        for rotor, step in zip(loop.corrections, loop.steps, strict=True):
-            assert rotor.components == unit_parts(*step, "rotor")
-            net = rotor_product(step, net)
-            folded = rotor_product(rotor.components, folded)
-        assert np.max(np.abs(np.subtract(net, loop.net))) <= 4e-14
-        assert np.max(np.abs(np.subtract(folded, loop.net))) <= 4e-14
-    spec = draw_trial(0, 3, 1e-3)
-    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
-    report = detect(spec.field, pattern, DetectionConfig(epsilon=1e-3))
-    loop = detect_moments(floats(cross_moment(pattern, spec.field)),
-                          self_moment(spec.field), DetectionConfig(epsilon=1e-3))
-    assert report.corrections == loop.corrections
-    assert (report.net, report.nets) == (loop.net, loop.nets)
+    # the count sees every construction: reading the net's plane builds one
+    rotor_rotation(loops[0].net)
+    assert built == ["UnitBivector"]
 
 
 def counted(monkeypatch, module, names, calls=None):
@@ -841,7 +809,7 @@ def test_no_converged_exit_at_the_half_turn():
     # seed-0 trial 242 at eps = 1e-3, angle 3.14136: stops converged after
     # 4 passes with the residual rotation still 3.1411 rad
     spec, report = seeded_detection(242, 1e-3)
-    residual = residual_angle(report.corrections, spec.plane, spec.angle)
+    residual = residual_angle(report.net, spec.plane, spec.angle)
     assert not (report.converged and residual > 0.1)
 
 
@@ -947,20 +915,30 @@ def test_a_half_turn_side_step_is_exact_at_extreme_scales(k):
     assert sc < 0.0 and want.phi_trace[0] == math.atan2(math.hypot(*biv), sc)
     scale = 2.0 ** (k + math.copysign(16, k))
     got = detect_moments([x * scale for x in k0], [x * scale for x in s0], config)
-    assert (got.phi_trace, got.steps, got.net) == (want.phi_trace, want.steps,
-                                                   want.net)
+    assert (got.phi_trace, got.nets, got.net) == (want.phi_trace, want.nets,
+                                                  want.net)
 
 
 def test_the_net_rotor_keeps_unit_length():
     # the loop never renormalises the net, and tr K and B scale with
     # |net|^2, so its drift from 1 feeds every later pass (worst 4.4e-16
-    # measured on these detections)
-    loops = [detect(*pair, DetectionConfig(epsilon=1e-6))
-             for pair in piecewise_pairs()]
+    # measured on these detections).  nets holds one net per pass, the last
+    # of them net bit for bit, and a report's nets are its loop's
+    config = DetectionConfig(epsilon=1e-6)
+    loops = []
+    for reference, pattern in piecewise_pairs():
+        report = detect(reference, pattern, config)
+        loop = detect_moments(floats(cross_moment(pattern, reference)),
+                              self_moment(reference), config)
+        assert (report.net, report.nets) == (loop.net, loop.nets)
+        loops.append(report)
     for epsilon in (0.1, 1e-3, 1e-6):
         config = DetectionConfig(epsilon=epsilon)
         loops += [detect_moments(*map(floats, trial_moments(index, epsilon)),
                                  config) for index in range(300)]
+    for loop in loops:
+        assert loop.net == loop.nets[-1]
+        assert len(loop.nets) == loop.iterations
     assert max(abs(math.hypot(*loop.net) - 1.0) for loop in loops) <= 1e-14
 
 
@@ -1107,7 +1085,7 @@ def test_a_power_step_from_the_identity_turns_by_the_angle_and_plane():
         phi, plane, real_valued = argument(sc, biv)
         assert not real_valued
         want_sc, want_biv = numpy_fold(rotation_matrix(plane, phi))
-        rotor = rotation_rotor(plane, phi).components
+        rotor = rotation_rotor(plane, phi)
         for feed in (halfway_feed(sc, carried_onto(biv, NO_ROTATION)),
                      angle_feed(phi, plane.normal().tolist(), NO_ROTATION)):
             q = power_step(*feed, NO_ROTATION)
@@ -1124,8 +1102,7 @@ def test_a_power_step_turns_the_moment_as_numpy_does():
     rng = np.random.default_rng(2213)
     for sc, biv in halfway_cases()[:200]:
         k = rng.uniform(-2.0, 2.0, 9)
-        net = rotation_rotor(random_plane(rng),
-                             rng.uniform(0.0, math.pi)).components
+        net = rotation_rotor(random_plane(rng), rng.uniform(0.0, math.pi))
         turned = rotor_matrix(net) @ k.reshape(3, 3)
         phi, plane, _ = argument(sc, biv)
         want_sc, want_biv = numpy_fold(rotation_matrix(plane, phi) @ turned)
@@ -1145,7 +1122,7 @@ def test_a_power_step_is_exact_under_power_of_two_scaling(k):
     # d at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would leave the
     # float range at 2^600 or lose bits below 2^-1022
     rng = np.random.default_rng(2214)
-    net = rotation_rotor(random_plane(rng), 1.0).components
+    net = rotation_rotor(random_plane(rng), 1.0)
     q = horn_layout(net)
     scale = 2.0 ** k
     for sc, biv in halfway_cases():
@@ -1173,7 +1150,7 @@ def field_form_detection(reference, pattern, config):
             not trace, config.epsilon)
         q = UnitBivector.from_normal(n)
         u = rotate_outer(u, q, phi)
-        net = rotor_product(rotation_rotor(q, phi).components, net)
+        net = rotor_product(rotation_rotor(q, phi), net)
         trace.append(phi)
     alpha, plane = rotor_rotation(net)
     return alpha, -plane, u, tuple(trace), converged
@@ -1359,11 +1336,12 @@ def test_residual_angle_examples():
     rng = np.random.default_rng(90908)
     p = random_plane(rng)
     alpha = 1.234
-    assert math.isclose(residual_angle([], p, alpha), alpha, abs_tol=1e-12)
+    assert math.isclose(residual_angle((1.0, 0.0, 0.0, 0.0), p, alpha), alpha,
+                        abs_tol=1e-12)
     full = rotation_rotor(-p, alpha)
-    assert residual_angle([full], p, alpha) <= 1e-12
+    assert residual_angle(full, p, alpha) <= 1e-12
     half = rotation_rotor(-p, alpha / 2)
-    assert math.isclose(residual_angle([half], p, alpha), alpha / 2,
+    assert math.isclose(residual_angle(half, p, alpha), alpha / 2,
                         abs_tol=1e-12)
 
 
@@ -1372,5 +1350,5 @@ def test_residual_angle_folds_beyond_pi():
     p = random_plane(rng)
     # over-correcting in the wrong direction past pi wraps back
     wrong = rotation_rotor(p, 2.0)
-    got = residual_angle([wrong], p, 2.0)
+    got = residual_angle(wrong, p, 2.0)
     assert math.isclose(got, 2 * math.pi - 4.0, abs_tol=1e-12)

@@ -762,7 +762,7 @@ def test_fields_compare_and_hash_by_identity():
 def contraction_projection(plane):
     """Columns: the in-plane part of each basis vector v by the contraction
     identity <<v P>_1 (-P)>_1 (the unit bivector P inverts to -P)."""
-    pm = plane.as_multivector()
+    pm = Multivector.from_even((0.0, *plane))
     cols = []
     for e in np.eye(3):
         contracted = (Multivector.from_vector(e) * pm).grade(1)

@@ -13,9 +13,10 @@ from scipy.spatial.transform import Rotation
 
 from rotalign.ga3 import (
     E1, E2, E3, E12, E13, E23, ONE,
-    UNIT_ATOL, Multivector, Rotor, UnitBivector, ZERO_BIVECTOR_RTOL,
+    UNIT_ATOL, Multivector, UnitBivector, ZERO_BIVECTOR_RTOL,
     argument, exp_bivector, polar_decompose,
     rotation_matrix, rotation_rotor, rotor_product, rotor_rotation, sandwich,
+    unit_parts,
 )
 
 from conftest import mv, oracle_product, random_plane
@@ -156,7 +157,9 @@ def test_unit_bivector_and_rotor_reject_non_finite_components():
         with pytest.raises(ValueError):
             UnitBivector(math.nan, 0.0, 1.0)
         with pytest.raises(ValueError):
-            Rotor(1.0, math.nan, 0.0, 0.0)
+            rotation_rotor((bad, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError):
+        unit_parts(1.0, math.nan, 0.0, 0.0, "rotor")
 
 
 def test_unit_bivector_normal_roundtrip():
@@ -189,15 +192,31 @@ def test_unit_bivector_normal_examples():
 
 
 def test_rotor_validation_and_normalization():
-    with pytest.raises(ValueError):
-        Rotor(1.0, 1.0, 0.0, 0.0)
-    r = Rotor(1.0 + 1e-12, 0.0, 0.0, 0.0)
-    assert math.isclose(r.scalar, 1.0, abs_tol=1e-15)
+    # a rotor is unit_parts of its four parts, so rotation_rotor and
+    # exp_bivector reject a non-unit plane and divide out drift within
+    # UNIT_ATOL; beyond it, or NaN, raises
+    with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
+        rotation_rotor((2.0, 0.0, 0.0), 1.0)
+    r = unit_parts(1.0 + 1e-12, 0.0, 0.0, 0.0, "rotor")
+    assert math.isclose(r[0], 1.0, abs_tol=1e-15)
+    parts = (0.5, -0.5, 0.5, 0.5)
+    grow = 1.0 + 0.5 * UNIT_ATOL
+    drifted = unit_parts(*(grow * x for x in parts), "rotor")
+    assert np.allclose(drifted, parts, rtol=0.0, atol=1e-15)
+    for bad in (1.0 + 2.0 * UNIT_ATOL, 1.0 - 2.0 * UNIT_ATOL, math.nan):
+        with pytest.raises(ValueError, match="magnitude .* is not 1"):
+            unit_parts(*(bad * x for x in parts), "rotor")
+    # at a quarter turn the plane's length is the rotor's
+    want = exp_bivector(E13, math.pi / 2)
+    assert np.allclose(exp_bivector((0.0, grow, 0.0), math.pi / 2), want,
+                       rtol=0.0, atol=1e-15)
+    for bad in (1.0 + 2.0 * UNIT_ATOL, 1.0 - 2.0 * UNIT_ATOL):
+        with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
+            exp_bivector((0.0, bad, 0.0), math.pi / 2)
 
 
 @pytest.mark.parametrize("cls, names, parts", [
     (UnitBivector, ("b12", "b13", "b23"), (0.6, 0.0, 0.8)),
-    (Rotor, ("scalar", "b12", "b13", "b23"), (0.5, -0.5, 0.5, 0.5)),
 ])
 def test_unit_objects_keep_their_dataclass_contract(cls, names, parts):
     # the fields, in order, by position or keyword, frozen, and compared,
@@ -231,10 +250,17 @@ def test_unit_objects_keep_their_dataclass_contract(cls, names, parts):
 
 
 def test_exp_bivector_examples():
-    r = exp_bivector(E12, math.pi / 2)
-    assert r.as_multivector().close_to(mv(e12=1), tol=1e-15)
-    r = exp_bivector(E13, -math.pi / 4)
-    scaled = math.sqrt(32.0) * r.as_multivector()
+    # a rotor is the tuple (scalar, b12, b13, b23) of Python floats, which
+    # Multivector.from_even puts at the even coefficients
+    for r in (exp_bivector(E23, 0.4), rotation_rotor((0.6, 0.0, 0.8), 1.0)):
+        assert type(r) is tuple and len(r) == 4
+        assert all(type(c) is float for c in r)
+        assert Multivector.from_even(r).close_to(
+            mv(s=r[0], e12=r[1], e13=r[2], e23=r[3]), tol=0.0)
+    r = Multivector.from_even(exp_bivector(E12, math.pi / 2))
+    assert r.close_to(mv(e12=1), tol=1e-15)
+    r = Multivector.from_even(exp_bivector(E13, -math.pi / 4))
+    scaled = math.sqrt(32.0) * r
     assert scaled.close_to(mv(s=4, e13=-4), tol=1e-12)
 
 
@@ -242,8 +268,9 @@ def test_exp_bivector_examples():
 @settings(max_examples=200, deadline=None)
 def test_exp_bivector_adds_angles(a, b):
     p = E23
-    lhs = exp_bivector(p, a).as_multivector() * exp_bivector(p, b).as_multivector()
-    rhs = exp_bivector(p, a + b).as_multivector()
+    lhs = (Multivector.from_even(exp_bivector(p, a))
+           * Multivector.from_even(exp_bivector(p, b)))
+    rhs = Multivector.from_even(exp_bivector(p, a + b))
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
@@ -328,7 +355,7 @@ def test_rotor_rotation_reads_both_signs_of_a_rotor():
     for _ in range(100):
         p = random_plane(rng)
         angle = rng.uniform(0, math.pi)
-        r = np.array(rotation_rotor(p, angle).components)
+        r = np.array(rotation_rotor(p, angle))
         for sign in (1.0, -1.0):
             got_angle, got_plane = rotor_rotation(sign * 3.0 * r)
             assert math.isclose(got_angle, angle, abs_tol=1e-12)
@@ -468,8 +495,8 @@ def _compose_oracle(alpha, p, phi, q):
 def compose(alpha, p, phi, q):
     """Rotate by alpha in p, then by phi in q: the rotors' product, folded
     to an angle in [0, pi] and a plane by rotor_rotation."""
-    return rotor_rotation(rotor_product(rotation_rotor(q, phi).components,
-                                        rotation_rotor(p, alpha).components))
+    return rotor_rotation(rotor_product(rotation_rotor(q, phi),
+                                        rotation_rotor(p, alpha)))
 
 
 def test_compose_examples():
@@ -488,8 +515,8 @@ def test_compose_identity_factor_exact():
     # side, leaves a rotor unchanged to the bit
     rng = np.random.default_rng(2217)
     p = random_plane(rng)
-    r = rotation_rotor(p, 0.7).components
-    zero = rotation_rotor(E12, 0.0).components
+    r = rotation_rotor(p, 0.7)
+    zero = rotation_rotor(E12, 0.0)
     assert rotor_product(zero, r) == r
     assert rotor_product(r, zero) == r
     for beta, plane in (compose(0.7, p, 0.0, E12), compose(0.0, E12, 0.7, p)):

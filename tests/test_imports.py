@@ -1,9 +1,11 @@
 """Every name a module of the package, of its tests or of perfbench imports
-is used in that module, and every function of tests/conftest.py is read by
-a test.
+is used in that module, every name it lists in __all__ is bound in it, and
+every function of tests/conftest.py is read by a test.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.  A
+name in __all__ must be bound at the module's top level, by an import, a
+def, a class or an assignment, or `from module import *` fails on it.  A
 conftest function or fixture must be reached from a test module, as a name,
 an attribute or a fixture argument, directly or through conftest functions
 that are; pytest hooks are exempt.
@@ -47,6 +49,37 @@ def test_the_check_finds_an_unused_import():
                          ids=[name for _, name in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    bound, exported = set(), set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported |= set(ast.literal_eval(node.value))
+    return sorted(exported - bound)
+
+
+def test_the_check_finds_an_unbound_export():
+    source = ("import os.path\nfrom math import pi as tau\n"
+              "X, (Y, Z) = 1, (2, 3)\nW: int = 4\n"
+              "def f():\n    inner = 1\nclass C: pass\n"
+              "__all__ = ['os', 'tau', 'pi', 'X', 'Z', 'W', 'f', 'C', 'inner',\n"
+              "           'Rotor']\n")
+    assert unbound_exports(source) == ["Rotor", "inner", "pi"]
+
+
+@pytest.mark.parametrize("path", [p for p, _ in MODULES],
+                         ids=[name for _, name in MODULES])
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 def names_read(tree) -> set[str]:
