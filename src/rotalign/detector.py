@@ -15,8 +15,8 @@ once per detection: the correlation of the current pattern is the fold of K
 pattern by R turns K into R K.  detect_moments is that loop, a pure function
 of K and the reference's self-moment S held as nine Python floats each and
 checked once, on entry.  It never turns K: with Horn's 4x4 form N of K, a
-pass is a shifted power step on the net rotor's quaternion q, its only
-state, q <- (N + |N q| I) q over its length, with no angle or step rotor.
+pass is a shifted power step on the net rotor r, its only state,
+r <- (N + |N r| I) r over its length, with no angle or step rotor.
 
 The exit is certified.  Once phi drops to the configured tolerance epsilon,
 the loop stops only if the corrected pattern's relative L2 misfit,
@@ -238,16 +238,17 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     reference's self-moment S = integral of v v^T.
 
     k and s are 3x3 matrices given as nine floats in row-major order.  For
-    the net rotor's rotation R, tr(R K) = q^T N q with Horn's symmetric N of
-    K, built once, and q = (n0, -n23, n13, -n12) (Horn 1987).  A pass reads
-    tr K = q . p and w = p - tr K q (B carried onto q) off p = N q, takes
-    phi = atan2(|w|, tr K) and moves q to (d q + w) / hypot(d, |w|), which is
-    (N + r I) q over its length: r = |N q| = hypot(tr K, |w|), d = r + tr K,
-    or |w| (|w| / (r - tr K)) for tr K < 0, which neither cancels nor
-    overflows.  A pass within epsilon or on a real fold (|w| <=
-    ZERO_BIVECTOR_RTOL |tr K|) is explicit: _explicit_step picks its angle
-    phi, normal n and exit from B, read back off w, and the pass feeds
-    (cos(phi), sin(phi), 1) as (tr K, |w|, r) and sin(phi) n q as w.
+    the net rotor r's rotation R, tr(R K) = r^T N r with Horn's symmetric N
+    of K (Horn 1987), built once in the rotor's layout (Horn's quaternion is
+    (r0, -r23, r13, -r12)).  A pass reads tr K = r . p and w = p - tr K r =
+    -B r off p = N r, takes phi = atan2(|w|, tr K) and moves r to (d r + w)
+    / hypot(d, |w|), which is (N + cmag I) r over its length: cmag = |N r| =
+    hypot(tr K, |w|), d = cmag + tr K, or |w| (|w| / (cmag - tr K)) for
+    tr K < 0, which neither cancels nor overflows.  A pass within epsilon or
+    on a real fold (|w| <= ZERO_BIVECTOR_RTOL |tr K|) is explicit:
+    _explicit_step reads phi, n and the exit off B = -w reverse(r), and the
+    pass feeds (cos(phi), sin(phi), 1) as (tr K, |w|, cmag) and -sin(phi) Q r
+    as w, for Q the plane dual to n, each product by rotor_product.
     Raises ValueError if S is not positive semidefinite (trace, diagonal),
     then if tr S is zero or not finite, then if S or K is not.
     """
@@ -257,44 +258,41 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     epsilon = config.epsilon
     hypot, atan2, rtol = math.hypot, math.atan2, ZERO_BIVECTOR_RTOL
     k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
-    m00, m01, m02, m03 = k0 + k4 + k8, k5 - k7, k6 - k2, k1 - k3
-    m11, m12, m13 = k0 - k4 - k8, k1 + k3, k2 + k6
-    m22, m23, m33 = k4 - k0 - k8, k5 + k7, k8 - k0 - k4
-    q0, qa, qb, qc = 1.0, 0.0, 0.0, 0.0
+    n00, n01, n02, n03 = k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5
+    n11, n12, n13 = k8 - k0 - k4, -(k5 + k7), k2 + k6
+    n22, n23, n33 = k4 - k0 - k8, -(k1 + k3), k0 - k4 - k8
+    r0, r1, r2, r3 = 1.0, 0.0, 0.0, 0.0
     converged, trace, nets = False, [], []
 
     for _ in range(config.max_iterations):
-        p0 = m00 * q0 + m01 * qa + m02 * qb + m03 * qc
-        p1 = m01 * q0 + m11 * qa + m12 * qb + m13 * qc
-        p2 = m02 * q0 + m12 * qa + m22 * qb + m23 * qc
-        p3 = m03 * q0 + m13 * qa + m23 * qb + m33 * qc
-        sc = q0 * p0 + qa * p1 + qb * p2 + qc * p3
-        w0 = p0 - sc * q0
-        w1 = p1 - sc * qa
-        w2 = p2 - sc * qb
-        w3 = p3 - sc * qc
+        p0 = n00 * r0 + n01 * r1 + n02 * r2 + n03 * r3
+        p1 = n01 * r0 + n11 * r1 + n12 * r2 + n13 * r3
+        p2 = n02 * r0 + n12 * r1 + n22 * r2 + n23 * r3
+        p3 = n03 * r0 + n13 * r1 + n23 * r2 + n33 * r3
+        sc = r0 * p0 + r1 * p1 + r2 * p2 + r3 * p3
+        w0 = p0 - sc * r0
+        w1 = p1 - sc * r1
+        w2 = p2 - sc * r2
+        w3 = p3 - sc * r3
         bmag = hypot(w0, w1, w2, w3)
         phi = atan2(bmag, sc)
         if phi > epsilon and bmag > rtol * abs(sc):
-            r = hypot(sc, bmag)
+            cmag = hypot(sc, bmag)
         else:
-            biv = (q0 * w3 + qa * w2 - qb * w1 - qc * w0,
-                   qa * w3 - q0 * w2 - qc * w1 + qb * w0,
-                   q0 * w1 - qa * w0 + qb * w3 - qc * w2)
+            biv = rotor_product((w0, w1, w2, w3), (-r0, r1, r2, r3))[1:]
             phi, n, converged = _explicit_step(model, sc, biv, bmag, phi,
                                                not trace, epsilon)
-            sc, bmag, r = math.cos(phi), math.sin(phi), 1.0
-            x, y, z = bmag * n[0], bmag * n[1], bmag * n[2]
-            w0, w1, w2, w3 = (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
-                              q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
-        d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
+            sc, bmag, cmag = math.cos(phi), math.sin(phi), 1.0
+            w0, w1, w2, w3 = rotor_product(
+                (0.0, -bmag * n[2], bmag * n[1], -bmag * n[0]), (r0, r1, r2, r3))
+        d = cmag + sc if sc >= 0.0 else bmag * (bmag / (cmag - sc))
         h = hypot(d, bmag)
-        q0 = (d * q0 + w0) / h
-        qa = (d * qa + w1) / h
-        qb = (d * qb + w2) / h
-        qc = (d * qc + w3) / h
+        r0 = (d * r0 + w0) / h
+        r1 = (d * r1 + w1) / h
+        r2 = (d * r2 + w2) / h
+        r3 = (d * r3 + w3) / h
         trace.append(phi)
-        nets.append((q0, -qc, qb, -qa))
+        nets.append((r0, r1, r2, r3))
         if converged:
             break
 

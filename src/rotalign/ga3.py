@@ -322,9 +322,11 @@ def rotation_matrix(plane: UnitBivector, angle: float) -> np.ndarray:
 
     The sandwich by rotation_rotor(plane, angle) in closed form: Rodrigues'
     formula about the plane's right-handed normal n,
-    cos(angle) I + sin(angle) [n]x + (1 - cos(angle)) n n^T.
+    cos(angle) I + sin(angle) [n]x + (1 - cos(angle)) n n^T.  unit_parts
+    checks the plane's length only: a UnitBivector's matrix keeps its bits.
     """
     b12, b13, b23 = plane
+    unit_parts(0.0, b12, b13, b23, "plane")
     x, y, z = b23, -b13, b12
     c, s = math.cos(angle), math.sin(angle)
     t = 1.0 - c

@@ -12,12 +12,13 @@ and fields the test modules share.
 
 The detection pass is here as functions of their own, the shifted power step
 detect_moments writes out inline: power_read reads tr K and w, the
-correlation's bivector B carried onto the quaternion q, off Horn's 4x4 N of
-K0 (horn_matrix) and q; power_step moves q to (d q + w) / h, fed by
-halfway_feed on a common pass and by angle_feed, an angle and a unit normal
-carried onto q, on an explicit one; carried_bivector reads B back off w,
-and horn_layout maps q to the net rotor and back.  reference_detect_moments
-is the loop of those calls, the bit-for-bit reference for detect_moments.
+correlation's bivector B carried onto the net rotor q, off Horn's 4x4 N of
+K0 in the rotor's layout (horn_matrix) and q; power_step moves q to
+(d q + w) / h, fed by halfway_feed on a common pass and by angle_feed, an
+angle and a unit normal carried onto q, on an explicit one;
+carried_bivector reads B back off w.  Every four-float tuple is a rotor,
+(scalar, b12, b13, b23).  reference_detect_moments is the loop of those
+calls, the bit-for-bit reference for detect_moments.
 An explicit pass takes its angle, normal and exit from
 detector._explicit_step, on B read back off w and the pass's own |B|.
 reference_detect is detect with the corrected pattern rotated before the
@@ -38,7 +39,7 @@ from rotalign.detector import (
 )
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, Multivector, UnitBivector, rotation_matrix,
-    rotor_rotation,
+    rotor_product, rotor_rotation,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -170,39 +171,28 @@ def shared_cell_pair(rng, angle=2.0):
 
 
 def horn_matrix(k) -> tuple[tuple[float, ...], ...]:
-    """Horn's symmetric 4x4 N of K0, nine floats row-major, as four rows:
-    tr(R(q) K0) = q^T N q for the quaternion q of a rotor (Horn 1987)."""
+    """Horn's symmetric 4x4 N of K0, nine floats row-major, as four rows in
+    the rotor's layout: tr(R(q) K0) = q^T N q for a rotor q (Horn 1987,
+    whose quaternion of q is (q0, -q23, q13, -q12))."""
     k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
-    return ((k0 + k4 + k8, k5 - k7, k6 - k2, k1 - k3),
-            (k5 - k7, k0 - k4 - k8, k1 + k3, k2 + k6),
-            (k6 - k2, k1 + k3, k4 - k0 - k8, k5 + k7),
-            (k1 - k3, k2 + k6, k5 + k7, k8 - k0 - k4))
-
-
-def horn_layout(net) -> tuple[float, float, float, float]:
-    """The quaternion (n0, -n23, n13, -n12) of the rotor net (scalar, b12,
-    b13, b23), the layout Horn's N acts on; the map is its own inverse, so
-    it also takes a quaternion back to its rotor."""
-    n0, n12, n13, n23 = net
-    return n0, -n23, n13, -n12
+    return ((k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5),
+            (k3 - k1, k8 - k0 - k4, -(k5 + k7), k2 + k6),
+            (k6 - k2, -(k5 + k7), k4 - k0 - k8, -(k1 + k3)),
+            (k7 - k5, k2 + k6, -(k1 + k3), k0 - k4 - k8))
 
 
 def horn_times(m, q) -> tuple[float, list[float]]:
-    """(q . p, p) for p = N q, K0's horn_matrix m times the quaternion q,
-    each sum taken left to right."""
+    """(q . p, p) for p = N q, K0's horn_matrix m times the rotor q, each
+    sum taken left to right."""
     p = [row[0] * q[0] + row[1] * q[1] + row[2] * q[2] + row[3] * q[3]
          for row in m]
     return q[0] * p[0] + q[1] * p[1] + q[2] * p[2] + q[3] * p[3], p
 
 
 def carried_bivector(q, w) -> tuple[float, float, float]:
-    """(b12, b13, b23) of w times the conjugate of the quaternion q, each sum
-    taken left to right: B read back off w, a bivector carried onto q."""
-    q0, qa, qb, qc = q
-    w0, w1, w2, w3 = w
-    return (q0 * w3 + qa * w2 - qb * w1 - qc * w0,
-            qa * w3 - q0 * w2 - qc * w1 + qb * w0,
-            q0 * w1 - qa * w0 + qb * w3 - qc * w2)
+    """(b12, b13, b23) of -w reverse(q), by rotor_product: B read back off
+    w = -B q, the bivector B carried onto the rotor q."""
+    return rotor_product(w, (-q[0], q[1], q[2], q[3]))[1:]
 
 
 def halfway_feed(sc: float, w) -> tuple[float, float, float, tuple]:
@@ -217,20 +207,17 @@ def halfway_feed(sc: float, w) -> tuple[float, float, float, tuple]:
 def angle_feed(phi: float, n, q) -> tuple[float, float, float, tuple]:
     """power_step's feed for the rotation by phi about the unit normal n:
     the unit correlation cos(phi) + sin(phi) Q, Q dual to n, as
-    (cos(phi), sin(phi), 1) and w = sin(phi) n carried onto q, the pure
-    quaternion sin(phi) n times q."""
+    (cos(phi), sin(phi), 1) and w = -sin(phi) Q q, sin(phi) Q carried onto
+    the rotor q by rotor_product."""
     c, t = math.cos(phi), math.sin(phi)
-    x, y, z = t * n[0], t * n[1], t * n[2]
-    q0, qa, qb, qc = q
-    return c, t, 1.0, (-qa * x - qb * y - qc * z, q0 * x + qc * y - qb * z,
-                       q0 * y - qc * x + qa * z, q0 * z + qb * x - qa * y)
+    return c, t, 1.0, rotor_product((0.0, -t * n[2], t * n[1], -t * n[0]), q)
 
 
 def power_read(m, q) -> tuple[float, tuple[float, float, float, float]]:
-    """(tr K, w) of K = R K0 for the quaternion q of R, read off K0's
-    horn_matrix m: p = N q, tr K = q . p and w = p - tr K q, C's bivector
-    B carried onto q, whose length is |B| for a unit q.  Both scale with
-    |q|^2, and reading -q gives -w and the same B."""
+    """(tr K, w) of K = R K0 for the rotor q of R, read off K0's
+    horn_matrix m: p = N q, tr K = q . p and w = p - tr K q = -B q, C's
+    bivector B carried onto q, whose length is |B| for a unit q.  Both
+    scale with |q|^2, and reading -q gives -w and the same B."""
     sc, p = horn_times(m, q)
     return sc, tuple(pi - sc * qi for pi, qi in zip(p, q))
 
@@ -241,7 +228,7 @@ def power_step(sc: float, bmag: float, r: float, w, q
     onto q as w: (d q + w) / hypot(d, |B|), d = r + sc, or |B| (|B| / (r -
     sc)) for sc < 0, which neither cancels near the half-turn nor squares
     |B| out of range.  That is the step rotor (d - B) / hypot(d, |B|) times
-    q's rotor, with no step rotor formed; for a common pass's feed,
+    q, with no step rotor formed; for a common pass's feed,
     halfway_feed(tr K, w), it is the shifted power step (N + r I) q over its
     length, with r = |N q|."""
     d = r + sc if sc >= 0.0 else bmag * (bmag / (r - sc))
@@ -276,7 +263,7 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
             feed = angle_feed(phi, n, q)
         q = power_step(*feed, q)
         trace.append(phi)
-        nets.append(horn_layout(q))
+        nets.append(q)
 
     return MomentDetection(nets[-1], tuple(trace), tuple(nets), iterations,
                            converged)

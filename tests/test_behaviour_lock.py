@@ -25,13 +25,24 @@ each pair.  Run it with the package of each checkout on the path and
 compare the two lines:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py --digest
+
+A refactor that claims the lock's rule, same passes and exits with errors
+within 1e-12, checks it on the same detections: --dump writes run_trial's
+(iterations, converged, error) for each trial and detect's (iterations,
+converged, alpha, plane) for each pair as JSON, exact by repr, and
+--compare prints the exit or pass-count flips and the largest |difference|
+of each float between two dumps, and exits 1 on any flip or on a
+difference above ERROR_TOL:
+
+    PYTHONPATH=src python tests/test_behaviour_lock.py --dump new.json
+    PYTHONPATH=src python tests/test_behaviour_lock.py --compare old.json new.json
 """
 
 import hashlib
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -107,6 +118,21 @@ def loop_outputs(loop) -> tuple:
     return loop.nets, loop.phi_trace, loop.iterations, loop.converged
 
 
+def detections(trials=DIGEST_TRIALS, n_pairs=N_PAIRS):
+    """(set name, output) of the digest's detections in its order:
+    run_trial's (error, iterations, converged) for each trial of trials,
+    named by repr(epsilon), then detect's report on each of n_pairs
+    piecewise pairs and n_pairs grid pairs."""
+    for epsilon, n in trials:
+        for i in range(n):
+            yield repr(epsilon), run_trial(draw_trial(MASTER_SEED, i, epsilon))
+    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
+    for name, pairs in (("piecewise", islice(piecewise_pairs(), n_pairs)),
+                        ("grid", grid_pairs(n_pairs))):
+        for pair in pairs:
+            yield name, detect(*pair, config)
+
+
 def digest(trials=DIGEST_TRIALS, n_pairs=N_PAIRS) -> str:
     """SHA-256 of the reprs, exact for floats, of every output named in the
     module docstring, set by set in a fixed order."""
@@ -118,15 +144,62 @@ def digest(trials=DIGEST_TRIALS, n_pairs=N_PAIRS) -> str:
         return loop
 
     with mock.patch.object(experiments, "detect_moments", record):
-        for epsilon, n in trials:
-            for i in range(n):
-                h.update(repr(run_trial(draw_trial(MASTER_SEED, i, epsilon))).encode())
-    config = DetectionConfig(epsilon=PIECEWISE_EPSILON)
-    for pair in chain(islice(piecewise_pairs(), n_pairs), grid_pairs(n_pairs)):
-        report = detect(*pair, config)
-        h.update(repr((*loop_outputs(report), report.alpha,
-                       tuple(report.plane))).encode())
+        for _, out in detections(trials, n_pairs):
+            if isinstance(out, tuple):
+                h.update(repr(out).encode())
+            else:
+                h.update(repr((*loop_outputs(out), out.alpha,
+                               tuple(out.plane))).encode())
     return h.hexdigest()
+
+
+def dump(path, trials=DIGEST_TRIALS, n_pairs=N_PAIRS) -> None:
+    """Write the digest's detections to path as JSON, one list of rows per
+    set: [iterations, converged, error] per trial and [iterations,
+    converged, alpha, plane] per pair.  json writes a float by its repr, so
+    the file is exact."""
+    sets: dict[str, list] = {}
+    for name, out in detections(trials, n_pairs):
+        if isinstance(out, tuple):
+            err, iterations, converged = out
+            row = [iterations, converged, err]
+        else:
+            row = [out.iterations, out.converged, out.alpha, list(out.plane)]
+        sets.setdefault(name, []).append(row)
+    Path(path).write_text(json.dumps(sets))
+
+
+def compare(old, new) -> tuple[list[str], dict[str, float]]:
+    """The flips between two dumps, one line per row whose iterations or
+    exit differ, and the largest |difference| of error, alpha and the plane
+    components over the rows that do not flip.  Dumps of different sets or
+    lengths raise ValueError."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old, new))
+    if {k: len(v) for k, v in old.items()} != {k: len(v) for k, v in new.items()}:
+        raise ValueError("the dumps hold different sets of detections")
+    flips, largest = [], {"error": 0.0, "alpha": 0.0, "plane": 0.0}
+    for name, rows in old.items():
+        for i, (a, b) in enumerate(zip(rows, new[name])):
+            if a[:2] != b[:2]:
+                flips.append(f"{name} {i}: {a[0]} passes, converged {a[1]} -> "
+                             f"{b[0]} passes, converged {b[1]}")
+                continue
+            fields = (("error", a[2], b[2]),) if len(a) == 3 else (
+                ("alpha", a[2], b[2]), *(("plane", x, y) for x, y in zip(a[3], b[3])))
+            for field, x, y in fields:
+                largest[field] = max(largest[field], abs(x - y))
+    return flips, largest
+
+
+def compare_main(old, new) -> int:
+    """Print compare's flips and largest differences; 1 if any flips or
+    any difference is above ERROR_TOL, else 0."""
+    flips, largest = compare(old, new)
+    for flip in flips:
+        print(flip)
+    print(f"{len(flips)} flips; largest |difference|: " + ", ".join(
+        f"{field} {value:.3g}" for field, value in largest.items()))
+    return int(bool(flips) or max(largest.values()) > ERROR_TOL)
 
 
 def write_lock(keys, path=LOCK) -> None:
@@ -203,9 +276,47 @@ def test_digest_hashes_each_trial_its_loop_and_each_kind_of_pair():
     assert digest(((0.1, 1),), 1) == want.hexdigest()
 
 
+def test_a_dump_compares_clean_with_itself_and_a_doctored_one_fails(tmp_path):
+    # two trials at 0.1 and a pair of each kind
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    dump(old, ((0.1, 2),), 1)
+    sets = json.loads(old.read_text())
+    assert {name: len(rows) for name, rows in sets.items()} == {
+        "0.1": 2, "piecewise": 1, "grid": 1}
+    assert compare(old, old) == ([], {"error": 0.0, "alpha": 0.0, "plane": 0.0})
+    assert compare_main(old, old) == 0
+
+    def doctored(name, column, change):
+        sets = json.loads(old.read_text())
+        row = sets[name][0]
+        row[column] = change(row[column])
+        new.write_text(json.dumps(sets))
+        return compare(old, new)
+
+    for name, column, change in (("0.1", 0, lambda it: it + 1),
+                                 ("piecewise", 1, lambda conv: not conv)):
+        flips, _ = doctored(name, column, change)
+        assert len(flips) == 1 and flips[0].startswith(f"{name} 0: ")
+        assert compare_main(old, new) == 1
+    _, largest = doctored("0.1", 2, lambda err: err + ERROR_TOL / 2)
+    assert 0.0 < largest["error"] <= ERROR_TOL and compare_main(old, new) == 0
+    for name, column, change, field in (
+            ("0.1", 2, lambda err: err + 2 * ERROR_TOL, "error"),
+            ("grid", 2, lambda alpha: alpha - 2 * ERROR_TOL, "alpha"),
+            ("grid", 3, lambda plane: [plane[0], plane[1] + 2 * ERROR_TOL,
+                                       plane[2]], "plane")):
+        flips, largest = doctored(name, column, change)
+        assert not flips and largest[field] > ERROR_TOL
+        assert compare_main(old, new) == 1
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--digest"]:
         print(digest())
+    elif sys.argv[1:2] == ["--dump"] and len(sys.argv) == 3:
+        dump(sys.argv[2])
+    elif sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare_main(*sys.argv[2:]))
     elif sys.argv[1:2] == ["--write"] and sys.argv[2:]:
         write_lock(sys.argv[2:])
     else:

@@ -33,8 +33,8 @@ from rotalign.detector import (
 
 import conftest
 from conftest import (
-    angle_feed, carried_bivector, halfway_feed, horn_layout, horn_matrix,
-    power_read, power_step, random_plane, reference_detect,
+    angle_feed, carried_bivector, halfway_feed, horn_matrix, power_read,
+    power_step, random_plane, reference_detect,
     reference_detect_moments, shared_cell_pair, two_halves,
 )
 from test_behaviour_lock import piecewise_pairs
@@ -226,7 +226,7 @@ def phi_only_detection(reference, pattern, epsilon):
             feed = angle_feed(phi, plane.normal().tolist(), q)
         q = power_step(*feed, q)
         trace.append(phi)
-    angle, undo = rotor_rotation(horn_layout(q))
+    angle, undo = rotor_rotation(q)
     return rotate_outer(pattern, undo, angle), tuple(trace)
 
 
@@ -646,7 +646,8 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
         steps.clear()
         loop = detect_moments(k, s, config)
         called = "".join(name + ";" for name in calls)
-        assert re.fullmatch("(_explicit_step;cos;sin;)+", called), called
+        assert re.fullmatch("(rotor_product;_explicit_step;cos;sin;rotor_product;)+",
+                            called), called
         assert 1 <= len(steps) <= 2 and loop.iterations > len(steps)
         assert reference_detect_moments(k, s, config) == loop
         stops = [stop for (_, _, stop), _ in steps]
@@ -942,21 +943,27 @@ def test_the_net_rotor_keeps_unit_length():
     assert max(abs(math.hypot(*loop.net) - 1.0) for loop in loops) <= 1e-14
 
 
+# D takes a normal (x, y, z) to its dual plane's (b12, b13, b23) =
+# (z, -y, x), as UnitBivector.from_normal does.
+AXES_TO_DUALS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
 def numpy_horn_matrix(k):
-    """Horn's N of K, nine floats row-major, as a 4x4 numpy array built from
-    its block form [[tr K, D^T], [D, K + K^T - tr K I]] with
-    D = (k23 - k32, k31 - k13, k12 - k21)."""
+    """Horn's N of K, nine floats row-major, as a 4x4 numpy array in the
+    rotor's layout, built from its block form [[tr K, -B^T],
+    [-B, D (K + K^T - tr K I) D]] with B = (k12 - k21, k13 - k31,
+    k23 - k32), K's fold, and D = AXES_TO_DUALS."""
     k = np.reshape(k, (3, 3))
     tr = np.trace(k)
     n = np.empty((4, 4))
     n[0, 0] = tr
-    n[0, 1:] = n[1:, 0] = k[1, 2] - k[2, 1], k[2, 0] - k[0, 2], k[0, 1] - k[1, 0]
-    n[1:, 1:] = k + k.T - tr * np.eye(3)
+    n[0, 1:] = n[1:, 0] = k[1, 0] - k[0, 1], k[2, 0] - k[0, 2], k[2, 1] - k[1, 2]
+    n[1:, 1:] = AXES_TO_DUALS @ (k + k.T - tr * np.eye(3)) @ AXES_TO_DUALS
     return n
 
 
 def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
-    # the paper's half-way step maps the net's quaternion q to
+    # the paper's half-way step maps the net rotor q to
     # (N + r I) q over its length, with the shift r = |N q| = |C|.  A pass
     # is common when its read, by numpy, is above epsilon and names a
     # plane; reads within 1e-9 of either rule are not counted (none
@@ -979,7 +986,7 @@ def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
             sc = q @ p
             bmag = np.linalg.norm(p - sc * q)
             phi = math.atan2(bmag, sc)
-            got = np.array(horn_layout(net))
+            got = np.array(net)
             if phi > epsilon * (1 + 1e-9) and bmag > 2 * rtol * abs(sc):
                 want = p + np.linalg.norm(p) * q
                 assert np.max(np.abs(got - want / np.linalg.norm(want))) <= 1e-14
@@ -1011,25 +1018,24 @@ def random_rotor(rng):
 
 
 def carried_onto(biv, net):
-    """The bivector B carried onto the quaternion of the rotor net, as
-    power_read's w: the rotor -B net, by rotor_product, in Horn's layout."""
+    """The bivector B carried onto the rotor net, as power_read's w: the
+    even element -B net, by rotor_product."""
     b12, b13, b23 = biv
-    return horn_layout(rotor_product((0.0, -b12, -b13, -b23), net))
+    return rotor_product((0.0, -b12, -b13, -b23), net)
 
 
 def test_power_read_is_the_fold_of_the_turned_moment():
     # tr(R K0) and the antisymmetric part of R K0, for R the rotation of
-    # the rotor net, read off K0's 4x4 N and net's quaternion with no 3x3 R
+    # the rotor net, read off K0's 4x4 N and net with no 3x3 R
     rng = np.random.default_rng(2111)
     for _ in range(1000):
         k = rng.uniform(-2.0, 2.0, 9)
         net = random_rotor(rng)
-        q = horn_layout(net)
-        sc, w = power_read(horn_matrix(k.tolist()), q)
+        sc, w = power_read(horn_matrix(k.tolist()), net)
         want_sc, want_biv = numpy_fold(rotor_matrix(net) @ k.reshape(3, 3))
         size = np.linalg.norm(k)
         assert abs(sc - want_sc) <= 1e-14 * size
-        assert np.max(np.abs(np.subtract(carried_bivector(q, w), want_biv))
+        assert np.max(np.abs(np.subtract(carried_bivector(net, w), want_biv))
                       ) <= 1e-14 * size
 
 
@@ -1089,7 +1095,7 @@ def test_a_power_step_from_the_identity_turns_by_the_angle_and_plane():
         for feed in (halfway_feed(sc, carried_onto(biv, NO_ROTATION)),
                      angle_feed(phi, plane.normal().tolist(), NO_ROTATION)):
             q = power_step(*feed, NO_ROTATION)
-            assert np.allclose(horn_layout(q), rotor, rtol=0.0, atol=2e-15)
+            assert np.allclose(q, rotor, rtol=0.0, atol=2e-15)
             got_sc, got_w = power_read(identity, q)
             assert abs(got_sc - want_sc) <= 4e-15
             assert np.allclose(carried_bivector(q, got_w), want_biv, rtol=0.0,
@@ -1106,10 +1112,10 @@ def test_a_power_step_turns_the_moment_as_numpy_does():
         turned = rotor_matrix(net) @ k.reshape(3, 3)
         phi, plane, _ = argument(sc, biv)
         want_sc, want_biv = numpy_fold(rotation_matrix(plane, phi) @ turned)
-        q, size = horn_layout(net), np.linalg.norm(k)
+        size = np.linalg.norm(k)
         for feed in (halfway_feed(sc, carried_onto(biv, net)),
-                     angle_feed(phi, plane.normal().tolist(), q)):
-            got = power_step(*feed, q)
+                     angle_feed(phi, plane.normal().tolist(), net)):
+            got = power_step(*feed, net)
             got_sc, got_w = power_read(horn_matrix(k.tolist()), got)
             assert abs(got_sc - want_sc) <= 1e-14 * size
             assert np.allclose(carried_bivector(got, got_w), want_biv,
@@ -1122,11 +1128,10 @@ def test_a_power_step_is_exact_under_power_of_two_scaling(k):
     # d at the half-turn is |B| (|B| / (r - sc)), and |B|^2 would leave the
     # float range at 2^600 or lose bits below 2^-1022
     rng = np.random.default_rng(2214)
-    net = rotation_rotor(random_plane(rng), 1.0)
-    q = horn_layout(net)
+    q = rotation_rotor(random_plane(rng), 1.0)
     scale = 2.0 ** k
     for sc, biv in halfway_cases():
-        w = carried_onto(biv, net)
+        w = carried_onto(biv, q)
         feed = halfway_feed(sc * scale, tuple(x * scale for x in w))
         assert power_step(*feed, q) == power_step(*halfway_feed(sc, w), q)
 

@@ -9,6 +9,15 @@ them.  Both lists are held exactly, so a fix that removes a failure, or a
 change that adds one, shows as a counted move and needs a re-record with
 its reason.
 
+Two spectral checks state why the half-turn mode happens.  A pass is the
+shifted power step r <- (N + |N r| I) r over its length, on the net rotor r
+and Horn's 4x4 N of the trial's first cross moment K0 (conftest
+horn_matrix), so the loop's fixed points are N's eigenvectors: every listed
+false exit ends on N's second eigenvector v2, a saddle of tr(R K) where the
+correlation's bivector vanishes and the first-order certificate sees no
+misfit.  For an exact copy, K0 = R S, N's eigenvalues are tr S and
+2 s_i - tr S for S's eigenvalues s_i.
+
 To record the census from the package on the path (for instance from a
 checkout of the version to count against):
 
@@ -18,9 +27,14 @@ checkout of the version to count against):
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from conftest import horn_matrix
+from rotalign import experiments
+from rotalign.detector import detect_moments
 from rotalign.experiments import draw_trial, run_trial
 
 CENSUS = Path(__file__).parent / "data" / "failure_census.json"
@@ -51,6 +65,45 @@ def write_census(path=CENSUS) -> None:
 @pytest.mark.parametrize("epsilon", TRIALS)
 def test_failure_census_matches_the_record(epsilon):
     assert census(epsilon) == json.loads(CENSUS.read_text())[repr(epsilon)]
+
+
+def trial_loop(index: int, epsilon: float):
+    """(K0, S, loop) of the detect_moments call run_trial makes on seed-0
+    trial index, K0 and S as nine floats."""
+    calls = []
+
+    def record(k, s, config):
+        calls.append((k, s, detect_moments(k, s, config)))
+        return calls[-1][2]
+
+    with mock.patch.object(experiments, "detect_moments", record):
+        run_trial(draw_trial(MASTER_SEED, index, epsilon))
+    return calls[0]
+
+
+# Least |<net, v2>| over each tolerance's listed false exits; measured
+# 0.98006 / 0.99992 / 0.99999997 at epsilon 0.1 / 0.01 / 0.001.
+V2_OVERLAP = {0.1: 0.97, 0.01: 0.999, 0.001: 0.999}
+
+
+@pytest.mark.parametrize("epsilon", V2_OVERLAP)
+def test_each_false_exit_ends_on_ns_second_eigenvector(epsilon):
+    for index in json.loads(CENSUS.read_text())[repr(epsilon)]["false_exits"]:
+        k, _, loop = trial_loop(index, epsilon)
+        v2 = np.linalg.eigh(np.array(horn_matrix(k)))[1][:, -2]
+        assert abs(np.dot(loop.net, v2)) >= V2_OVERLAP[epsilon], f"trial {index}"
+
+
+def test_n_of_an_exact_copy_has_the_spectrum_of_s():
+    # N of K0 = R S has the eigenvalues tr S and 2 s_i - tr S, whatever R;
+    # the largest gap measured over these 200 trials is 1.5e-15 tr S
+    for index in range(200):
+        k, s, _ = trial_loop(index, 0.1)
+        s = np.reshape(s, (3, 3))
+        tr = np.trace(s)
+        want = np.sort(np.append(2.0 * np.linalg.eigvalsh(s) - tr, tr))
+        got = np.linalg.eigvalsh(np.array(horn_matrix(k)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * tr, f"trial {index}"
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from rotalign.ga3 import (
     unit_parts,
 )
 
+from rotalign.fields import LinearVectorField, rotate_outer
+
 from conftest import mv, oracle_product, random_plane
 
 
@@ -194,7 +196,10 @@ def test_unit_bivector_normal_examples():
 def test_rotor_validation_and_normalization():
     # a rotor is unit_parts of its four parts, so rotation_rotor and
     # exp_bivector reject a non-unit plane and divide out drift within
-    # UNIT_ATOL; beyond it, or NaN, raises
+    # UNIT_ATOL; beyond it, or NaN, raises.  rotation_matrix, and
+    # rotate_outer through it, check a plane by the same rule and do not
+    # divide: a plane within UNIT_ATOL is used as given (twice the length
+    # gave a matrix of det 7.43)
     with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
         rotation_rotor((2.0, 0.0, 0.0), 1.0)
     r = unit_parts(1.0 + 1e-12, 0.0, 0.0, 0.0, "rotor")
@@ -213,6 +218,13 @@ def test_rotor_validation_and_normalization():
     for bad in (1.0 + 2.0 * UNIT_ATOL, 1.0 - 2.0 * UNIT_ATOL):
         with pytest.raises(ValueError, match="rotor magnitude .* is not 1"):
             exp_bivector((0.0, bad, 0.0), math.pi / 2)
+    field = LinearVectorField(np.eye(3))
+    for bad in (2.0, 1.0 + 2.0 * UNIT_ATOL, 1.0 - 2.0 * UNIT_ATOL, math.nan):
+        for call in (rotation_matrix, lambda p, a: rotate_outer(field, p, a)):
+            with pytest.raises(ValueError, match="plane magnitude .* is not 1"):
+                call((bad, 0.0, 0.0), 1.0)
+    c = math.cos(1.0)
+    assert rotation_matrix((0.0, grow, 0.0), 1.0)[1, 1] == c + (1.0 - c) * grow * grow
 
 
 @pytest.mark.parametrize("cls, names, parts", [
