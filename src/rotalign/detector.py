@@ -83,29 +83,70 @@ class DetectionConfig:
                              f"got {self.max_iterations!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentDetection:
     """Outcome of detect_moments, the loop's part of a DetectionReport.
 
-    nets holds the net rotor after each pass as (scalar, b12, b13, b23); net,
-    the last of them, undoes the generating rotation.  phi_trace holds the
-    angle applied in each pass: the argument angle (after any disturbance
-    override), the shortened correction of a pass that failed the
-    certificate, or 0 for a last pass whose pattern was already within
-    epsilon.  converged is True when the loop stopped on the certified exit:
-    phi within epsilon and the corrected pattern's relative L2 misfit within
-    epsilon, as predicted to first order.  It is False when the loop hit
-    max_iterations first, and the rest describes the partial state.
+    net is the net rotor after the last pass, (scalar, b12, b13, b23); it
+    undoes the generating rotation.  converged is True when the loop stopped
+    on the certified exit: phi within epsilon and the corrected pattern's
+    relative L2 misfit within epsilon, as predicted to first order.  It is
+    False when the loop hit max_iterations first, and the rest describes the
+    partial state.  iterations counts the passes run.
+
+    The loop records nothing per pass.  It keeps what its passes read: horn,
+    Horn's N as ten floats (n00, n01, n02, n03, n11, n12, n13, n22, n23,
+    n33), s, the reference's self-moment as nine, and epsilon.  nets and
+    phi_trace are replayed from them on first read, one _passes call per
+    pass from the identity, and kept: the same arithmetic on the same
+    floats, so the replay gives the loop's passes bit for bit (nets[-1] is
+    net) and costs about the loop's own time, once.  nets holds the net
+    rotor after each pass.  phi_trace holds the angle applied in each pass:
+    the argument angle (after any disturbance override), the shortened
+    correction of a pass that failed the certificate, or 0 for a last pass
+    whose pattern was already within epsilon.  Two detections are equal,
+    and hash alike, when net, phi_trace, nets, iterations and converged are.
     """
 
     net: tuple[float, float, float, float]
-    phi_trace: tuple[float, ...]
-    nets: tuple[tuple[float, float, float, float], ...]
     iterations: int
     converged: bool
+    horn: tuple[float, ...]
+    s: tuple[float, ...]
+    epsilon: float
+
+    @cached_property
+    def _record(self):
+        """(nets, phi_trace), replayed one _passes call a pass from the
+        identity."""
+        model, r, nets, trace = _MisfitModel(self.s), (1.0, 0.0, 0.0, 0.0), [], []
+        for i in range(self.iterations):
+            r, phi, _, _ = _passes(self.horn, model, r, self.epsilon, not i, 1)
+            nets.append(r)
+            trace.append(phi)
+        return tuple(nets), tuple(trace)
+
+    @property
+    def nets(self) -> tuple[tuple[float, float, float, float], ...]:
+        return self._record[0]
+
+    @property
+    def phi_trace(self) -> tuple[float, ...]:
+        return self._record[1]
+
+    def _compared(self) -> tuple:
+        return self.net, self.phi_trace, self.nets, self.iterations, self.converged
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionReport(MomentDetection):
     """Outcome of a detection run: the loop's outcome, and what it means.
 
@@ -113,7 +154,8 @@ class DetectionReport(MomentDetection):
     plane, alpha) reproduces the pattern up to the exit tolerance.  undo is
     the net correction's plane.  corrected_pattern, rotate_outer(pattern,
     undo, alpha), matches the reference to the same level; it is built on
-    first read and kept.
+    first read and kept.  nets and phi_trace are the loop's, replayed on
+    first read; equality also compares alpha, plane, pattern and undo.
     """
 
     alpha: float
@@ -124,6 +166,10 @@ class DetectionReport(MomentDetection):
     @cached_property
     def corrected_pattern(self) -> VectorField:
         return rotate_outer(self.pattern, self.undo, self.alpha)
+
+    def _compared(self) -> tuple:
+        return (*super()._compared(), self.alpha, self.plane, self.pattern,
+                self.undo)
 
 
 class _MisfitModel:
@@ -233,38 +279,22 @@ def _explicit_step(model: _MisfitModel, sc: float, biv: tuple[float, float, floa
             False)
 
 
-def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
-    """The detection loop on the cross moment K = integral of u v^T and the
-    reference's self-moment S = integral of v v^T.
-
-    k and s are 3x3 matrices given as nine floats in row-major order.  For
-    the net rotor r's rotation R, tr(R K) = r^T N r with Horn's symmetric N
-    of K (Horn 1987), built once in the rotor's layout (Horn's quaternion is
-    (r0, -r23, r13, -r12)).  A pass reads tr K = r . p and w = p - tr K r =
-    -B r off p = N r, takes phi = atan2(|w|, tr K) and moves r to (d r + w)
-    / hypot(d, |w|), which is (N + cmag I) r over its length: cmag = |N r| =
-    hypot(tr K, |w|), d = cmag + tr K, or |w| (|w| / (cmag - tr K)) for
-    tr K < 0, which neither cancels nor overflows.  A pass within epsilon or
-    on a real fold (|w| <= ZERO_BIVECTOR_RTOL |tr K|) is explicit:
-    _explicit_step reads phi, n and the exit off B = -w reverse(r), and the
-    pass feeds (cos(phi), sin(phi), 1) as (tr K, |w|, cmag) and -sin(phi) Q r
-    as w, for Q the plane dual to n, each product by rotor_product.
-    Raises ValueError if S is not positive semidefinite (trace, diagonal),
-    then if tr S is zero or not finite, then if S or K is not.
+def _passes(horn, model: _MisfitModel, r, epsilon: float, first: bool,
+            passes: int) -> tuple[tuple[float, float, float, float], float, int, bool]:
+    """Up to passes passes of the loop from the net rotor r on Horn's N,
+    given as horn = (n00, n01, n02, n03, n11, n12, n13, n22, n23, n33):
+    returns the net rotor and phi after the last pass run, the number of
+    passes run and whether that pass took the certified exit.  first marks
+    the first call's first pass as the detection's first, the one a real
+    fold disturbs.  A pass records nothing, so the loop allocates nothing
+    that outlives a pass; MomentDetection replays the passes one call each.
     """
-    model = _MisfitModel(s)
-    if not all(map(math.isfinite, k)):
-        raise ValueError("cross moment K is not finite")
-    epsilon = config.epsilon
     hypot, atan2, rtol = math.hypot, math.atan2, ZERO_BIVECTOR_RTOL
-    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
-    n00, n01, n02, n03 = k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5
-    n11, n12, n13 = k8 - k0 - k4, -(k5 + k7), k2 + k6
-    n22, n23, n33 = k4 - k0 - k8, -(k1 + k3), k0 - k4 - k8
-    r0, r1, r2, r3 = 1.0, 0.0, 0.0, 0.0
-    converged, trace, nets = False, [], []
+    n00, n01, n02, n03, n11, n12, n13, n22, n23, n33 = horn
+    r0, r1, r2, r3 = r
+    converged = False
 
-    for _ in range(config.max_iterations):
+    for i in range(passes):
         p0 = n00 * r0 + n01 * r1 + n02 * r2 + n03 * r3
         p1 = n01 * r0 + n11 * r1 + n12 * r2 + n13 * r3
         p2 = n02 * r0 + n12 * r1 + n22 * r2 + n23 * r3
@@ -281,7 +311,7 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         else:
             biv = rotor_product((w0, w1, w2, w3), (-r0, r1, r2, r3))[1:]
             phi, n, converged = _explicit_step(model, sc, biv, bmag, phi,
-                                               not trace, epsilon)
+                                               first and not i, epsilon)
             sc, bmag, cmag = math.cos(phi), math.sin(phi), 1.0
             w0, w1, w2, w3 = rotor_product(
                 (0.0, -bmag * n[2], bmag * n[1], -bmag * n[0]), (r0, r1, r2, r3))
@@ -291,12 +321,45 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
         r1 = (d * r1 + w1) / h
         r2 = (d * r2 + w2) / h
         r3 = (d * r3 + w3) / h
-        trace.append(phi)
-        nets.append((r0, r1, r2, r3))
         if converged:
             break
 
-    return MomentDetection(nets[-1], tuple(trace), tuple(nets), len(trace), converged)
+    return (r0, r1, r2, r3), phi, i + 1, converged
+
+
+def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
+    """The detection loop on the cross moment K = integral of u v^T and the
+    reference's self-moment S = integral of v v^T.
+
+    k and s are 3x3 matrices given as nine floats in row-major order.  For
+    the net rotor r's rotation R, tr(R K) = r^T N r with Horn's symmetric N
+    of K (Horn 1987), built once in the rotor's layout (Horn's quaternion is
+    (r0, -r23, r13, -r12)).  _passes runs the passes.  A pass reads
+    tr K = r . p and w = p - tr K r = -B r off p = N r, takes
+    phi = atan2(|w|, tr K) and moves r to (d r + w) / hypot(d, |w|), which
+    is (N + cmag I) r over its length: cmag = |N r| = hypot(tr K, |w|),
+    d = cmag + tr K, or |w| (|w| / (cmag - tr K)) for tr K < 0, which
+    neither cancels nor overflows.  A pass within epsilon or on a real fold
+    (|w| <= ZERO_BIVECTOR_RTOL |tr K|) is explicit: _explicit_step reads
+    phi, n and the exit off B = -w reverse(r), and the pass feeds (cos(phi),
+    sin(phi), 1) as (tr K, |w|, cmag) and -sin(phi) Q r as w, for Q the
+    plane dual to n, each product by rotor_product.  The detection keeps N,
+    S and epsilon, from which its nets and phi_trace are replayed on first
+    read.  Raises ValueError if S is not positive semidefinite (trace,
+    diagonal), then if tr S is zero or not finite, then if S or K is not.
+    """
+    model = _MisfitModel(s)
+    if not all(map(math.isfinite, k)):
+        raise ValueError("cross moment K is not finite")
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
+    horn = (k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5,
+            k8 - k0 - k4, -(k5 + k7), k2 + k6,
+            k4 - k0 - k8, -(k1 + k3),
+            k0 - k4 - k8)
+    epsilon = config.epsilon
+    net, _, iterations, converged = _passes(horn, model, (1.0, 0.0, 0.0, 0.0),
+                                            epsilon, True, config.max_iterations)
+    return MomentDetection(net, iterations, converged, horn, tuple(s), epsilon)
 
 
 def detect(reference: VectorField, pattern: VectorField,

@@ -11,19 +11,20 @@ mv, two_halves, random_plane and random_linear build the small multivectors
 and fields the test modules share.
 
 The detection pass is here as functions of their own, the shifted power step
-detect_moments writes out inline: power_read reads tr K and w, the
+detector._passes writes out inline: power_read reads tr K and w, the
 correlation's bivector B carried onto the net rotor q, off Horn's 4x4 N of
 K0 in the rotor's layout (horn_matrix) and q; power_step moves q to
 (d q + w) / h, fed by halfway_feed on a common pass and by angle_feed, an
 angle and a unit normal carried onto q, on an explicit one;
 carried_bivector reads B back off w.  Every four-float tuple is a rotor,
 (scalar, b12, b13, b23).  reference_detect_moments is the loop of those
-calls, the bit-for-bit reference for detect_moments.
+calls, the bit-for-bit reference for detect_moments: it records each pass
+as it runs and returns the five outputs, which outputs reads off either.
 An explicit pass takes its angle, normal and exit from
 detector._explicit_step, on B read back off w and the pass's own |B|.
-reference_detect is detect with the corrected pattern rotated before the
-report is returned, the bit-for-bit reference for a report that rotates it
-on first read.
+reference_detect is detect with every output computed before the report
+is returned, the bit-for-bit reference for a report that replays its passes
+and rotates its pattern on first read.
 """
 
 import math
@@ -34,9 +35,7 @@ import pytest
 
 from rotalign import fields
 from rotalign.correlation import correlate_at_origin
-from rotalign.detector import (
-    MomentDetection, _MisfitModel, _explicit_step, detect_moments,
-)
+from rotalign.detector import _MisfitModel, _explicit_step
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, Multivector, UnitBivector, rotation_matrix,
     rotor_product, rotor_rotation,
@@ -236,11 +235,17 @@ def power_step(sc: float, bmag: float, r: float, w, q
     return tuple((d * qi + wi) / h for qi, wi in zip(q, w))
 
 
-def reference_detect_moments(k, s, config) -> MomentDetection:
+def outputs(loop) -> tuple:
+    """A detection's five outputs, (net, phi_trace, nets, iterations,
+    converged): reading them replays a MomentDetection's nets and phi_trace."""
+    return loop.net, loop.phi_trace, loop.nets, loop.iterations, loop.converged
+
+
+def reference_detect_moments(k, s, config) -> SimpleNamespace:
     """detect_moments with each pass one power_read of q and one
     power_step: a common pass fed by halfway_feed(tr K, w), an explicit one
     by angle_feed, for the angle and normal that _explicit_step reads off
-    B, read back off w."""
+    B, read back off w.  Returns the five outputs it records, by name."""
     model = _MisfitModel(s)
     epsilon = config.epsilon
     m = horn_matrix(k)
@@ -265,21 +270,20 @@ def reference_detect_moments(k, s, config) -> MomentDetection:
         trace.append(phi)
         nets.append(q)
 
-    return MomentDetection(nets[-1], tuple(trace), tuple(nets), iterations,
-                           converged)
+    return SimpleNamespace(net=nets[-1], phi_trace=tuple(trace), nets=tuple(nets),
+                           iterations=iterations, converged=converged)
 
 
 def reference_detect(reference, pattern, config) -> SimpleNamespace:
-    """detect with an eagerly rotated corrected_pattern: the report's fields,
-    the loop's five copied in and the pattern rotated by the net correction
-    before returning."""
+    """detect with every output computed before returning: the five of
+    reference_detect_moments, and the pattern rotated by the net correction."""
     s = fields.cross_moment(reference, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
     fields.checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
                         "pattern field", "detect rotation against")
     k = fields.cross_moment(pattern, reference).ravel().tolist()
 
-    loop = detect_moments(k, s, config)
+    loop = reference_detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)
     return SimpleNamespace(**vars(loop), alpha=alpha, plane=-undo,
                            corrected_pattern=fields.rotate_outer(pattern, undo,

@@ -7,6 +7,7 @@ first read."""
 
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,8 +34,8 @@ from rotalign.detector import (
 
 import conftest
 from conftest import (
-    angle_feed, carried_bivector, halfway_feed, horn_matrix, power_read,
-    power_step, random_plane, reference_detect,
+    angle_feed, carried_bivector, halfway_feed, horn_matrix, outputs,
+    power_read, power_step, random_plane, reference_detect,
     reference_detect_moments, shared_cell_pair, two_halves,
 )
 from test_behaviour_lock import piecewise_pairs
@@ -537,11 +538,14 @@ def test_detect_moments_uses_no_numpy(monkeypatch):
     thin = field_with_singular_values(1.9, 0.3, 0.2)
     cases.append((floats(cross_moment(rotate_outer(thin, E13, 1.0), thin)),
                   self_moment(thin), 1e-6))
-    want = [detect_moments(k, s, DetectionConfig(epsilon=e)) for k, s, e in cases]
+    want = [outputs(detect_moments(k, s, DetectionConfig(epsilon=e)))
+            for k, s, e in cases]
     for module in (rotalign.ga3, rotalign.correlation, rotalign.fields,
                    rotalign.detector):
         monkeypatch.setattr(module, "np", NoNumpy(), raising=False)
-    got = [detect_moments(k, s, DetectionConfig(epsilon=e)) for k, s, e in cases]
+    # the loop and the replay of its nets and phi_trace, both without numpy
+    got = [outputs(detect_moments(k, s, DetectionConfig(epsilon=e)))
+           for k, s, e in cases]
     assert got == want
 
 
@@ -602,19 +606,26 @@ def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
     # only the disturbance and the passes within epsilon feed an explicit
     # angle, and each of those passes calls cos and sin once for its feed.
     # The reference loop, bit for bit the same, counts them by its
-    # angle_feed calls.
+    # angle_feed calls.  The first read of nets replays the passes with the
+    # same calls; a second read makes none.
     trig = counted(monkeypatch, math, ("cos", "sin"))
     explicit = counted(monkeypatch, conftest, ("angle_feed",))
     config = DetectionConfig(epsilon=1e-6)
     for k, s in seeded_moment_inputs():
         trig.clear()
         loop = detect_moments(k, s, config)
-        cos, sin = trig.count("cos"), trig.count("sin")
+        detection = list(trig)
+        trig.clear()
+        nets = loop.nets
+        assert trig == detection
+        trig.clear()
+        outputs(loop)
+        assert loop.nets is nets and trig == []
         explicit.clear()
-        assert reference_detect_moments(k, s, config) == loop
+        assert outputs(reference_detect_moments(k, s, config)) == outputs(loop)
         assert loop.converged and 1 <= len(explicit) <= 2
         assert loop.iterations > len(explicit)
-        assert cos == sin == len(explicit)
+        assert detection.count("cos") == detection.count("sin") == len(explicit)
     assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
 
 
@@ -649,7 +660,17 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
         assert re.fullmatch("(rotor_product;_explicit_step;cos;sin;rotor_product;)+",
                             called), called
         assert 1 <= len(steps) <= 2 and loop.iterations > len(steps)
-        assert reference_detect_moments(k, s, config) == loop
+        # the first read of nets replays the same calls, a second none
+        detection = list(steps)
+        calls.clear()
+        steps.clear()
+        nets = loop.nets
+        assert "".join(name + ";" for name in calls) == called
+        assert steps == detection
+        calls.clear()
+        outputs(loop)
+        assert loop.nets is nets and calls == []
+        assert outputs(reference_detect_moments(k, s, config)) == outputs(loop)
         stops = [stop for (_, _, stop), _ in steps]
         assert loop.converged and stops == [False] * (len(stops) - 1) + [True]
         above += sum(phi > config.epsilon and not certified
@@ -751,7 +772,92 @@ def reference_cases():
 
 def test_detect_moments_matches_the_reference_loop_bit_for_bit():
     for k, s, config in reference_cases():
-        assert detect_moments(k, s, config) == reference_detect_moments(k, s, config)
+        assert (outputs(detect_moments(k, s, config))
+                == outputs(reference_detect_moments(k, s, config)))
+
+
+# ---------------------------------------------------------------------------
+# nets and phi_trace, replayed on first read
+
+def test_a_detections_memory_does_not_grow_with_its_passes():
+    # a pass records nothing: seed-0 trial 1627 does not converge at 1e-6,
+    # and 1000 of its passes peak within 1 KB of 10 (2.1 and 1.5 KB
+    # measured; a 4-tuple and a float kept per pass would add over 100 KB)
+    k, s = map(floats, trial_moments(1627, 1e-6))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for budget in (10, 1000):
+            config = DetectionConfig(epsilon=1e-6, max_iterations=budget)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loop = detect_moments(k, s, config)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            assert loop.iterations == budget and not loop.converged
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
+
+
+def replay_edge_cases():
+    """(K, S, config, what) where a replay can slip: budgets of 1 and 2
+    passes, a real first fold whose first pass takes the disturbance (alone
+    and within budgets of 1 and 2), and an exit on pass one."""
+    s = hand_made_s()
+    plane = UnitBivector.from_components(1.0, 2.0, -2.0)
+    turned, nudged = rotation_matrix(plane, 2.5), rotation_matrix(plane, 1e-9)
+    cases = []
+    for budget in (1, 2, 1000):
+        config = DetectionConfig(epsilon=1e-6, max_iterations=budget)
+        cases += [(floats(turned @ s), floats(s), config, "turned"),
+                  (floats(s), floats(s), config, "real fold")]
+    return cases + [(floats(nudged @ s), floats(s), DetectionConfig(epsilon=1e-6),
+                     "pass-one exit")]
+
+
+def test_nets_and_phi_trace_replay_the_loop_at_its_edges(monkeypatch):
+    calls = counted(monkeypatch, rotalign.detector, ("_passes",))
+    seen = set()
+    for k, s, config, what in replay_edge_cases():
+        calls.clear()
+        loop = detect_moments(k, s, config)
+        want = reference_detect_moments(k, s, config)
+        assert calls == ["_passes"]
+        # either read replays both, one _passes call a pass; a second read
+        # returns the kept object
+        trace = loop.phi_trace
+        assert len(calls) == 1 + loop.iterations
+        nets = loop.nets
+        assert loop.nets is nets and loop.phi_trace is trace
+        assert len(calls) == 1 + loop.iterations
+        assert bits(nets) == bits(want.nets) and bits(trace) == bits(want.phi_trace)
+        assert outputs(loop) == outputs(want)
+        assert type(loop.iterations) is int and loop.iterations == len(trace)
+        assert loop == detect_moments(k, s, config)
+        if what == "real fold":
+            assert trace[0] == DISTURBANCE_ANGLE
+        seen.add((what, loop.iterations, loop.converged))
+    assert {("turned", 1, False), ("turned", 2, False), ("real fold", 1, False),
+            ("real fold", 2, False), ("pass-one exit", 1, True)} <= seen
+
+
+def test_a_reports_replay_is_its_loops():
+    # a report replays its own passes, from the moments it was given, bit
+    # for bit those of its detect_moments call and of the reference loop
+    rng = np.random.default_rng(40)
+    config = DetectionConfig(epsilon=1e-6)
+    for _ in range(5):
+        reference, pattern = shared_cell_pair(rng, rng.uniform(0.0, math.pi))
+        report = detect(reference, pattern, config)
+        loop = detect_moments(floats(cross_moment(pattern, reference)),
+                              self_moment(reference), config)
+        want = reference_detect(reference, pattern, config)
+        for name in ("nets", "phi_trace"):
+            kept = getattr(report, name)
+            assert bits(kept) == bits(getattr(loop, name)) == bits(getattr(want, name))
+            assert getattr(report, name) is kept
+        assert outputs(report) == outputs(loop) == outputs(want)
+        assert report == detect(reference, pattern, config)
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +1024,8 @@ def test_a_half_turn_side_step_is_exact_at_extreme_scales(k):
     got = detect_moments([x * scale for x in k0], [x * scale for x in s0], config)
     assert (got.phi_trace, got.nets, got.net) == (want.phi_trace, want.nets,
                                                   want.net)
+    # detections compare by their outputs, not by the moments they keep
+    assert got == want and hash(got) == hash(want)
 
 
 def test_the_net_rotor_keeps_unit_length():

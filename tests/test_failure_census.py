@@ -106,6 +106,20 @@ def test_n_of_an_exact_copy_has_the_spectrum_of_s():
         assert np.max(np.abs(got - want)) <= 1e-14 * tr, f"trial {index}"
 
 
+def test_the_slow_trial_falls_at_the_rate_of_s():
+    # seed-0 trial 1627 at 1e-6 (rho = 0.99381) does not converge in 1000
+    # passes, each of which, near the answer, shrinks phi by
+    # rho = lambda_max(S) / tr S = (lambda_1 + lambda_2) / (2 lambda_1), for
+    # N's two top eigenvalues.  Its 100-pass ratio at pass 1000, read off
+    # the replayed trace, is within 1.5e-7 of rho (measured)
+    _, s, loop = trial_loop(1627, 1e-6)
+    assert not loop.converged and loop.iterations == 1000
+    phi = loop.phi_trace
+    s = np.reshape(s, (3, 3))
+    rho = np.linalg.eigvalsh(s)[-1] / np.trace(s)
+    assert abs((phi[999] / phi[899]) ** (1 / 100) - rho) <= 1e-6
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
