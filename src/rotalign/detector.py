@@ -52,7 +52,7 @@ from .ga3 import (
     E12, ZERO_BIVECTOR_RTOL, UnitBivector, rotation_rotor, rotor_product,
     rotor_rotation,
 )
-from .fields import VectorField, _is_real, checked_norm, cross_moment, rotate_outer
+from .fields import VectorField, _is_real, checked_norm, pair_moments, rotate_outer
 from .correlation import correlate_at_origin
 
 # The rotation injected on the first pass when the correlation is real, and
@@ -288,11 +288,19 @@ def _passes(horn, model: _MisfitModel, r, epsilon: float, first: bool,
     the first call's first pass as the detection's first, the one a real
     fold disturbs.  A pass records nothing, so the loop allocates nothing
     that outlives a pass; MomentDetection replays the passes one call each.
+
+    A pass is clear when tr K > 0 and |w| > clear tr K, clear being
+    tan(epsilon) (1 + 1e-6) and at least ZERO_BIVECTOR_RTOL, for epsilon < 1.
+    Its phi then exceeds epsilon by a relative 4e-7 or more, far beyond the
+    rounding of atan2, and |w| > ZERO_BIVECTOR_RTOL tr K: it is a common
+    pass whatever atan2 returns, so it takes no atan2 unless it is the last.
     """
     hypot, atan2, rtol = math.hypot, math.atan2, ZERO_BIVECTOR_RTOL
     n00, n01, n02, n03, n11, n12, n13, n22, n23, n33 = horn
     r0, r1, r2, r3 = r
     converged = False
+    clear_ratio = (max(math.tan(epsilon) * (1.0 + 1e-6), rtol) if epsilon < 1.0
+                   else math.inf)
 
     for i in range(passes):
         p0 = n00 * r0 + n01 * r1 + n02 * r2 + n03 * r3
@@ -305,8 +313,8 @@ def _passes(horn, model: _MisfitModel, r, epsilon: float, first: bool,
         w2 = p2 - sc * r2
         w3 = p3 - sc * r3
         bmag = hypot(w0, w1, w2, w3)
-        phi = atan2(bmag, sc)
-        if phi > epsilon and bmag > rtol * abs(sc):
+        clear = sc > 0.0 and bmag > clear_ratio * sc
+        if clear or (phi := atan2(bmag, sc)) > epsilon and bmag > rtol * abs(sc):
             cmag = hypot(sc, bmag)
         else:
             biv = rotor_product((w0, w1, w2, w3), (-r0, r1, r2, r3))[1:]
@@ -324,30 +332,13 @@ def _passes(horn, model: _MisfitModel, r, epsilon: float, first: bool,
         if converged:
             break
 
+    if clear:  # the last pass was clear: its phi, from its own tr K and |w|
+        phi = atan2(bmag, sc)
     return (r0, r1, r2, r3), phi, i + 1, converged
 
 
-def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
-    """The detection loop on the cross moment K = integral of u v^T and the
-    reference's self-moment S = integral of v v^T.
-
-    k and s are 3x3 matrices given as nine floats in row-major order.  For
-    the net rotor r's rotation R, tr(R K) = r^T N r with Horn's symmetric N
-    of K (Horn 1987), built once in the rotor's layout (Horn's quaternion is
-    (r0, -r23, r13, -r12)).  _passes runs the passes.  A pass reads
-    tr K = r . p and w = p - tr K r = -B r off p = N r, takes
-    phi = atan2(|w|, tr K) and moves r to (d r + w) / hypot(d, |w|), which
-    is (N + cmag I) r over its length: cmag = |N r| = hypot(tr K, |w|),
-    d = cmag + tr K, or |w| (|w| / (cmag - tr K)) for tr K < 0, which
-    neither cancels nor overflows.  A pass within epsilon or on a real fold
-    (|w| <= ZERO_BIVECTOR_RTOL |tr K|) is explicit: _explicit_step reads
-    phi, n and the exit off B = -w reverse(r), and the pass feeds (cos(phi),
-    sin(phi), 1) as (tr K, |w|, cmag) and -sin(phi) Q r as w, for Q the
-    plane dual to n, each product by rotor_product.  The detection keeps N,
-    S and epsilon, from which its nets and phi_trace are replayed on first
-    read.  Raises ValueError if S is not positive semidefinite (trace,
-    diagonal), then if tr S is zero or not finite, then if S or K is not.
-    """
+def _detection_fields(k, s, config: DetectionConfig) -> dict:
+    """detect_moments' loop: MomentDetection's six fields, by name."""
     model = _MisfitModel(s)
     if not all(map(math.isfinite, k)):
         raise ValueError("cross moment K is not finite")
@@ -359,29 +350,61 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     epsilon = config.epsilon
     net, _, iterations, converged = _passes(horn, model, (1.0, 0.0, 0.0, 0.0),
                                             epsilon, True, config.max_iterations)
-    return MomentDetection(net, iterations, converged, horn, tuple(s), epsilon)
+    return {"net": net, "iterations": iterations, "converged": converged,
+            "horn": horn, "s": tuple(s), "epsilon": epsilon}
+
+
+def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
+    """The detection loop on the cross moment K = integral of u v^T and the
+    reference's self-moment S = integral of v v^T.
+
+    k and s are 3x3 matrices given as nine floats in row-major order.  For
+    the net rotor r's rotation R, tr(R K) = r^T N r with Horn's symmetric N
+    of K (Horn 1987), built once in the rotor's layout (Horn's quaternion is
+    (r0, -r23, r13, -r12)).  _passes runs the passes.  A pass reads
+    tr K = r . p and w = p - tr K r = -B r off p = N r, takes
+    phi = atan2(|w|, tr K) unless the pass is clear (see _passes), and
+    moves r to (d r + w) / hypot(d, |w|), which is (N + cmag I) r over its
+    length: cmag = |N r| = hypot(tr K, |w|), d = cmag + tr K, or
+    |w| (|w| / (cmag - tr K)) for tr K < 0, which neither cancels nor
+    overflows.  A pass within epsilon or on a real fold
+    (|w| <= ZERO_BIVECTOR_RTOL |tr K|) is explicit: _explicit_step reads
+    phi, n and the exit off B = -w reverse(r), and the pass feeds (cos(phi),
+    sin(phi), 1) as (tr K, |w|, cmag) and -sin(phi) Q r as w, for Q the
+    plane dual to n, each product by rotor_product.  The detection keeps N,
+    S and epsilon, from which its nets and phi_trace are replayed on first
+    read; the detection is built without its __init__, each field written
+    once.  Raises ValueError if S is not positive semidefinite (trace,
+    diagonal), then if tr S is zero or not finite, then if S or K is not.
+    """
+    loop = object.__new__(MomentDetection)  # each field written once
+    vars(loop).update(_detection_fields(k, s, config))
+    return loop
 
 
 def detect(reference: VectorField, pattern: VectorField,
            config: DetectionConfig) -> DetectionReport:
     """Estimate the outer rotation mapping reference onto pattern.
 
-    Integrates S and K once each and runs detect_moments on them; the
-    pattern is rotated only when the report's corrected_pattern is read.
-    Runs are deterministic: identical inputs produce bit-identical reports.
-    Raises ValueError if either field has zero norm or either field's energy
-    is not finite.
+    Integrates K and S together (fields.pair_moments: one product when the
+    fields share their cells), checks the pattern's energy, the scalar part
+    of correlate_at_origin(pattern, pattern), and runs detect_moments' loop
+    on K and S; the report is built once, from the loop's fields and the
+    rotation read off its net rotor.  The pattern is rotated only when the
+    report's corrected_pattern is read.  Runs are deterministic: identical
+    inputs produce bit-identical reports.  Raises ValueError if the
+    pattern's energy is zero or not finite, then if the reference's is, then
+    as detect_moments does.
     """
-    s = cross_moment(reference, reference).ravel().tolist()
+    moments = pair_moments(pattern, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
     checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
                  "pattern field", "detect rotation against")
-    k = cross_moment(pattern, reference).ravel().tolist()
 
-    loop = detect_moments(k, s, config)
-    alpha, undo = rotor_rotation(loop.net)
+    loop = _detection_fields(moments[:9], moments[9:], config)
+    alpha, undo = rotor_rotation(loop["net"])
     report = object.__new__(DetectionReport)  # each field written once
-    vars(report).update(vars(loop), alpha=alpha, plane=-undo, pattern=pattern, undo=undo)
+    vars(report).update(loop, alpha=alpha, plane=-undo, pattern=pattern, undo=undo)
     return report
 
 

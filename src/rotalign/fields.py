@@ -18,7 +18,10 @@ and the correlation folds K into the algebra.  Linear and piecewise fields
 integrate in closed form through box moments; two piecewise fields on the
 same cells weigh their values by the cell volumes the constructor stored.  A
 sampled field integrates by the midpoint rule on its own grid, and two
-sampled fields must share their grid geometry exactly.
+sampled fields must share their grid geometry exactly.  pair_moments stacks
+the two moments a detection reads, K of a pattern against a reference and
+the reference's self-moment S, and takes both from one product when the
+fields share their cells.
 """
 
 from __future__ import annotations
@@ -341,6 +344,14 @@ def _grid_moment(grid: SampledField, a: VectorField,
     return grid.cell_volume() * (va.T @ vb)
 
 
+def _shared_cells(a: PiecewiseConstantField, b: PiecewiseConstantField) -> bool:
+    """Whether a and b sit on the same disjoint cells: one field, equal
+    corner bytes, or corners equal by value (array_equal matches -0.0, 0.0)."""
+    return (a is b or a.low.tobytes() == b.low.tobytes()
+            and a.high.tobytes() == b.high.tobytes()
+            or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high))
+
+
 def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
     """3x3 matrix K = integral of a(y) b(y)^T over the common support.
 
@@ -356,11 +367,7 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
             return np.zeros((3, 3))
         return a.matrix.dot(overlap.second_moment_matrix()).dot(b.matrix.T)
     if isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField):
-        # one field or equal bytes mean equal corners; array_equal matches -0.0, 0.0
-        if (a is b or a.low.tobytes() == b.low.tobytes()
-                and a.high.tobytes() == b.high.tobytes()
-                or np.array_equal(a.low, b.low) and np.array_equal(a.high, b.high)):
-            # same disjoint cells: W is diagonal, the stored cell volumes
+        if _shared_cells(a, b):  # W is diagonal, the stored cell volumes
             return np.multiply(a.values.T, a.volumes, order="C").dot(b.values)
         return a.values.T @ overlap_volumes(a.low, a.high, b.low, b.high) @ b.values
     if isinstance(a, PiecewiseConstantField) and isinstance(b, LinearVectorField):
@@ -377,6 +384,21 @@ def cross_moment(a: VectorField, b: VectorField) -> np.ndarray:
         return _grid_moment(b, a, b)
     raise TypeError(
         f"cannot correlate {type(a).__name__} with {type(b).__name__}")
+
+
+def pair_moments(a: VectorField, b: VectorField) -> np.ndarray:
+    """The (6, 3) stack of K = cross_moment(a, b) over S = cross_moment(b, b).
+
+    Two piecewise fields on the same cells take both from one product,
+    [Va | Vb]^T W Vb with W the stored cell volumes, whose sums may differ
+    from the two products' in the last bit.  Every other pair stacks the
+    two cross_moment results as they are.
+    """
+    if (isinstance(a, PiecewiseConstantField) and isinstance(b, PiecewiseConstantField)
+            and _shared_cells(a, b)):
+        stacked = np.concatenate((a.values, b.values), axis=1).T
+        return np.multiply(stacked, b.volumes, order="C").dot(b.values)
+    return np.concatenate((cross_moment(a, b), cross_moment(b, b)))
 
 
 def l2_norm(field: VectorField) -> float:

@@ -23,8 +23,9 @@ as it runs and returns the five outputs, which outputs reads off either.
 An explicit pass takes its angle, normal and exit from
 detector._explicit_step, on B read back off w and the pass's own |B|.
 reference_detect is detect with every output computed before the report
-is returned, the bit-for-bit reference for a report that replays its passes
-and rotates its pattern on first read.
+is returned, on the K and S that pair_floats reads as detect does: the
+bit-for-bit reference for a report that replays its passes and rotates its
+pattern on first read.
 """
 
 import math
@@ -274,14 +275,20 @@ def reference_detect_moments(k, s, config) -> SimpleNamespace:
                            iterations=iterations, converged=converged)
 
 
+def pair_floats(pattern, reference) -> tuple[list[float], list[float]]:
+    """K and S, nine row-major floats each, as detect reads them off
+    fields.pair_moments(pattern, reference)."""
+    moments = fields.pair_moments(pattern, reference).ravel().tolist()
+    return moments[:9], moments[9:]
+
+
 def reference_detect(reference, pattern, config) -> SimpleNamespace:
     """detect with every output computed before returning: the five of
     reference_detect_moments, and the pattern rotated by the net correction."""
-    s = fields.cross_moment(reference, reference).ravel().tolist()
+    k, s = pair_floats(pattern, reference)
     # the scalar part of a field's self-correlation is its energy
     fields.checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
                         "pattern field", "detect rotation against")
-    k = fields.cross_moment(pattern, reference).ravel().tolist()
 
     loop = reference_detect_moments(k, s, config)
     alpha, undo = rotor_rotation(loop.net)

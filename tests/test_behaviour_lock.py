@@ -30,9 +30,9 @@ A refactor that claims the lock's rule, same passes and exits with errors
 within 1e-12, checks it on the same detections: --dump writes run_trial's
 (iterations, converged, error) for each trial and detect's (iterations,
 converged, alpha, plane) for each pair as JSON, exact by repr, and
---compare prints the exit or pass-count flips and the largest |difference|
-of each float between two dumps, and exits 1 on any flip or on a
-difference above ERROR_TOL:
+--compare prints the exit or pass-count flips, the largest |difference|
+of each float between two dumps and, per set, how many rows are
+bit-identical, and exits 1 on any flip or on a difference above ERROR_TOL:
 
     PYTHONPATH=src python tests/test_behaviour_lock.py --dump new.json
     PYTHONPATH=src python tests/test_behaviour_lock.py --compare old.json new.json
@@ -191,14 +191,25 @@ def compare(old, new) -> tuple[list[str], dict[str, float]]:
     return flips, largest
 
 
+def identical_rows(old, new) -> dict[str, tuple[int, int]]:
+    """Per set of two dumps of the same sets, (rows equal in every entry,
+    each float by its repr and so bit for bit, rows in the set)."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old, new))
+    return {name: (sum(repr(a) == repr(b) for a, b in zip(rows, new[name])),
+                   len(rows)) for name, rows in old.items()}
+
+
 def compare_main(old, new) -> int:
-    """Print compare's flips and largest differences; 1 if any flips or
-    any difference is above ERROR_TOL, else 0."""
+    """Print compare's flips and largest differences, and the bit-identical
+    rows of each set; 1 if any flips or any difference is above ERROR_TOL,
+    else 0."""
     flips, largest = compare(old, new)
     for flip in flips:
         print(flip)
     print(f"{len(flips)} flips; largest |difference|: " + ", ".join(
         f"{field} {value:.3g}" for field, value in largest.items()))
+    for name, (same, total) in identical_rows(old, new).items():
+        print(f"{name}: {same} of {total} identical")
     return int(bool(flips) or max(largest.values()) > ERROR_TOL)
 
 
@@ -276,7 +287,8 @@ def test_digest_hashes_each_trial_its_loop_and_each_kind_of_pair():
     assert digest(((0.1, 1),), 1) == want.hexdigest()
 
 
-def test_a_dump_compares_clean_with_itself_and_a_doctored_one_fails(tmp_path):
+def test_a_dump_compares_clean_with_itself_and_a_doctored_one_fails(tmp_path,
+                                                                     capsys):
     # two trials at 0.1 and a pair of each kind
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     dump(old, ((0.1, 2),), 1)
@@ -284,7 +296,13 @@ def test_a_dump_compares_clean_with_itself_and_a_doctored_one_fails(tmp_path):
     assert {name: len(rows) for name, rows in sets.items()} == {
         "0.1": 2, "piecewise": 1, "grid": 1}
     assert compare(old, old) == ([], {"error": 0.0, "alpha": 0.0, "plane": 0.0})
+    assert identical_rows(old, old) == {"0.1": (2, 2), "piecewise": (1, 1),
+                                        "grid": (1, 1)}
+    capsys.readouterr()
     assert compare_main(old, old) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0.1: 2 of 2 identical", "piecewise: 1 of 1 identical",
+        "grid: 1 of 1 identical"]
 
     def doctored(name, column, change):
         sets = json.loads(old.read_text())
@@ -300,6 +318,10 @@ def test_a_dump_compares_clean_with_itself_and_a_doctored_one_fails(tmp_path):
         assert compare_main(old, new) == 1
     _, largest = doctored("0.1", 2, lambda err: err + ERROR_TOL / 2)
     assert 0.0 < largest["error"] <= ERROR_TOL and compare_main(old, new) == 0
+    # a row within the tolerance is not identical
+    assert identical_rows(old, new) == {"0.1": (1, 2), "piecewise": (1, 1),
+                                        "grid": (1, 1)}
+    assert "0.1: 1 of 2 identical" in capsys.readouterr().out.splitlines()
     for name, column, change, field in (
             ("0.1", 2, lambda err: err + 2 * ERROR_TOL, "error"),
             ("grid", 2, lambda alpha: alpha - 2 * ERROR_TOL, "alpha"),

@@ -8,6 +8,7 @@ first read."""
 import math
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,15 +29,16 @@ import rotalign.detector
 import rotalign.fields
 import rotalign.ga3
 from rotalign.detector import (
-    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, _MisfitModel,
-    _explicit_step, detect, detect_moments, residual_angle,
+    DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, DetectionReport,
+    MomentDetection, _MisfitModel, _explicit_step, _passes, detect,
+    detect_moments, residual_angle,
 )
 
 import conftest
 from conftest import (
     angle_feed, carried_bivector, halfway_feed, horn_matrix, outputs,
-    power_read, power_step, random_plane, reference_detect,
-    reference_detect_moments, shared_cell_pair, two_halves,
+    pair_floats, power_read, power_step, random_linear, random_plane,
+    reference_detect, reference_detect_moments, shared_cell_pair, two_halves,
 )
 from test_behaviour_lock import piecewise_pairs
 
@@ -776,6 +778,80 @@ def test_detect_moments_matches_the_reference_loop_bit_for_bit():
                 == outputs(reference_detect_moments(k, s, config)))
 
 
+def clear_ratio(epsilon):
+    """|w| / tr K above which a pass with tr K > 0 is clear: phi is then
+    above epsilon by far more than atan2's rounding, and the pass common."""
+    if epsilon >= 1.0:
+        return math.inf
+    return max(math.tan(epsilon) * (1.0 + 1e-6), ZERO_BIVECTOR_RTOL)
+
+
+def edge_moments(ratio, diagonal=(3.0, 2.0, 1.0)):
+    """K and S, nine floats each, whose first pass reads tr K = the sum of
+    diagonal and |w| = 6 ratio: S = diag(3, 2, 1), and K = diag(diagonal)
+    plus an antisymmetric part whose bivector has length 6 ratio."""
+    a12, a13, a23 = (x * ratio for x in (1.0, 2.0, 2.0))  # length 3 ratio
+    k = np.diag(diagonal) + np.array([[0.0, a12, a13], [-a12, 0.0, a23],
+                                      [-a13, -a23, 0.0]])
+    return floats(k), floats(np.diag([3.0, 2.0, 1.0]))
+
+
+def clear_edge_cases():
+    """(K, S, epsilon, whether the first pass is clear): |w| / |tr K| within
+    1e-9 relative of |tan(epsilon)| on either side, with tr K of tan's sign
+    (phi within 1e-9 of epsilon), and of the clear ratio; the same |w| over
+    a negative tr K, and |w| over tr K = 0.  For epsilon >= 1 no pass is
+    clear; there the ratio ZERO_BIVECTOR_RTOL and a quarter turn stand in
+    for the clear edge."""
+    negative, zero = (-3.0, -2.0, -1.0), (1.0, 1.0, -2.0)
+    cases = []
+    for epsilon in (0.1, 1e-3, 1e-6, 1e-300, 1.0, 2.0):
+        tan = math.tan(epsilon)
+        edge = clear_ratio(epsilon) if epsilon < 1.0 else ZERO_BIVECTOR_RTOL
+        rows = [(abs(tan) * side, (3.0, 2.0, 1.0) if tan > 0.0 else negative, False)
+                for side in (1.0 - 1e-9, 1.0 + 1e-9)]
+        rows += [(edge * (1.0 - 1e-9), (3.0, 2.0, 1.0), False),
+                 (edge * (1.0 + 1e-9), (3.0, 2.0, 1.0), epsilon < 1.0),
+                 (edge * (1.0 + 1e-9), negative, False),
+                 (1.0, zero, False), (1.0, (3.0, 2.0, 1.0), epsilon < 1.0)]
+        cases += [(*edge_moments(ratio, diagonal), epsilon, clear)
+                  for ratio, diagonal, clear in rows]
+    return cases
+
+
+def test_a_clear_pass_takes_no_arctangent_and_changes_no_bit(monkeypatch):
+    # a pass with tr K > 0 and |w| > clear_ratio(epsilon) tr K takes no
+    # atan2, and the last pass run takes it after the step when it was
+    # clear, so each call returns its phi.  On passes that read phi within
+    # 1e-9 of epsilon, or |w| within 1e-9 of the clear ratio, the loop and
+    # a single _passes call equal the reference loop, which always takes
+    # atan2, bit for bit, phi included
+    atan2 = counted(monkeypatch, math, ("atan2",))
+    for k, s, epsilon, clear_first in clear_edge_cases():
+        ratio = clear_ratio(epsilon)
+        for budget in (1, 1000):
+            config = DetectionConfig(epsilon=epsilon, max_iterations=budget)
+            want = reference_detect_moments(k, s, config)
+            atan2.clear()
+            loop = detect_moments(k, s, config)
+            taken = len(atan2)
+            assert outputs(loop) == outputs(want)
+            assert bits(loop.phi_trace) == bits(want.phi_trace)
+            clear, m, q = [], horn_matrix(k), (1.0, 0.0, 0.0, 0.0)
+            for net in want.nets:
+                sc, w = power_read(m, q)
+                clear.append(sc > 0.0 and math.hypot(*w) > ratio * sc)
+                q = net
+            assert clear[0] == clear_first
+            assert taken == clear.count(False) + clear[-1], (epsilon, clear)
+        atan2.clear()
+        net, phi, ran, stop = _passes(loop.horn, _MisfitModel(s), (1.0, 0.0, 0.0, 0.0),
+                                      epsilon, True, 1)
+        assert atan2 == ["atan2"]
+        assert bits((*net, phi)) == bits((*want.nets[0], want.phi_trace[0]))
+        assert ran == 1 and stop == (want.iterations == 1 and want.converged)
+
+
 # ---------------------------------------------------------------------------
 # nets and phi_trace, replayed on first read
 
@@ -849,8 +925,7 @@ def test_a_reports_replay_is_its_loops():
     for _ in range(5):
         reference, pattern = shared_cell_pair(rng, rng.uniform(0.0, math.pi))
         report = detect(reference, pattern, config)
-        loop = detect_moments(floats(cross_moment(pattern, reference)),
-                              self_moment(reference), config)
+        loop = detect_moments(*pair_floats(pattern, reference), config)
         want = reference_detect(reference, pattern, config)
         for name in ("nets", "phi_trace"):
             kept = getattr(report, name)
@@ -871,6 +946,36 @@ def test_non_convergence_reports_partial_state():
     assert report.iterations == 3
     assert len(report.phi_trace) == 3
     assert report.phi_trace[-1] > 1e-9
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "linear", "grid"])
+def test_detect_checks_the_patterns_energy_then_the_references(kind):
+    # the pattern's energy first, then S's: a zero pattern against an
+    # overflowing reference names the zero field.  K cannot overflow while
+    # both energies are finite, |K_ij| <= sqrt(E_u E_v), so its check comes
+    # last (test_detect_moments_checks_tr_s_then_s_then_k).  A zero field
+    # fires no RuntimeWarning, even with every warning an error
+    rng = np.random.default_rng(44)
+    field = {"piecewise": shared_cell_pair(rng)[0],
+             "linear": random_linear(rng),
+             "grid": SampledField(UNIT_BOX, (3, 2, 2), rng.uniform(-1, 1, (12, 3)))
+             }[kind]
+    zero, huge = scale(field, 0.0), scale(field, 1e300)
+    config = DetectionConfig(epsilon=1e-6)
+    zeroed = "^cannot detect rotation against a zero field$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reference, pattern in ((zero, zero), (field, zero), (zero, field)):
+            with pytest.raises(ValueError, match=zeroed):
+                detect(reference, pattern, config)
+    with np.errstate(all="ignore"):
+        for reference, pattern, message in (
+                (huge, huge, "^pattern field energy is not finite$"),
+                (zero, huge, "^pattern field energy is not finite$"),
+                (huge, zero, zeroed),
+                (huge, field, "^reference field energy is not finite$")):
+            with pytest.raises(ValueError, match=message):
+                detect(reference, pattern, config)
 
 
 def test_detect_rejects_zero_fields():
@@ -1037,8 +1142,7 @@ def test_the_net_rotor_keeps_unit_length():
     loops = []
     for reference, pattern in piecewise_pairs():
         report = detect(reference, pattern, config)
-        loop = detect_moments(floats(cross_moment(pattern, reference)),
-                              self_moment(reference), config)
+        loop = detect_moments(*pair_floats(pattern, reference), config)
         assert (report.net, report.nets) == (loop.net, loop.nets)
         loops.append(report)
     for epsilon in (0.1, 1e-3, 1e-6):
@@ -1077,7 +1181,7 @@ def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
     # plane; reads within 1e-9 of either rule are not counted (none
     # occurs).  Worst 5.6e-16 measured over the 28 655 common passes.
     config = DetectionConfig(epsilon=1e-6)
-    cases = [(floats(cross_moment(pattern, reference)),
+    cases = [(pair_floats(pattern, reference)[0],
               detect(reference, pattern, config), 1e-6)
              for reference, pattern in piecewise_pairs()]
     for epsilon in (0.1, 1e-3, 1e-6):
@@ -1329,6 +1433,38 @@ def test_moment_loop_matches_field_loop_on_grids():
 
 # ---------------------------------------------------------------------------
 # the piecewise hot path, guarded by counts rather than timings
+
+def test_a_shared_cell_detect_makes_one_product_and_writes_its_report_once(
+        monkeypatch):
+    # K and S from one pair_moments product, the pattern's energy through
+    # correlate_at_origin and its one cross_moment, and no MomentDetection
+    # or DetectionReport __init__, in detect and in detect_moments
+    calls = counted(monkeypatch, rotalign.detector,
+                    ("pair_moments", "correlate_at_origin"))
+    counted(monkeypatch, rotalign.correlation, ("cross_moment",), calls)
+    counted(monkeypatch, rotalign.fields, ("cross_moment",), calls)
+    for cls in (MomentDetection, DetectionReport):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, f=cls.__init__,
+                            n=cls.__name__: calls.append(n) or f(self, *args))
+    config = DetectionConfig(epsilon=1e-6)
+    reference, pattern = shared_cell_pair(np.random.default_rng(45))
+    report = detect(reference, pattern, config)
+    assert report.converged
+    assert calls == ["pair_moments", "correlate_at_origin", "cross_moment"]
+    k, s = pair_floats(pattern, reference)
+    calls.clear()
+    loop = detect_moments(k, s, config)
+    assert calls == [] and outputs(loop) == outputs(report)
+    # the counts see what they count: another pair stacks two cross_moment
+    # calls, and a detection built by its class runs __init__
+    linear = random_linear(np.random.default_rng(46))
+    detect(linear, rotate_outer(linear, E12, 0.5), config)
+    assert calls == ["pair_moments", "cross_moment", "cross_moment",
+                     "correlate_at_origin", "cross_moment"]
+    calls.clear()
+    MomentDetection(loop.net, loop.iterations, loop.converged, loop.horn, loop.s,
+                    loop.epsilon)
+    assert calls == ["MomentDetection"]
 
 def test_detect_on_shared_cells_builds_no_cell_pair_matrix(overlap_calls):
     reference, pattern = shared_cell_pair(np.random.default_rng(33))
