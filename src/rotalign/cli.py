@@ -101,7 +101,8 @@ def cmd_detect(args) -> int:
     reference = load_field(args.reference)
     pattern = load_field(args.pattern)
     config = DetectionConfig(epsilon=args.epsilon, max_iterations=args.max_iter)
-    report = detect(reference, pattern, config)
+    with np.errstate(over="ignore", invalid="ignore"):  # the energy checks decide
+        report = detect(reference, pattern, config)
     _emit(_format_report(report, args.format, args.trace), args.output)
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 

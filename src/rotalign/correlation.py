@@ -18,13 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ga3 import Multivector, PolarForm, polar_decompose
-from .fields import (
-    Box, VectorField, _checked_resolution, checked_norm, cross_moment,
-    evaluate_many, l2_norm, support,
-)
+from .fields import VectorField, checked_norm, cross_moment, l2_norm
 
 
 def moment_parts(k) -> tuple[float, tuple[float, float, float]]:
@@ -70,35 +65,3 @@ def normalized_correlation(a: VectorField, b: VectorField) -> CorrelationResult:
         raise ValueError("correlation is zero; the fields are orthogonal")
     return CorrelationResult(raw=raw, normalized=normalized,
                              polar=polar_decompose(normalized))
-
-
-def quadrature_correlate(a: VectorField, b: VectorField,
-                         box: Box | None = None,
-                         resolution: int = 64) -> Multivector:
-    """Midpoint-rule estimate of the correlation on a fresh grid.
-
-    Independent of the closed-form path; used to cross-check it.  The grid
-    covers ``box`` (default: the union bounding box of both supports) with
-    ``resolution`` cells per axis, processed one x-slab at a time to bound
-    memory.  A resolution that is not a positive integer raises ValueError.
-    """
-    n = _checked_resolution((resolution,) * 3)[0]
-    if box is None:
-        sa, sb = support(a), support(b)
-        box = Box(tuple(np.minimum(sa.low_array, sb.low_array)),
-                  tuple(np.maximum(sa.high_array, sb.high_array)))
-    lo, hi = box.low_array, box.high_array
-    h = (hi - lo) / n
-    cell_vol = float(np.prod(h))
-    ys = lo[1] + (np.arange(n) + 0.5) * h[1]
-    zs = lo[2] + (np.arange(n) + 0.5) * h[2]
-    yy, zz = np.meshgrid(ys, zs, indexing="ij")
-    slab = np.empty((n * n, 3))
-    slab[:, 1] = yy.ravel()
-    slab[:, 2] = zz.ravel()
-    total = np.zeros((3, 3))
-    for i in range(n):
-        slab[:, 0] = lo[0] + (i + 0.5) * h[0]
-        total += evaluate_many(a, slab).T @ evaluate_many(b, slab)
-    sc, biv = moment_parts((cell_vol * total).ravel().tolist())
-    return Multivector.from_even((sc, *biv))

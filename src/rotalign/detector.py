@@ -49,8 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ga3 import (
-    E12, ZERO_BIVECTOR_RTOL, UnitBivector, rotation_rotor, rotor_product,
-    rotor_rotation,
+    E12, ZERO_BIVECTOR_RTOL, UnitBivector, rotor_product, rotor_rotation,
 )
 from .fields import VectorField, _is_real, checked_norm, pair_moments, rotate_outer
 from .correlation import correlate_at_origin
@@ -394,7 +393,7 @@ def detect(reference: VectorField, pattern: VectorField,
     report's corrected_pattern is read.  Runs are deterministic: identical
     inputs produce bit-identical reports.  Raises ValueError if the
     pattern's energy is zero or not finite, then if the reference's is, then
-    as detect_moments does.
+    as detect_moments does; numpy may warn first of an overflowing energy.
     """
     moments = pair_moments(pattern, reference).ravel().tolist()
     # the scalar part of a field's self-correlation is its energy
@@ -406,12 +405,3 @@ def detect(reference: VectorField, pattern: VectorField,
     report = object.__new__(DetectionReport)  # each field written once
     vars(report).update(loop, alpha=alpha, plane=-undo, pattern=pattern, undo=undo)
     return report
-
-
-def residual_angle(net, true_plane: UnitBivector, true_angle: float) -> float:
-    """Angle in [0, pi] left when the net rotor net, (scalar, b12, b13, b23),
-    corrects the generating rotation (true_plane, true_angle); 0 means net
-    undoes it exactly.  After pass k of a detection the residual is that of
-    nets[k - 1]; before the first pass it is that of (1, 0, 0, 0)."""
-    true = rotation_rotor(true_plane, true_angle)
-    return rotor_rotation(rotor_product(net, true))[0]

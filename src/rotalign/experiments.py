@@ -48,14 +48,6 @@ def random_rotation(rng: np.random.Generator) -> tuple[UnitBivector, float]:
     return plane, ANGLE_CAP * rng.random()  # the value uniform(0, cap) draws
 
 
-def coefficient_error(original: LinearVectorField,
-                      recovered: LinearVectorField) -> float:
-    """Frobenius distance between the coefficient matrices."""
-    if original.box != recovered.box:
-        raise ValueError("fields must share a support box")
-    return float(np.linalg.norm(original.matrix - recovered.matrix))
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     """Everything one trial draws, reproducible from (master_seed, index)."""
@@ -88,10 +80,10 @@ def run_trial(spec: TrialSpec,
               max_iterations: int = 1000) -> tuple[float, int, bool]:
     """Run one detection; returns (coefficient error, iterations, converged).
 
-    detect(field, rotate_outer(field, plane, angle)) scored by
-    coefficient_error, with no field built: S = A X A^T and K = R S, R the
-    outer rotation acting on K as the correlation module states, so R A is
-    never formed.  The corrected coefficients are E A, E the sandwich by the
+    detect(field, rotate_outer(field, plane, angle)) scored by the Frobenius
+    distance of the coefficients, with no field built: S = A X A^T and K = R S,
+    R the outer rotation acting on K as the correlation module states, so R A
+    is never formed.  The corrected coefficients are E A, E the sandwich by the
     residual rotor e = net * rotation_rotor(R).  For a unit e = w + v, with
     v = (e23, -e13, e12) read as rotation_matrix reads a plane,
     |(E - I) a|^2 = 4 |v x a|^2, so |A - E A| = 2 sqrt(sum_j |v x a_j|^2)

@@ -285,13 +285,8 @@ def plane_projection_matrix(plane: UnitBivector) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(field: VectorField, x) -> np.ndarray:
-    """Value of the field at a point (zero outside the support)."""
-    return evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
-
-
 def evaluate_many(field: VectorField, pts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an (n, 3) array of points."""
+    """Values at an (n, 3) array of points, zero outside the support."""
     if isinstance(field, LinearVectorField):
         out = pts @ field.matrix.T
         out[~field.box.contains_many(pts)] = 0.0
@@ -310,15 +305,6 @@ def evaluate_many(field: VectorField, pts: np.ndarray) -> np.ndarray:
         flat = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
         out[inside] = field.data[flat]
         return out
-    raise TypeError(f"not a vector field: {type(field).__name__}")
-
-
-def support(field: VectorField) -> Box:
-    """Bounding box of the field's support."""
-    if isinstance(field, (LinearVectorField, SampledField)):
-        return field.box
-    if isinstance(field, PiecewiseConstantField):
-        return Box(tuple(field.low.min(axis=0)), tuple(field.high.max(axis=0)))
     raise TypeError(f"not a vector field: {type(field).__name__}")
 
 
@@ -527,11 +513,6 @@ def from_dict(d: dict) -> VectorField:
     except TypeError:  # an object where a list belongs, or the reverse
         raise ValueError(f"{kind} field has a JSON value of the wrong type") from None
     raise ValueError(f"unknown field kind {kind!r}")
-
-
-def save_field(field: VectorField, path) -> None:
-    with open(path, "w") as f:
-        json.dump(to_dict(field), f)
 
 
 def load_field(path) -> VectorField:

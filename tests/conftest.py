@@ -2,8 +2,11 @@
 
 The algebra oracle represents Cl(3,0) by 2x2 complex matrices (e_i mapped to
 the Pauli matrix sigma_i), so multiplication is plain matrix multiplication
-and never touches the package's generated table.  The integration oracle is a
-brute-force midpoint sum written with explicit loops over a modest grid.
+and never touches the package's generated table; midpoint_correlate sums
+those products over a modest grid with explicit loops.  midpoint_moment is
+the midpoint sum of K = integral of a b^T, which quadrature_correlate folds
+into criterion 8's check of the closed form.  evaluate, support, save_field,
+coefficient_error and residual_angle are here because only tests call them.
 The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
 builds the seeded piecewise pairs that several test modules detect on, and
@@ -28,6 +31,7 @@ bit-for-bit reference for a report that replays its passes and rotates its
 pattern on first read.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -35,11 +39,11 @@ import numpy as np
 import pytest
 
 from rotalign import fields
-from rotalign.correlation import correlate_at_origin
+from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.detector import _MisfitModel, _explicit_step
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, Multivector, UnitBivector, rotation_matrix,
-    rotor_product, rotor_rotation,
+    rotation_rotor, rotor_product, rotor_rotation,
 )
 
 # Ordered to match the package basis [1, e1, e2, e3, e12, e13, e23, e123].
@@ -98,6 +102,42 @@ def random_linear(rng):
     return fields.LinearVectorField(rng.uniform(-1, 1, (3, 3)))
 
 
+def evaluate(field, x):
+    """Value of the field at a point (zero outside the support)."""
+    return fields.evaluate_many(field, np.asarray(x, dtype=float).reshape(1, 3))[0]
+
+
+def support(field):
+    """Bounding box of the field's support."""
+    if isinstance(field, (fields.LinearVectorField, fields.SampledField)):
+        return field.box
+    if isinstance(field, fields.PiecewiseConstantField):
+        return fields.Box(tuple(field.low.min(axis=0)),
+                          tuple(field.high.max(axis=0)))
+    raise TypeError(f"not a vector field: {type(field).__name__}")
+
+
+def save_field(field, path):
+    """Write the field's JSON document, which fields.load_field reads."""
+    with open(path, "w") as f:
+        json.dump(fields.to_dict(field), f)
+
+
+def coefficient_error(original, recovered):
+    """Frobenius distance between two linear fields' coefficient matrices."""
+    if original.box != recovered.box:
+        raise ValueError("fields must share a support box")
+    return float(np.linalg.norm(original.matrix - recovered.matrix))
+
+
+def residual_angle(net, true_plane, true_angle):
+    """Angle in [0, pi] left when the net rotor net corrects the generating
+    rotation (true_plane, true_angle): after pass k that of nets[k - 1],
+    before the first that of (1, 0, 0, 0), and 0 when net undoes it."""
+    true = rotation_rotor(true_plane, true_angle)
+    return rotor_rotation(rotor_product(net, true))[0]
+
+
 def midpoint_correlate(eval_a, eval_b, low, high, resolution):
     """Midpoint-rule integral of reverse(A(y)) B(y) over a box.
 
@@ -123,20 +163,35 @@ def midpoint_correlate(eval_a, eval_b, low, high, resolution):
     return total
 
 
-def midpoint_moment(eval_a, eval_b, low, high, resolution):
-    """Midpoint-rule integral of the 3x3 matrix A(y) B(y)^T over a box,
-    with the same explicit loops as midpoint_correlate."""
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    res = np.asarray(resolution, dtype=int)
-    h = (high - low) / res
+def midpoint_moment(a, b, low, high, resolution):
+    """Midpoint-rule integral of a(y) b(y)^T for fields a and b over the box
+    [low, high), resolution[i] cells on axis i, summed one x-slab of cell
+    centres at a time to bound memory."""
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    nx, ny, nz = resolution
+    h = (high - low) / np.array(resolution)
+    yy, zz = np.meshgrid(low[1] + (np.arange(ny) + 0.5) * h[1],
+                         low[2] + (np.arange(nz) + 0.5) * h[2], indexing="ij")
+    slab = np.column_stack((np.empty(ny * nz), yy.ravel(), zz.ravel()))
     total = np.zeros((3, 3))
-    for i in range(res[0]):
-        for j in range(res[1]):
-            for k in range(res[2]):
-                y = low + (np.array([i, j, k]) + 0.5) * h
-                total += np.outer(eval_a(y), eval_b(y))
-    return total * float(np.prod(h))
+    for i in range(nx):
+        slab[:, 0] = low[0] + (i + 0.5) * h[0]
+        total += fields.evaluate_many(a, slab).T @ fields.evaluate_many(b, slab)
+    return float(np.prod(h)) * total
+
+
+def quadrature_correlate(a, b, box=None, resolution=64):
+    """correlate_at_origin(a, b) by the midpoint rule, resolution cells per
+    axis over box (default: the union bounding box of both supports), folded
+    by moment_parts; a resolution sample would reject raises ValueError."""
+    n = fields._checked_resolution((resolution,) * 3)[0]
+    if box is None:
+        sa, sb = support(a), support(b)
+        box = fields.Box(tuple(np.minimum(sa.low_array, sb.low_array)),
+                         tuple(np.maximum(sa.high_array, sb.high_array)))
+    k = midpoint_moment(a, b, box.low, box.high, (n, n, n))
+    sc, biv = moment_parts(k.ravel().tolist())
+    return Multivector.from_even((sc, *biv))
 
 
 def midpoint_linear_shortfall(a, b, volume, h):

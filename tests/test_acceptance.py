@@ -20,13 +20,13 @@ from rotalign.ga3 import (
 from rotalign.fields import (
     LinearVectorField, decompose, l2_norm, normalize, rotate_outer,
 )
-from rotalign.correlation import (
-    correlate_at_origin, normalized_correlation, quadrature_correlate,
-)
-from rotalign.detector import DetectionConfig, detect, residual_angle
-from rotalign.experiments import draw_trial, run_trials, coefficient_error
+from rotalign.correlation import correlate_at_origin, normalized_correlation
+from rotalign.detector import DetectionConfig, detect
+from rotalign.experiments import draw_trial, run_trials
 
-from conftest import two_halves
+from conftest import (
+    coefficient_error, quadrature_correlate, residual_angle, two_halves,
+)
 
 MASTER_SEED = 0          # fixed for bit-reproducible acceptance runs
 N_CONVERGENCE = 1000
@@ -119,7 +119,7 @@ def test_criterion_4_residual_monotonicity(convergence_trials, capsys):
     for spec, pattern, rep in trials:
         # Each pass's net rotor composed with the true rotor by multivector
         # products, the algebra residual_angle does not use; the last value
-        # is cross-checked against the public function below.
+        # is cross-checked against it below.
         prev = residual_angle((1.0, 0.0, 0.0, 0.0), spec.plane, spec.angle)
         true = Multivector.from_even(rotation_rotor(spec.plane, spec.angle))
         cur = prev

@@ -9,11 +9,13 @@ import pytest
 from rotalign import cli
 from rotalign.cli import main
 from rotalign.fields import (
-    Box, LinearVectorField, PiecewiseConstantField, rotate_outer, save_field,
+    Box, LinearVectorField, PiecewiseConstantField, rotate_outer,
 )
 from rotalign.ga3 import UnitBivector
 
 import rotalign.correlation
+
+from conftest import save_field
 
 
 @pytest.fixture
@@ -183,6 +185,22 @@ def test_detect_rejects_an_overflowing_pattern(tmp_path, halves_pair, capsys):
                      "--epsilon", "0.1"])
     assert code == 2
     assert "pattern field energy is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("huge", ["pattern", "reference"])
+def test_detect_on_an_overflowing_field_prints_one_line(tmp_path, halves_pair,
+                                                        capsys, huge):
+    # no errstate here: numpy's overflow warnings, errors under tier-1's
+    # filter, must neither print nor turn exit 2 into exit 3
+    paths = {"reference": halves_pair[0], "pattern": halves_pair[1]}
+    paths[huge] = str(tmp_path / "huge.json")
+    save_field(LinearVectorField(1e308 * np.eye(3)), paths[huge])
+    code = main(["detect", "--reference", paths["reference"],
+                 "--pattern", paths["pattern"], "--epsilon", "0.1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {huge} field energy is not finite\n"
 
 
 def test_detect_rejects_a_non_finite_box_corner(tmp_path, halves_pair, capsys):

@@ -12,15 +12,13 @@ from rotalign.ga3 import (
 from rotalign.ga3 import rotation_matrix
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, UNIT_BOX, cross_moment,
-    decompose, evaluate, l2_norm, normalize, rotate_outer, sample, scale,
+    decompose, l2_norm, normalize, rotate_outer, sample, scale,
 )
-from rotalign.correlation import (
-    correlate_at_origin, normalized_correlation, quadrature_correlate,
-)
+from rotalign.correlation import correlate_at_origin, normalized_correlation
 
 from conftest import (
-    midpoint_correlate, midpoint_linear_shortfall, midpoint_moment, mv,
-    random_linear, random_plane, two_halves,
+    evaluate, midpoint_correlate, midpoint_linear_shortfall, midpoint_moment,
+    mv, quadrature_correlate, random_linear, random_plane, two_halves,
 )
 
 
@@ -202,7 +200,6 @@ def test_mixed_pair_closed_form():
 
 
 def test_package_quadrature_matches_independent_oracle():
-    from rotalign.fields import evaluate
     rng = np.random.default_rng(424207)
     a, b = random_linear(rng), random_linear(rng)
     got = quadrature_correlate(a, b, box=UNIT_BOX, resolution=6)
@@ -285,8 +282,7 @@ def test_cross_moment_matches_midpoint_oracle(kind_a, kind_b):
     rng = np.random.default_rng(424211)
     fields = moment_kinds(rng)
     a, b = fields[kind_a], fields[kind_b]
-    want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
-                           (-1, -1, -1), (1, 1, 1), (4, 4, 4))
+    want = midpoint_moment(a, b, (-1, -1, -1), (1, 1, 1), (4, 4, 4))
     if kind_a == kind_b == "linear":
         want += midpoint_linear_shortfall(a, b, 8.0, (0.5, 0.5, 0.5))
     assert np.allclose(cross_moment(a, b), want, rtol=0.0, atol=1e-12)
@@ -298,8 +294,7 @@ def test_cross_moment_of_partly_overlapping_linear_boxes():
     b = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
                           Box((-0.5, -1.0, 0.0), (1.5, 0.5, 1.0)))
     # the overlap [-0.5, 1) x [-1, 0.5) x [0, 1) lies on the grid lines
-    want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
-                           (-1.0, -1.0, -1.0), (1.5, 1.0, 1.0), (10, 8, 8))
+    want = midpoint_moment(a, b, (-1.0, -1.0, -1.0), (1.5, 1.0, 1.0), (10, 8, 8))
     want += midpoint_linear_shortfall(a, b, 2.25, (0.25, 0.25, 0.25))
     assert np.allclose(cross_moment(a, b), want, rtol=0.0, atol=1e-12)
     far = LinearVectorField(np.eye(3), Box((1, 1, 1), (2, 2, 2)))

@@ -31,14 +31,15 @@ import rotalign.ga3
 from rotalign.detector import (
     DISTURBANCE_ANGLE, DISTURBANCE_PLANE, DetectionConfig, DetectionReport,
     MomentDetection, _MisfitModel, _explicit_step, _passes, detect,
-    detect_moments, residual_angle,
+    detect_moments,
 )
 
 import conftest
 from conftest import (
     angle_feed, carried_bivector, halfway_feed, horn_matrix, outputs,
     pair_floats, power_read, power_step, random_linear, random_plane,
-    reference_detect, reference_detect_moments, shared_cell_pair, two_halves,
+    reference_detect, reference_detect_moments, residual_angle,
+    shared_cell_pair, two_halves,
 )
 from test_behaviour_lock import piecewise_pairs
 
@@ -639,7 +640,7 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
     # the same detection, bit for bit.
     calls = counted(monkeypatch, math, ("cos", "sin"))
     counted(monkeypatch, rotalign.detector,
-            ("rotor_product", "rotation_rotor", "rotor_rotation"), calls)
+            ("rotor_product", "rotor_rotation"), calls)
     steps = []
 
     def explicit_step(model, *args, f=_explicit_step):

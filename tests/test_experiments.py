@@ -12,10 +12,12 @@ from rotalign.ga3 import E12, rotation_matrix
 from rotalign.fields import Box, LinearVectorField, rotate_outer
 from rotalign.detector import DetectionConfig, detect
 from rotalign.experiments import (
-    ANGLE_CAP, CSV_HEADER, TrialSpec, TrialStats, coefficient_error,
-    draw_trial, random_linear_field, random_rotation, run_trial, run_trials,
+    ANGLE_CAP, CSV_HEADER, TrialSpec, TrialStats, draw_trial,
+    random_linear_field, random_rotation, run_trial, run_trials,
     stats_csv_row, stats_to_dict, trial_generator,
 )
+
+from conftest import coefficient_error
 
 
 # ---------------------------------------------------------------------------

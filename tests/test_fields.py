@@ -11,18 +11,18 @@ from rotalign.ga3 import (
 )
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
-    cross_moment, decompose, evaluate, evaluate_many, from_dict, l2_norm,
-    load_field, normalize, overlap_volumes, pair_moments,
-    plane_projection_matrix, rotate_outer, sample, save_field, scale,
-    support, to_dict,
+    cross_moment, decompose, evaluate_many, from_dict, l2_norm, load_field,
+    normalize, overlap_volumes, pair_moments, plane_projection_matrix,
+    rotate_outer, sample, scale, to_dict,
 )
 
 from rotalign.detector import DetectionConfig, detect
 from rotalign.experiments import draw_trial, run_trial
 
 from conftest import (
-    jittered_split, midpoint_linear_shortfall, midpoint_moment, random_linear,
-    random_plane, shared_cell_pair, two_halves,
+    evaluate, jittered_split, midpoint_linear_shortfall, midpoint_moment,
+    random_linear, random_plane, save_field, shared_cell_pair, support,
+    two_halves,
 )
 
 
@@ -593,8 +593,7 @@ def test_moment_on_different_cells_takes_the_overlap_matrix(overlap_calls):
         overlap_calls.clear()
         k = cross_moment(a, b)
         assert overlap_calls == [4]
-        want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(b, y),
-                               (-1, -1, -1), (1, 1, 1), (8, 8, 8))
+        want = midpoint_moment(a, b, (-1, -1, -1), (1, 1, 1), (8, 8, 8))
         assert np.allclose(k, want, rtol=0.0, atol=1e-12)
 
 
@@ -637,8 +636,7 @@ def test_linear_moment_on_partly_overlapping_boxes_after_caching():
     cases = ((b, (1.5, 1.0, 1.0), (10, 8, 8), 2.25),
              (inner, (1.0, 1.0, 1.0), (8, 8, 8), 0.75))
     for other, high, resolution, volume in cases:
-        want = midpoint_moment(lambda y: evaluate(a, y), lambda y: evaluate(other, y),
-                               (-1.0, -1.0, -1.0), high, resolution)
+        want = midpoint_moment(a, other, (-1.0, -1.0, -1.0), high, resolution)
         want += midpoint_linear_shortfall(a, other, volume, (0.25, 0.25, 0.25))
         assert np.allclose(cross_moment(a, other), want, rtol=0.0, atol=1e-12)
         assert np.allclose(cross_moment(other, a), want.T, rtol=0.0, atol=1e-12)
@@ -677,19 +675,6 @@ def test_linear_norm_against_quadrature():
     assert math.isclose(l2_norm(f), l2_norm(g), rel_tol=1e-3)
 
 
-def midpoint_self_moment(field, box, resolution):
-    """Midpoint-rule sum of v v^T over a grid on box, one cell at a time."""
-    low = box.low_array
-    h = (box.high_array - low) / np.array(resolution)
-    total = np.zeros((3, 3))
-    for i in range(resolution[0]):
-        for j in range(resolution[1]):
-            for k in range(resolution[2]):
-                v = evaluate(field, low + (np.array([i, j, k]) + 0.5) * h)
-                total += np.outer(v, v)
-    return total * float(np.prod(h))
-
-
 def test_self_moment_of_linear_field_against_midpoint_sum():
     rng = np.random.default_rng(7706)
     f = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
@@ -697,7 +682,7 @@ def test_self_moment_of_linear_field_against_midpoint_sum():
     s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
     # the midpoint rule is off by O(h^2) on a quadratic integrand
-    want = midpoint_self_moment(f, f.box, (24, 24, 24))
+    want = midpoint_moment(f, f, f.box.low, f.box.high, (24, 24, 24))
     assert np.max(np.abs(s - want)) <= 1e-3 * np.trace(s)
 
 
@@ -710,7 +695,7 @@ def test_self_moment_of_piecewise_field_against_midpoint_sum():
     s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
     # cells aligned with the grid make the sum exact
-    want = midpoint_self_moment(f, UNIT_BOX, (4, 4, 4))
+    want = midpoint_moment(f, f, UNIT_BOX.low, UNIT_BOX.high, (4, 4, 4))
     assert np.allclose(s, want, rtol=0.0, atol=1e-12)
 
 
@@ -733,7 +718,7 @@ def test_self_moment_of_sampled_field_against_midpoint_sum():
     g = sample(random_linear(rng), box, (4, 5, 6))
     s = cross_moment(g, g)
     assert math.isclose(np.trace(s), l2_norm(g) ** 2, rel_tol=1e-12)
-    want = midpoint_self_moment(g, box, (4, 5, 6))
+    want = midpoint_moment(g, g, box.low, box.high, (4, 5, 6))
     assert np.allclose(s, want, rtol=0.0, atol=1e-12)
 
 

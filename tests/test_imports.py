@@ -1,6 +1,7 @@
 """Every name a module of the package, of its tests or of perfbench imports
-is used in that module, every name it lists in __all__ is bound in it, and
-every function of tests/conftest.py is read by a test.
+is used in that module, every name it lists in __all__ is bound in it,
+every function of tests/conftest.py is read by a test, and every public
+name the package defines is part of the product.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.  A
@@ -8,10 +9,15 @@ name in __all__ must be bound at the module's top level, by an import, a
 def, a class or an assignment, or `from module import *` fails on it.  A
 conftest function or fixture must be reached from a test module, as a name,
 an attribute or a fixture argument, directly or through conftest functions
-that are; pytest hooks are exempt.
+that are; pytest hooks are exempt.  A public top-level name of the package
+(a def, class or assignment not starting with "_") must be read by another
+top-level statement of the package, be listed in an __all__, or be named in
+backticks in the README's "Library tour"; a function only tests call
+belongs in tests/conftest.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -125,3 +131,77 @@ def test_every_conftest_function_is_read_by_a_test():
     modules = [p.read_text() for p in sorted(tests.glob("*.py"))
                if p.name != "conftest.py"]
     assert unread_helpers((tests / "conftest.py").read_text(), modules) == []
+
+
+def defined_names(node) -> set[str]:
+    """The names a top-level statement defines: a def, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def loaded_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def tour_names(readme: str) -> set[str]:
+    """The identifiers inside backticks in the README's "Library tour",
+    outside its fenced code blocks."""
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    tour = re.sub(r"^```.*?^```", "", tour, flags=re.S | re.M)
+    return {name for span in re.findall(r"`([^`]+)`", tour)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def names_only_tests_reach(modules: dict[str, str],
+                           documented: set[str]) -> list[str]:
+    """module:name for each public top-level name of the modules that no
+    other top-level statement reads, no __all__ lists and documented lacks."""
+    statements = [(module, node) for module, source in modules.items()
+                  for node in ast.parse(source).body]
+    exported = {e for _, node in statements if "__all__" in defined_names(node)
+                for e in ast.literal_eval(node.value)}
+    reads = [(node, loaded_names(node)) for _, node in statements]
+    return sorted(f"{module}:{name}" for module, node in statements
+                  for name in defined_names(node)
+                  if not name.startswith("_") and name not in exported | documented
+                  and not any(name in names for other, names in reads
+                              if other is not node))
+
+
+def test_the_check_finds_a_test_only_name():
+    modules = {
+        "a.py": ("__all__ = ['exported']\n"
+                 "def exported(): pass\n"
+                 "def recursive(): return recursive()\n"
+                 "def documented(): pass\n"
+                 "def _private(): pass\n"
+                 "def by_attribute(): pass\n"
+                 "LIMIT, (LOW, HIGH) = 1, (0, 2)\n"
+                 "def uses_limit(): return LIMIT + LOW\n"
+                 "class Point:\n    def method(self): return helper()\n"),
+        "b.py": ("from .a import uses_limit\nimport a\n"
+                 "def helper(): uses_limit = 1; return a.by_attribute\n"
+                 "if __name__ == '__main__':\n    helper()\n"),
+    }
+    # only backticks in the tour name a name, and a fenced block does not
+    readme = ("`HIGH`\n## Library tour\n- `a.documented(x,\n  y)` and\n"
+              "```python\nPoint\n```\n## Command line\n`recursive`\n")
+    assert tour_names(readme) == {"a", "documented", "x", "y"}
+    # an import, and a local of the same name, do not read uses_limit
+    assert names_only_tests_reach(modules, tour_names(readme)) == [
+        "a.py:HIGH", "a.py:Point", "a.py:recursive", "a.py:uses_limit"]
+
+
+def test_the_package_keeps_no_test_only_name():
+    package = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "rotalign").glob("*.py"))}
+    documented = tour_names((ROOT / "README.md").read_text())
+    assert names_only_tests_reach(package, documented) == []
