@@ -210,10 +210,10 @@ def main(argv=None) -> int:
     handlers = {"detect": cmd_detect, "bench": cmd_bench, "verify": cmd_verify}
     try:
         return handlers[args.command](args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

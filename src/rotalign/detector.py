@@ -336,23 +336,6 @@ def _passes(horn, model: _MisfitModel, r, epsilon: float, first: bool,
     return (r0, r1, r2, r3), phi, i + 1, converged
 
 
-def _detection_fields(k, s, config: DetectionConfig) -> dict:
-    """detect_moments' loop: MomentDetection's six fields, by name."""
-    model = _MisfitModel(s)
-    if not all(map(math.isfinite, k)):
-        raise ValueError("cross moment K is not finite")
-    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
-    horn = (k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5,
-            k8 - k0 - k4, -(k5 + k7), k2 + k6,
-            k4 - k0 - k8, -(k1 + k3),
-            k0 - k4 - k8)
-    epsilon = config.epsilon
-    net, _, iterations, converged = _passes(horn, model, (1.0, 0.0, 0.0, 0.0),
-                                            epsilon, True, config.max_iterations)
-    return {"net": net, "iterations": iterations, "converged": converged,
-            "horn": horn, "s": tuple(s), "epsilon": epsilon}
-
-
 def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     """The detection loop on the cross moment K = integral of u v^T and the
     reference's self-moment S = integral of v v^T.
@@ -376,8 +359,20 @@ def detect_moments(k, s, config: DetectionConfig) -> MomentDetection:
     once.  Raises ValueError if S is not positive semidefinite (trace,
     diagonal), then if tr S is zero or not finite, then if S or K is not.
     """
+    model = _MisfitModel(s)
+    if not all(map(math.isfinite, k)):
+        raise ValueError("cross moment K is not finite")
+    k0, k1, k2, k3, k4, k5, k6, k7, k8 = k
+    horn = (k0 + k4 + k8, k3 - k1, k6 - k2, k7 - k5,
+            k8 - k0 - k4, -(k5 + k7), k2 + k6,
+            k4 - k0 - k8, -(k1 + k3),
+            k0 - k4 - k8)
+    epsilon = config.epsilon
+    net, _, iterations, converged = _passes(horn, model, (1.0, 0.0, 0.0, 0.0),
+                                            epsilon, True, config.max_iterations)
     loop = object.__new__(MomentDetection)  # each field written once
-    vars(loop).update(_detection_fields(k, s, config))
+    vars(loop).update(net=net, iterations=iterations, converged=converged,
+                      horn=horn, s=tuple(s), epsilon=epsilon)
     return loop
 
 
@@ -387,9 +382,9 @@ def detect(reference: VectorField, pattern: VectorField,
 
     Integrates K and S together (fields.pair_moments: one product when the
     fields share their cells), checks the pattern's energy, the scalar part
-    of correlate_at_origin(pattern, pattern), and runs detect_moments' loop
-    on K and S; the report is built once, from the loop's fields and the
-    rotation read off its net rotor.  The pattern is rotated only when the
+    of correlate_at_origin(pattern, pattern), and runs detect_moments on K
+    and S; the report is built once, from every field of that detection and
+    the rotation read off its net rotor.  The pattern is rotated only when the
     report's corrected_pattern is read.  Runs are deterministic: identical
     inputs produce bit-identical reports.  Raises ValueError if the
     pattern's energy is zero or not finite, then if the reference's is, then
@@ -400,8 +395,9 @@ def detect(reference: VectorField, pattern: VectorField,
     checked_norm(math.sqrt(correlate_at_origin(pattern, pattern).scalar),
                  "pattern field", "detect rotation against")
 
-    loop = _detection_fields(moments[:9], moments[9:], config)
-    alpha, undo = rotor_rotation(loop["net"])
+    loop = detect_moments(moments[:9], moments[9:], config)
+    alpha, undo = rotor_rotation(loop.net)
     report = object.__new__(DetectionReport)  # each field written once
-    vars(report).update(loop, alpha=alpha, plane=-undo, pattern=pattern, undo=undo)
+    vars(report).update(vars(loop), alpha=alpha, plane=-undo, pattern=pattern,
+                        undo=undo)
     return report

@@ -215,10 +215,15 @@ def _spacing(box: Box, resolution: tuple[int, int, int]) -> np.ndarray:
 
 
 def _checked_resolution(resolution) -> tuple[int, int, int]:
-    """Three positive integer cell counts: 2.0 counts, 1.5, "2" and True do not."""
+    """Three positive integer cell counts: 2.0 counts, 1.5, "2", True and an
+    int too large for a float do not."""
     res = tuple(resolution)
-    if len(res) != 3 or not all(
-            _is_real(n) and float(n).is_integer() and n >= 1 for n in res):
+    try:
+        ok = len(res) == 3 and all(
+            _is_real(n) and float(n).is_integer() and n >= 1 for n in res)
+    except OverflowError:  # float() of a 401-digit int
+        ok = False
+    if not ok:
         raise ValueError(f"bad resolution {resolution}")
     return tuple(int(n) for n in res)
 

@@ -183,13 +183,12 @@ def midpoint_moment(a, b, low, high, resolution):
 def quadrature_correlate(a, b, box=None, resolution=64):
     """correlate_at_origin(a, b) by the midpoint rule, resolution cells per
     axis over box (default: the union bounding box of both supports), folded
-    by moment_parts; a resolution sample would reject raises ValueError."""
-    n = fields._checked_resolution((resolution,) * 3)[0]
+    by moment_parts."""
     if box is None:
         sa, sb = support(a), support(b)
         box = fields.Box(tuple(np.minimum(sa.low_array, sb.low_array)),
                          tuple(np.maximum(sa.high_array, sb.high_array)))
-    k = midpoint_moment(a, b, box.low, box.high, (n, n, n))
+    k = midpoint_moment(a, b, box.low, box.high, (resolution,) * 3)
     sc, biv = moment_parts(k.ravel().tolist())
     return Multivector.from_even((sc, *biv))
 

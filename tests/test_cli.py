@@ -132,18 +132,6 @@ def test_detect_missing_file(capsys, halves_pair):
     assert "error:" in capsys.readouterr().err
 
 
-def test_detect_malformed_file(tmp_path, halves_pair, capsys):
-    ref, _ = halves_pair
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "nonsense"}')
-    code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""          # nothing printed before the failure
-    assert "error:" in out.err
-
-
 def test_detect_rejects_a_file_nested_too_deeply_for_json(tmp_path, halves_pair,
                                                          capsys):
     # json.load raises RecursionError here; that is a malformed file, not an
@@ -157,34 +145,6 @@ def test_detect_rejects_a_file_nested_too_deeply_for_json(tmp_path, halves_pair,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and "nested too deeply" in out.err
-
-
-def test_detect_rejects_non_finite_pattern(tmp_path, halves_pair, capsys):
-    # the loader accepts the NaN literal; the field constructor rejects it
-    ref, _ = halves_pair
-    bad = tmp_path / "nan.json"
-    bad.write_text(json.dumps({"linear": {
-        "matrix": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
-        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]}}}))
-    assert "NaN" in bad.read_text()
-    code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "matrix values must be finite" in out.err
-
-
-def test_detect_rejects_an_overflowing_pattern(tmp_path, halves_pair, capsys):
-    # finite values whose energy overflows are caught by detect itself
-    ref, _ = halves_pair
-    bad = tmp_path / "huge.json"
-    save_field(LinearVectorField(1e308 * np.eye(3)), bad)
-    with np.errstate(all="ignore"):
-        code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                     "--epsilon", "0.1"])
-    assert code == 2
-    assert "pattern field energy is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("huge", ["pattern", "reference"])
@@ -203,91 +163,17 @@ def test_detect_on_an_overflowing_field_prints_one_line(tmp_path, halves_pair,
     assert out.err == f"error: {huge} field energy is not finite\n"
 
 
-def test_detect_rejects_a_non_finite_box_corner(tmp_path, halves_pair, capsys):
-    ref, _ = halves_pair
-    bad = tmp_path / "nan_box.json"
-    bad.write_text(json.dumps({"piecewise": [
-        {"box": {"low": [0, 0, 0], "high": [1, 1, 1]}, "vector": [1, 0, 0]},
-        {"box": {"low": [0.5, 0.5, math.nan], "high": [2, 2, 2]},
-         "vector": [0, 1, 0]},
-    ]}))
-    code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    assert "box corners must be finite" in capsys.readouterr().err
-
-
-def test_detect_rejects_a_fractional_grid_resolution(tmp_path, capsys):
-    bad = tmp_path / "grid.json"
-    bad.write_text(json.dumps({"grid": {
-        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]},
-        "resolution": [1.5, 1, 2], "data": [[1, 0, 0], [0, 1, 0]]}}))
-    code = main(["detect", "--reference", str(bad), "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "bad resolution (1.5, 1, 2)" in out.err
-
-
-def test_detect_rejects_grid_data_that_misses_the_resolution(tmp_path, capsys):
-    bad = tmp_path / "grid.json"
-    bad.write_text(json.dumps({"grid": {
-        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]},
-        "resolution": [1, 1, 2], "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}))
-    code = main(["detect", "--reference", str(bad), "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "data shape (3, 3) does not match resolution (1, 1, 2)" in out.err
-
-
-def test_detect_rejects_a_two_row_linear_matrix(tmp_path, halves_pair, capsys):
-    ref, _ = halves_pair
-    bad = tmp_path / "two_rows.json"
-    bad.write_text(json.dumps({"linear": {
-        "matrix": [[1, 0, 0], [0, 1, 0]],
-        "box": {"low": [-1, -1, -1], "high": [1, 1, 1]}}}))
-    code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "matrix must be 3x3, got (2, 3)" in out.err
-
-
 BOX = {"low": [-1, -1, -1], "high": [1, 1, 1]}
 HUGE = 10 ** 400  # a 401-digit JSON integer: too large for a float
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"linear": {"matrix": [[1, 0, 0], [0, HUGE, 0], [0, 0, 1]], "box": BOX}},
-     "matrix must be finite"),
-    ({"piecewise": [{"box": BOX, "vector": [1, 0, -HUGE]}]},
-     "cell vectors must be finite"),
-    ({"grid": {"box": BOX, "resolution": [1, 1, 1], "data": [[HUGE, 0, 0]]}},
-     "grid data must be finite"),
-    ({"linear": {"matrix": np.eye(3).tolist(),
-                 "box": {"low": [-1, -1, -1], "high": [1, HUGE, 1]}}},
-     "box corners must be finite"),
-])
-def test_detect_rejects_an_integer_too_large_for_a_float(tmp_path, halves_pair,
-                                                         capsys, doc, message):
-    ref, _ = halves_pair
-    bad = tmp_path / "huge_int.json"
-    bad.write_text(json.dumps(doc))
-    assert str(HUGE) in bad.read_text()
-    code = main(["detect", "--reference", ref, "--pattern", str(bad),
-                 "--epsilon", "0.1"])
-    assert code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"error: {message}\n"
-
+def test_json_writes_nan_and_a_huge_int_as_literals():
+    # so the documents below reach the loader as NaN and as 401 digits
+    assert json.dumps([math.nan, HUGE]) == f"[NaN, {HUGE}]"
 
 
 @pytest.mark.parametrize("doc, message", [
+    ({"kind": "nonsense"}, "unknown field kind 'kind'"),
     ({"linear": {"box": BOX}}, "linear field has no 'matrix' entry"),
     ({"linear": [1, 2, 3]}, "linear field has a JSON value of the wrong type"),
     ({"piecewise": [{"box": BOX, "vector": [1, 0, 0]}, {"box": BOX}]},
@@ -298,9 +184,36 @@ def test_detect_rejects_an_integer_too_large_for_a_float(tmp_path, halves_pair,
      "grid field has no 'resolution' entry"),
     ({"grid": {"box": {"low": [0, 0, 0]}, "resolution": [1, 1, 1],
                "data": [[1, 0, 0]]}}, "grid field has no 'high' entry"),
+    ({"linear": {"matrix": [[1, 0, 0], [0, 1, 0]], "box": BOX}},
+     "matrix must be 3x3, got (2, 3)"),
+    ({"grid": {"box": BOX, "resolution": [1.5, 1, 2],
+               "data": [[1, 0, 0], [0, 1, 0]]}}, "bad resolution (1.5, 1, 2)"),
+    ({"grid": {"box": BOX, "resolution": [1, 1, 2],
+               "data": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+     "data shape (3, 3) does not match resolution (1, 1, 2)"),
+    ({"linear": {"matrix": [["1", 0, 0], [0, True, 0], [0, 0, "2.5"]],
+                 "box": {"low": ["-1", -1, False], "high": [1, 1, "1e0"]}}},
+     "matrix must be lists of three JSON numbers"),
+    # the loader accepts the NaN literal; the field constructor rejects it
+    ({"linear": {"matrix": [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0],
+                            [0.0, 0.0, 1.0]], "box": BOX}},
+     "matrix values must be finite"),
+    ({"piecewise": [
+        {"box": {"low": [0, 0, 0], "high": [1, 1, 1]}, "vector": [1, 0, 0]},
+        {"box": {"low": [0.5, 0.5, math.nan], "high": [2, 2, 2]},
+         "vector": [0, 1, 0]}]}, "box corners must be finite"),
+    ({"linear": {"matrix": [[1, 0, 0], [0, HUGE, 0], [0, 0, 1]], "box": BOX}},
+     "matrix must be finite"),
+    ({"piecewise": [{"box": BOX, "vector": [1, 0, -HUGE]}]},
+     "cell vectors must be finite"),
+    ({"grid": {"box": BOX, "resolution": [1, 1, 1], "data": [[HUGE, 0, 0]]}},
+     "grid data must be finite"),
+    ({"linear": {"matrix": np.eye(3).tolist(),
+                 "box": {"low": [-1, -1, -1], "high": [1, HUGE, 1]}}},
+     "box corners must be finite"),
 ])
-def test_detect_names_what_a_field_document_lacks(tmp_path, halves_pair, capsys,
-                                                   doc, message):
+def test_detect_rejects_a_bad_field_document(tmp_path, halves_pair, capsys,
+                                             doc, message):
     ref, _ = halves_pair
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -308,23 +221,23 @@ def test_detect_names_what_a_field_document_lacks(tmp_path, halves_pair, capsys,
                  "--epsilon", "0.1"])
     assert code == 2
     out = capsys.readouterr()
-    assert out.out == ""
+    assert out.out == ""  # nothing printed before the failure
     assert out.err == f"error: {message}\n"
 
 
-def test_detect_rejects_strings_and_booleans_as_numbers(tmp_path, capsys):
-    bad = tmp_path / "strings.json"
-    bad.write_text(json.dumps({"linear": {
-        "matrix": [["1", 0, 0], [0, True, 0], [0, 0, "2.5"]],
-        "box": {"low": ["-1", -1, False], "high": [1, 1, "1e0"]}}}))
-    good = tmp_path / "good.json"
-    save_field(LinearVectorField(np.diag([1.0, 1.0, 2.5])), good)
-    code = main(["detect", "--reference", str(good), "--pattern", str(bad),
+def test_a_type_error_inside_a_command_exits_3(halves_pair, capsys, monkeypatch):
+    # a TypeError is a programming error, not bad input: exit 3, not 2
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "detect", broken)
+    ref, pat = halves_pair
+    code = main(["detect", "--reference", ref, "--pattern", pat,
                  "--epsilon", "0.1"])
-    assert code == 2
+    assert code == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert "matrix must be lists of three JSON numbers" in out.err
+    assert out.err == "internal error: unsupported operand\n"
 
 
 def test_bench_csv_deterministic(capsys):

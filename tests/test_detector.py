@@ -1525,7 +1525,9 @@ def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-def support(field):
+def layout(field):
+    """Where a field's values sit: its cell corners as bytes, a grid's box
+    and resolution, or a linear field's box."""
     if isinstance(field, PiecewiseConstantField):
         return bits(field.low), bits(field.high)
     if isinstance(field, SampledField):
@@ -1542,7 +1544,7 @@ def assert_same_report(reference, pattern, config):
     assert bits(got.plane.components) == bits(want.plane.components)
     corrected = got.corrected_pattern
     assert type(corrected) is type(want.corrected_pattern)
-    assert support(corrected) == support(want.corrected_pattern)
+    assert layout(corrected) == layout(want.corrected_pattern)
     assert bits(field_values(corrected)) == bits(field_values(want.corrected_pattern))
 
 

@@ -60,14 +60,6 @@ def test_box_rejects_non_finite_corners(bad):
         Box((0.0, 0.0, 0.0), (1.0, 1.0, bad))
 
 
-def test_box_rejects_an_int_too_large_for_a_float():
-    # float() of such an int raises OverflowError rather than give inf
-    with pytest.raises(ValueError, match="box corners must be finite"):
-        Box((0, 10 ** 400, 0), (1, 1, 1))
-    with pytest.raises(ValueError, match="box corners must be finite"):
-        Box((0, 0, 0), (1, 1, -(10 ** 400)))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fields_reject_non_finite_values(bad):
     matrix = np.eye(3)
@@ -85,64 +77,56 @@ def test_fields_reject_non_finite_values(bad):
         SampledField(UNIT_BOX, (2, 2, 2), data)
 
 
-def test_linear_field_rejects_an_int_too_large_for_a_float():
-    # numpy holds such an int as an object, as it does 10 ** 30, which fits
-    with pytest.raises(ValueError, match="^matrix values must be finite$"):
-        LinearVectorField([[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]])
-    field = LinearVectorField([[10 ** 30, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert field.matrix[0, 0] == 1e30
+CELLS = (Box((0, 0, 0), (1, 1, 1)), Box((1, 0, 0), (2, 1, 1)))
 
 
-def test_piecewise_field_rejects_an_int_too_large_for_a_float():
-    with pytest.raises(ValueError, match="^cell values must be finite$"):
-        PiecewiseConstantField((
-            (Box((0, 0, 0), (1, 1, 1)), (1.0, 0.0, 0.0)),
-            (Box((1, 0, 0), (2, 1, 1)), (0, -(10 ** 400), 0)),
-        ))
+def piecewise_from(values):
+    return PiecewiseConstantField(zip(CELLS, values))
 
 
-def test_sampled_field_rejects_an_int_too_large_for_a_float():
-    with pytest.raises(ValueError, match="^data values must be finite$"):
-        SampledField(UNIT_BOX, (1, 1, 2), [[0.0, 0.0, 1.0], [0, 0, 10 ** 400]])
+def grid_from(data):
+    return SampledField(UNIT_BOX, (1, 1, 2), data)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda n: Box((0, n, 0), (1, 1, 1)), "box corners must be finite"),
+    (lambda n: Box((0, 0, 0), (1, 1, -n)), "box corners must be finite"),
+    (lambda n: LinearVectorField([[n, 0, 0], [0, 1, 0], [0, 0, 1]]),
+     "matrix values must be finite"),
+    (lambda n: piecewise_from(((1.0, 0.0, 0.0), (0, -n, 0))),
+     "cell values must be finite"),
+    (lambda n: grid_from([[0.0, 0.0, 1.0], [0, 0, n]]),
+     "data values must be finite"),
+], ids=["box-low", "box-high", "linear", "piecewise", "grid"])
+def test_constructors_reject_an_int_too_large_for_a_float(build, message):
+    # float() of such an int raises OverflowError rather than give inf
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(10 ** 400)
 
 
 def objects(rows):
     return np.array(rows, dtype=object)
 
 
-def test_linear_field_reads_an_object_array_as_its_list():
+@pytest.mark.parametrize("build, attr, rows, bad_rows, what", [
+    (LinearVectorField, "matrix", [[1, 0.5, 0], [0, 1, 0], [0, 0, 2.0]],
+     lambda x: [[x, 0, 0], [0, 1, 0], [0, 0, 1]], "matrix values"),
+    (piecewise_from, "values", [[1.0, 0, 0], [0, 2, 0.5]],
+     lambda x: [[1.0, 0, 0], [0, x, 0]], "cell values"),
+    (grid_from, "data", [[0.0, 0, 1], [0, 2, 0.5]],
+     lambda x: [[0.0, 0, 1], [0, x, 0]], "data values"),
+], ids=["linear", "piecewise", "grid"])
+def test_constructors_read_an_object_array_as_its_list(build, attr, rows,
+                                                       bad_rows, what):
     # an object array is scanned entry by entry, as a list is: it builds,
     # names an int too large for a float as not finite and a string as no
     # number
-    rows = [[1, 0.5, 0], [0, 1, 0], [0, 0, 2.0]]
-    field = LinearVectorField(objects(rows))
-    assert np.array_equal(field.matrix, LinearVectorField(rows).matrix)
-    assert field.matrix.dtype == float
-    with pytest.raises(ValueError, match="^matrix values must be finite$"):
-        LinearVectorField(objects([[10 ** 400, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    with pytest.raises(ValueError, match="^matrix values must be real numbers$"):
-        LinearVectorField(objects([["1", 0, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_piecewise_field_reads_object_array_values_as_their_lists():
-    boxes = (Box((0, 0, 0), (1, 1, 1)), Box((1, 0, 0), (2, 1, 1)))
-    values = ([1.0, 0, 0], [0, 2, 0.5])
-    field = PiecewiseConstantField(zip(boxes, map(objects, values)))
-    assert np.array_equal(field.values,
-                          PiecewiseConstantField(zip(boxes, values)).values)
+    got = getattr(build(objects(rows)), attr)
+    assert np.array_equal(got, getattr(build(rows), attr))
+    assert got.dtype == float
     for bad, message in ((10 ** 400, "finite"), ("2", "real numbers")):
-        with pytest.raises(ValueError, match=f"^cell values must be {message}$"):
-            PiecewiseConstantField(zip(boxes, (objects([1.0, 0, 0]),
-                                               objects([0, bad, 0]))))
-
-
-def test_sampled_field_reads_an_object_array_as_its_list():
-    rows = [[0.0, 0, 1], [0, 2, 0.5]]
-    field = SampledField(UNIT_BOX, (1, 1, 2), objects(rows))
-    assert np.array_equal(field.data, SampledField(UNIT_BOX, (1, 1, 2), rows).data)
-    for bad, message in ((10 ** 400, "finite"), ("2", "real numbers")):
-        with pytest.raises(ValueError, match=f"^data values must be {message}$"):
-            SampledField(UNIT_BOX, (1, 1, 2), objects([[0.0, 0, 1], [0, bad, 0]]))
+        with pytest.raises(ValueError, match=f"^{what} must be {message}$"):
+            build(objects(bad_rows(bad)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -236,9 +220,13 @@ def test_constructors_reject_boolean_and_string_arrays():
     cells = PiecewiseConstantField(((Box((0, 0, 0), (1, 1, 1)),
                                      np.array([1, 2, 3], dtype=np.int32)),))
     assert cells.values.tolist() == [[1.0, 2.0, 3.0]]
+    # numpy holds an int too large for int64 as an object; 10 ** 30 fits a float
+    field = LinearVectorField([[10 ** 30, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert field.matrix[0, 0] == 1e30
 
 
-@pytest.mark.parametrize("bad", [1.5, "2", True, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [1.5, "2", True, math.nan, math.inf, 0, -2,
+                                 None, pytest.param(10 ** 400, id="10**400")])
 def test_sampled_field_rejects_a_non_integer_resolution(bad):
     with pytest.raises(ValueError, match="bad resolution"):
         SampledField(UNIT_BOX, (1, bad, 2), np.zeros((2, 3)))
@@ -250,6 +238,11 @@ def test_sampled_field_accepts_an_integral_float_resolution():
     f = SampledField(UNIT_BOX, (1.0, 1, np.float64(2.0)), np.zeros((2, 3)))
     assert f.resolution == (1, 1, 2)
     assert all(type(n) is int for n in f.resolution)
+
+
+def test_sample_takes_a_numpy_integer_resolution():
+    g = sample(LinearVectorField(np.eye(3)), UNIT_BOX, (np.int64(4), 1, 2))
+    assert g.resolution == (4, 1, 2) and type(g.resolution[0]) is int
 
 
 def test_from_dict_rejects_a_fractional_grid_resolution():
@@ -310,24 +303,23 @@ def test_box_moment_is_cached_read_only_and_closed_form():
 # evaluation
 
 def test_two_halves_evaluation():
-    f = two_halves_field()
-    assert np.allclose(evaluate(f, (0.5, 0.0, 0.0)), [1, 0, 0])
-    assert np.allclose(evaluate(f, (-0.5, 0.0, 0.0)), [0, 1, 0])
-    assert np.allclose(evaluate(f, (0.0, 0.0, 0.0)), [1, 0, 0])  # boundary
-    assert np.allclose(evaluate(f, (1.5, 0.0, 0.0)), [0, 0, 0])
+    got = evaluate_many(two_halves_field(), np.array(
+        [(0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (1.5, 0.0, 0.0)]))
+    # the boundary x = 0 belongs to the right half; outside the support is 0
+    assert np.allclose(got, [[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0]])
 
 
 def test_linear_evaluation():
     f = LinearVectorField(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(evaluate(f, (0.5, 0.5, 0.5)), [0.5, 1.0, 1.5])
-    assert np.allclose(evaluate(f, (2.0, 0.0, 0.0)), [0, 0, 0])
+    got = evaluate_many(f, np.array([(0.5, 0.5, 0.5), (2.0, 0.0, 0.0)]))
+    assert np.allclose(got, [[0.5, 1.0, 1.5], [0, 0, 0]])
 
 
 def test_sampled_evaluation_picks_containing_cell():
     f = sample(LinearVectorField(np.eye(3)), UNIT_BOX, (4, 4, 4))
     # cell containing the origin is [0, 0.5)^3 with center 0.25
-    assert np.allclose(evaluate(f, (0.1, 0.1, 0.1)), [0.25, 0.25, 0.25])
-    assert np.allclose(evaluate(f, (5.0, 0.0, 0.0)), [0, 0, 0])
+    got = evaluate_many(f, np.array([(0.1, 0.1, 0.1), (5.0, 0.0, 0.0)]))
+    assert np.allclose(got, [[0.25, 0.25, 0.25], [0, 0, 0]])
 
 
 def test_evaluate_many_matches_pointwise():
@@ -344,14 +336,11 @@ NOT_A_FIELD = np.eye(3)  # a matrix passed where a LinearVectorField belongs
 
 
 @pytest.mark.parametrize("call", [
-    lambda f: evaluate(f, (0.0, 0.0, 0.0)),
     lambda f: evaluate_many(f, np.zeros((1, 3))),
-    support,
     lambda f: cross_moment(f, f),
     lambda f: rotate_outer(f, E12, 0.5),
     to_dict,
-], ids=["evaluate", "evaluate_many", "support", "cross_moment",
-        "rotate_outer", "to_dict"])
+], ids=["evaluate_many", "cross_moment", "rotate_outer", "to_dict"])
 def test_a_non_field_raises_type_error(call):
     with pytest.raises(TypeError, match="ndarray"):
         call(NOT_A_FIELD)
@@ -675,28 +664,27 @@ def test_linear_norm_against_quadrature():
     assert math.isclose(l2_norm(f), l2_norm(g), rel_tol=1e-3)
 
 
-def test_self_moment_of_linear_field_against_midpoint_sum():
-    rng = np.random.default_rng(7706)
-    f = LinearVectorField(rng.uniform(-1, 1, (3, 3)),
-                          Box((-1.0, -0.5, 0.0), (0.5, 1.0, 2.0)))
-    s = cross_moment(f, f)
-    assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
-    # the midpoint rule is off by O(h^2) on a quadratic integrand
-    want = midpoint_moment(f, f, f.box.low, f.box.high, (24, 24, 24))
-    assert np.max(np.abs(s - want)) <= 1e-3 * np.trace(s)
-
-
-def test_self_moment_of_piecewise_field_against_midpoint_sum():
-    rng = np.random.default_rng(7707)
-    f = PiecewiseConstantField((
+@pytest.mark.parametrize("seed, build, resolution, atol, rtol", [
+    (7706, lambda rng: LinearVectorField(rng.uniform(-1, 1, (3, 3)),
+                                         Box((-1.0, -0.5, 0.0), (0.5, 1.0, 2.0))),
+     (24, 24, 24), 0.0, 1e-3),
+    (7707, lambda rng: PiecewiseConstantField((
         (Box((0, -1, -1), (1, 1, 1)), rng.uniform(-1, 1, 3)),
         (Box((-1, -1, -1), (0, 1, 0)), rng.uniform(-1, 1, 3)),
-    ))
+    )), (4, 4, 4), 1e-12, 0.0),
+    (7708, lambda rng: sample(random_linear(rng),
+                              Box((-1.0, 0.0, -0.5), (1.0, 1.5, 0.5)), (4, 5, 6)),
+     (4, 5, 6), 1e-12, 0.0),
+], ids=["linear", "piecewise", "grid"])
+def test_self_moment_against_midpoint_sum(seed, build, resolution, atol, rtol):
+    # the midpoint rule is off by O(h^2) on the linear field's quadratic
+    # integrand, and exact on cells and grids aligned with its grid
+    f = build(np.random.default_rng(seed))
     s = cross_moment(f, f)
     assert math.isclose(np.trace(s), l2_norm(f) ** 2, rel_tol=1e-12)
-    # cells aligned with the grid make the sum exact
-    want = midpoint_moment(f, f, UNIT_BOX.low, UNIT_BOX.high, (4, 4, 4))
-    assert np.allclose(s, want, rtol=0.0, atol=1e-12)
+    box = support(f)
+    want = midpoint_moment(f, f, box.low, box.high, resolution)
+    assert np.max(np.abs(s - want)) <= atol + rtol * np.trace(s)
 
 
 def test_piecewise_norm_is_linear_in_the_cell_count(overlap_calls):
@@ -710,16 +698,6 @@ def test_piecewise_norm_is_linear_in_the_cell_count(overlap_calls):
     want = overlap_matrix_moment(f, f)
     assert np.array_equal(s, want)
     assert norm == float(np.sqrt(np.trace(want)))
-
-
-def test_self_moment_of_sampled_field_against_midpoint_sum():
-    rng = np.random.default_rng(7708)
-    box = Box((-1.0, 0.0, -0.5), (1.0, 1.5, 0.5))
-    g = sample(random_linear(rng), box, (4, 5, 6))
-    s = cross_moment(g, g)
-    assert math.isclose(np.trace(s), l2_norm(g) ** 2, rel_tol=1e-12)
-    want = midpoint_moment(g, g, box.low, box.high, (4, 5, 6))
-    assert np.allclose(s, want, rtol=0.0, atol=1e-12)
 
 
 def test_normalize():

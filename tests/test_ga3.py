@@ -511,15 +511,23 @@ def compose(alpha, p, phi, q):
                                         rotation_rotor(p, alpha)))
 
 
-def test_compose_examples():
-    beta, plane = compose(math.pi / 2, E12, math.pi / 2, E12)
-    assert math.isclose(beta, math.pi, abs_tol=1e-12)
-    assert np.allclose(plane.components, E12.components, atol=1e-12)
-
-    beta, plane = compose(math.pi / 2, E12, math.pi / 2, E13)
-    assert math.isclose(beta, 2 * math.pi / 3, abs_tol=1e-12)
-    want = np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)
-    assert np.allclose(plane.components, want, atol=1e-12)
+@pytest.mark.parametrize("alpha, p, phi, q, beta, plane, tol", [
+    (math.pi / 2, E12, math.pi / 2, E12, math.pi, E12.components, 1e-12),
+    (math.pi / 2, E12, math.pi / 2, E13, 2 * math.pi / 3,
+     np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0), 1e-12),
+    (0.3, E23, 0.4, E23, 0.7, E23.components, 1e-12),
+    # raw composed angle 3pi/2 folds back to pi/2 with the plane flipped
+    (3 * math.pi / 4, E12, 3 * math.pi / 4, E12, math.pi / 2, -E12.components,
+     1e-12),
+    # a full turn cancels, and leaves no plane to check
+    (math.pi, E13, math.pi, E13, 0.0, None, 1e-9),
+], ids=["half-turn", "two-planes", "same-plane-adds", "clamped-to-pi",
+        "full-turn-cancels"])
+def test_compose_examples(alpha, p, phi, q, beta, plane, tol):
+    got_beta, got_plane = compose(alpha, p, phi, q)
+    assert math.isclose(got_beta, beta, abs_tol=tol)
+    if plane is not None:
+        assert np.allclose(got_plane.components, plane, atol=1e-12)
 
 
 def test_compose_identity_factor_exact():
@@ -534,24 +542,6 @@ def test_compose_identity_factor_exact():
     for beta, plane in (compose(0.7, p, 0.0, E12), compose(0.0, E12, 0.7, p)):
         assert math.isclose(beta, 0.7, rel_tol=1e-15)
         assert np.allclose(plane.components, p.components, rtol=0.0, atol=1e-15)
-
-
-def test_compose_same_plane_adds():
-    beta, plane = compose(0.3, E23, 0.4, E23)
-    assert math.isclose(beta, 0.7, abs_tol=1e-12)
-    assert np.allclose(plane.components, E23.components, atol=1e-12)
-
-
-def test_compose_angle_clamped_to_pi():
-    # raw composed angle 3pi/2 folds back to pi/2 with the plane flipped
-    beta, plane = compose(3 * math.pi / 4, E12, 3 * math.pi / 4, E12)
-    assert math.isclose(beta, math.pi / 2, abs_tol=1e-12)
-    assert np.allclose(plane.components, -E12.components, atol=1e-12)
-
-
-def test_compose_full_turn_cancels():
-    beta, _ = compose(math.pi, E13, math.pi, E13)
-    assert math.isclose(beta, 0.0, abs_tol=1e-9)
 
 
 def test_compose_against_scipy():

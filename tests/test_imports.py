@@ -1,7 +1,8 @@
 """Every name a module of the package, of its tests or of perfbench imports
 is used in that module, every name it lists in __all__ is bound in it,
-every function of tests/conftest.py is read by a test, and every public
-name the package defines is part of the product.
+every function of tests/conftest.py is read by a test and bound by no test
+module under the same name, and every public name the package defines is
+part of the product.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.  A
@@ -9,11 +10,12 @@ name in __all__ must be bound at the module's top level, by an import, a
 def, a class or an assignment, or `from module import *` fails on it.  A
 conftest function or fixture must be reached from a test module, as a name,
 an attribute or a fixture argument, directly or through conftest functions
-that are; pytest hooks are exempt.  A public top-level name of the package
-(a def, class or assignment not starting with "_") must be read by another
-top-level statement of the package, be listed in an __all__, or be named in
-backticks in the README's "Library tour"; a function only tests call
-belongs in tests/conftest.py.
+that are; pytest hooks are exempt.  A test module's top-level def, class
+or assignment must not take a conftest function's name.  A public
+top-level name of the package (a def, class or assignment not starting
+with "_") must be read by another top-level statement of the package, be
+listed in an __all__, or be named in backticks in the README's "Library
+tour"; a function only tests call belongs in tests/conftest.py.
 """
 
 import ast
@@ -95,11 +97,16 @@ def names_read(tree) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute, ast.arg))}
 
 
-def unread_helpers(conftest: str, modules: list[str]) -> list[str]:
-    tree = ast.parse(conftest)
-    defs = {node.name: node for node in tree.body
+def helper_defs(tree) -> dict[str, ast.FunctionDef]:
+    """conftest's functions and fixtures by name, pytest hooks aside."""
+    return {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("pytest_")}
+
+
+def unread_helpers(conftest: str, modules: list[str]) -> list[str]:
+    tree = ast.parse(conftest)
+    defs = helper_defs(tree)
     reached = set()
     todo = set().union(*map(names_read, map(ast.parse, modules)),
                        *(names_read(node) for node in tree.body
@@ -131,6 +138,31 @@ def test_every_conftest_function_is_read_by_a_test():
     modules = [p.read_text() for p in sorted(tests.glob("*.py"))
                if p.name != "conftest.py"]
     assert unread_helpers((tests / "conftest.py").read_text(), modules) == []
+
+
+def redefined_helpers(conftest: str, module: str) -> list[str]:
+    """The conftest functions a test module binds again at its top level,
+    where the module's own name would hide the shared one."""
+    bound = set().union(*map(defined_names, ast.parse(module).body))
+    return sorted(helper_defs(ast.parse(conftest)).keys() & bound)
+
+
+def test_the_check_finds_a_redefined_helper():
+    conftest = ("import pytest\n"
+                "def support(f): pass\ndef evaluate(f, x): pass\n"
+                "@pytest.fixture\ndef table(): return 1\n")
+    module = ("from conftest import evaluate\n"
+              "def support(field): return field\n"
+              "table = 1\n"
+              "def test_x():\n    def evaluate(): pass\n")
+    assert redefined_helpers(conftest, module) == ["support", "table"]
+
+
+def test_no_test_module_redefines_a_conftest_function():
+    tests = ROOT / "tests"
+    conftest = (tests / "conftest.py").read_text()
+    assert [f"{p.name}:{name}" for p in sorted(tests.glob("test_*.py"))
+            for name in redefined_helpers(conftest, p.read_text())] == []
 
 
 def defined_names(node) -> set[str]:
