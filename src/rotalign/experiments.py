@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ga3 import UnitBivector, rotation_matrix, rotation_rotor, rotor_product
-from .fields import LinearVectorField, check_angle
+from .fields import LinearVectorField, check_angle, cross_moment
 from .detector import DetectionConfig, detect_moments
 
 # Stay strictly inside [0, pi): the convergence guarantee is open at pi and
@@ -94,8 +94,7 @@ def run_trial(spec: TrialSpec,
     the reference's energy.
     """
     check_angle(spec.angle)
-    a = spec.field.matrix
-    s = a.dot(spec.field.box.second_moment_matrix()).dot(a.T)  # .dot: see cross_moment
+    s = cross_moment(spec.field, spec.field)
     loop = detect_moments(
         rotation_matrix(spec.plane, spec.angle).dot(s).ravel().tolist(),
         s.ravel().tolist(), DetectionConfig(spec.epsilon, max_iterations))
@@ -103,7 +102,7 @@ def run_trial(spec: TrialSpec,
         loop.net, rotation_rotor(spec.plane, spec.angle))
     x, y, z = e23, -e13, e12
     sq = 0.0
-    for ax, ay, az in a.T.tolist():
+    for ax, ay, az in spec.field.matrix.T.tolist():
         sq += ((y * az - z * ay) ** 2 + (z * ax - x * az) ** 2
                + (x * ay - y * ax) ** 2)
     return 2.0 * math.sqrt(sq), loop.iterations, loop.converged

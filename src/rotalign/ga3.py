@@ -181,9 +181,6 @@ class Multivector:
             return Multivector(self.coeffs / other)
         return NotImplemented
 
-    def close_to(self, other: "Multivector", tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
-
     def __repr__(self):
         return f"Multivector({np.array2string(self.coeffs, separator=', ')})"
 

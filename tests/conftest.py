@@ -9,9 +9,11 @@ into criterion 8's check of the closed form.  evaluate, support, save_field,
 coefficient_error and residual_angle are here because only tests call them.
 The overlap_calls fixture counts the package's O(n^2) cell-pair matrices,
 and box_constructions the Box objects the package builds; shared_cell_pair
-builds the seeded piecewise pairs that several test modules detect on, and
-mv, two_halves, random_plane and random_linear build the small multivectors
-and fields the test modules share.
+builds the seeded piecewise pairs that several test modules detect on,
+piecewise_pairs the behaviour lock's 200 of them, and mv, two_halves,
+random_plane and random_linear build the small multivectors and fields the
+test modules share, which close_to compares.  trial_loops captures the K
+and S that run_trial passes to detect_moments, with its loop and error.
 
 The detection pass is here as functions of their own, the shifted power step
 detector._passes writes out inline: power_read reads tr K and w, the
@@ -34,13 +36,15 @@ pattern on first read.
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rotalign import fields
+from rotalign import experiments, fields
 from rotalign.correlation import correlate_at_origin, moment_parts
-from rotalign.detector import _MisfitModel, _explicit_step
+from rotalign.detector import _MisfitModel, _explicit_step, detect_moments
+from rotalign.experiments import draw_trial, run_trial
 from rotalign.ga3 import (
     ZERO_BIVECTOR_RTOL, Multivector, UnitBivector, rotation_matrix,
     rotation_rotor, rotor_product, rotor_rotation,
@@ -74,6 +78,12 @@ def pauli_coeffs(m):
 def oracle_product(a, b):
     """Geometric product of two coefficient arrays via the matrix picture."""
     return pauli_coeffs(pauli_matrix(a) @ pauli_matrix(b))
+
+
+def close_to(a, b, tol=1e-12):
+    """Whether the multivectors a and b agree coefficient by coefficient
+    within the absolute tolerance tol."""
+    return bool(np.allclose(a.coeffs, b.coeffs, rtol=0.0, atol=tol))
 
 
 def mv(**kw):
@@ -224,6 +234,20 @@ def shared_cell_pair(rng, angle=2.0):
         for vals in (values, rotated))
 
 
+PIECEWISE_SEED = 12
+N_PAIRS = 200
+
+
+def piecewise_pairs():
+    """The behaviour lock's (reference, pattern) pairs: pair i rotates a
+    shared_cell_pair by an angle drawn in [0, pi), all from the stream
+    seeded with (PIECEWISE_SEED, i)."""
+    for i in range(N_PAIRS):
+        rng = np.random.default_rng((PIECEWISE_SEED, i))
+        angle = rng.uniform(0.0, math.pi)
+        yield shared_cell_pair(rng, angle)
+
+
 def horn_matrix(k) -> tuple[tuple[float, ...], ...]:
     """Horn's symmetric 4x4 N of K0, nine floats row-major, as four rows in
     the rotor's layout: tr(R(q) K0) = q^T N q for a rotor q (Horn 1987,
@@ -349,6 +373,29 @@ def reference_detect(reference, pattern, config) -> SimpleNamespace:
     return SimpleNamespace(**vars(loop), alpha=alpha, plane=-undo,
                            corrected_pattern=fields.rotate_outer(pattern, undo,
                                                                  alpha))
+
+
+def trial_loops(indices, epsilon: float, master_seed: int = 0) -> list:
+    """(K0, S, loop, error) of each trial of indices (seed 0 unless
+    master_seed says): the nine floats each of K0 and S that run_trial
+    passes to detect_moments, the loop that call returns, whose iterations
+    and converged run_trial returns, and run_trial's coefficient error."""
+    calls, trials = [], []
+
+    def record(k, s, config):
+        calls.append((k, s, detect_moments(k, s, config)))
+        return calls[-1][2]
+
+    with mock.patch.object(experiments, "detect_moments", record):
+        for index in indices:
+            error = run_trial(draw_trial(master_seed, index, epsilon))[0]
+            trials.append((*calls.pop(), error))
+    return trials
+
+
+def trial_loop(index: int, epsilon: float, master_seed: int = 0) -> tuple:
+    """trial_loops of the one trial index."""
+    return trial_loops((index,), epsilon, master_seed)[0]
 
 
 @pytest.fixture

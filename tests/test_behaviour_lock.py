@@ -49,7 +49,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import shared_cell_pair
+from conftest import N_PAIRS, piecewise_pairs
 from rotalign import experiments
 from rotalign.detector import DetectionConfig, detect, detect_moments
 from rotalign.experiments import draw_trial, run_trial
@@ -61,8 +61,6 @@ MASTER_SEED = 0
 N_TRIALS = 500
 EPSILONS = (0.1, 0.01, 0.001, 1e-6)
 ERROR_TOL = 1e-12
-PIECEWISE_SEED = 12
-N_PAIRS = 200
 PIECEWISE_EPSILON = 1e-6
 
 
@@ -72,16 +70,6 @@ def trial_rows(epsilon: float) -> list[tuple[int, bool, float]]:
         err, iterations, converged = run_trial(draw_trial(MASTER_SEED, i, epsilon))
         rows.append((iterations, converged, err))
     return rows
-
-
-def piecewise_pairs():
-    """The lock's (reference, pattern) pairs: pair i rotates a
-    shared_cell_pair by an angle drawn in [0, pi), all from the stream
-    seeded with (PIECEWISE_SEED, i)."""
-    for i in range(N_PAIRS):
-        rng = np.random.default_rng((PIECEWISE_SEED, i))
-        angle = rng.uniform(0.0, math.pi)
-        yield shared_cell_pair(rng, angle)
 
 
 def piecewise_rows() -> list[tuple[int, bool, float]]:

@@ -17,8 +17,9 @@ from rotalign.fields import (
 from rotalign.correlation import correlate_at_origin, normalized_correlation
 
 from conftest import (
-    evaluate, midpoint_correlate, midpoint_linear_shortfall, midpoint_moment,
-    mv, quadrature_correlate, random_linear, random_plane, two_halves,
+    close_to, evaluate, midpoint_correlate, midpoint_linear_shortfall,
+    midpoint_moment, mv, quadrature_correlate, random_linear, random_plane,
+    two_halves,
 )
 
 
@@ -32,21 +33,21 @@ FIELD_B = two_halves((1.0, 1.0, 0), (0, 1.0, 0))        # e1+e2 | e2
 def test_rotated_halves_correlation_value():
     rotated = rotate_outer(FIELD_A, E13, math.pi / 2)
     cor = correlate_at_origin(rotated, FIELD_A)
-    assert cor.close_to(mv(s=4, e13=-4), tol=1e-12)
+    assert close_to(cor, mv(s=4, e13=-4), tol=1e-12)
 
 
 def test_self_correlation_is_squared_norm():
     cor = correlate_at_origin(FIELD_A, FIELD_A)
-    assert cor.close_to(mv(s=8), tol=1e-12)
+    assert close_to(cor, mv(s=8), tol=1e-12)
 
 
 def test_second_pair_correlation_both_orders():
     rotated = rotate_outer(FIELD_B, E13, math.pi / 2)
     cor = correlate_at_origin(rotated, FIELD_B)
-    assert cor.close_to(mv(s=8, e12=-4, e13=-4, e23=-4), tol=1e-12)
+    assert close_to(cor, mv(s=8, e12=-4, e13=-4, e23=-4), tol=1e-12)
     # swapping the arguments conjugates the result
     cor_rev = correlate_at_origin(FIELD_B, rotated)
-    assert cor_rev.close_to(mv(s=8, e12=4, e13=4, e23=4), tol=1e-12)
+    assert close_to(cor_rev, mv(s=8, e12=4, e13=4, e23=4), tol=1e-12)
 
     pf = polar_decompose(cor)
     assert math.isclose(pf.angle, math.atan(math.sqrt(3) / 2), abs_tol=1e-12)
@@ -57,7 +58,7 @@ def test_second_pair_correlation_both_orders():
 def test_normalized_rotated_halves():
     rotated = rotate_outer(FIELD_A, E13, math.pi / 2)
     res = normalized_correlation(rotated, FIELD_A)
-    assert res.normalized.close_to(mv(s=0.5, e13=-0.5), tol=1e-12)
+    assert close_to(res.normalized, mv(s=0.5, e13=-0.5), tol=1e-12)
     assert math.isclose(res.polar.angle, math.pi / 4, abs_tol=1e-12)
     assert np.allclose(res.polar.plane.components, -E13.components, atol=1e-12)
     assert math.isclose(res.polar.magnitude, 1 / math.sqrt(2), abs_tol=1e-12)
@@ -65,7 +66,7 @@ def test_normalized_rotated_halves():
 
 def test_normalized_self_correlation():
     res = normalized_correlation(FIELD_A, FIELD_A)
-    assert res.normalized.close_to(mv(s=1), tol=1e-12)
+    assert close_to(res.normalized, mv(s=1), tol=1e-12)
     assert res.polar.angle == 0.0
     assert math.isclose(res.polar.magnitude, 1.0, abs_tol=1e-12)
 
@@ -87,14 +88,14 @@ def test_normalized_rejects_an_overflowing_energy():
 def test_orthogonal_pair_has_no_polar_form():
     # half-turn in e13 negates the e1 cell: the correlation cancels exactly
     rotated = rotate_outer(FIELD_A, E13, math.pi)
-    assert correlate_at_origin(rotated, FIELD_A).close_to(mv(), tol=1e-12)
+    assert close_to(correlate_at_origin(rotated, FIELD_A), mv(), tol=1e-12)
     with pytest.raises(ValueError):
         normalized_correlation(rotated, FIELD_A)
 
 
 def test_disjoint_supports_correlate_to_zero():
     far = PiecewiseConstantField(((Box((10, 10, 10), (11, 11, 11)), (1.0, 0, 0)),))
-    assert correlate_at_origin(far, FIELD_A).close_to(mv(), tol=0.0)
+    assert close_to(correlate_at_origin(far, FIELD_A), mv(), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def test_argument_swap_conjugates():
     for a, b in pairs:
         ab = correlate_at_origin(a, b)
         ba = correlate_at_origin(b, a)
-        assert ab.close_to(ba.reverse(), tol=1e-12)
+        assert close_to(ab, ba.reverse(), tol=1e-12)
 
 
 def test_bilinearity():
@@ -118,7 +119,7 @@ def test_bilinearity():
     a, b, c = random_linear(rng), random_linear(rng), random_linear(rng)
     lhs = correlate_at_origin(a, LinearVectorField(b.matrix + 2.0 * c.matrix))
     rhs = correlate_at_origin(a, b) + 2.0 * correlate_at_origin(a, c)
-    assert lhs.close_to(rhs, tol=1e-12)
+    assert close_to(lhs, rhs, tol=1e-12)
 
 
 def test_rotation_argument_identity():
@@ -140,7 +141,7 @@ def test_rotation_argument_identity():
         exp_neg = Multivector.from_even(exp_bivector(p, -alpha))
         expected = r * exp_neg + (exp_neg - 1.0) * w + \
             Multivector.from_scalar(1.0 - r)
-        assert cor.close_to(expected, tol=1e-10), (cor, expected)
+        assert close_to(cor, expected, tol=1e-10), (cor, expected)
 
 
 def test_mixed_term_cauchy_schwarz():
@@ -187,7 +188,7 @@ def test_mixed_pair_closed_form():
     quad = quadrature_correlate(FIELD_A, lin, resolution=16)
     assert np.allclose(exact.coeffs, quad.coeffs, atol=1e-12)
     exact_rev = correlate_at_origin(lin, FIELD_A)
-    assert exact_rev.close_to(exact.reverse(), tol=1e-12)
+    assert close_to(exact_rev, exact.reverse(), tol=1e-12)
 
 
 def test_package_quadrature_matches_independent_oracle():

@@ -1,14 +1,14 @@
 """Detector tests: worked detection runs, the disturbance branch at the
-half-turn, convergence/monotonicity behavior, the known failure modes, the
-residual-angle helper, the conftest oracle of a pass (power_read and
-power_step on Horn's N) against numpy, the moment-matrix loop locked to the
-paper's loop on rotated fields, and the report's corrected pattern built on
-first read."""
+half-turn, the known failure modes, the residual-angle helper, the conftest
+oracle of a pass (power_read and power_step on Horn's N) against numpy, the
+moment-matrix loop locked to the paper's loop on rotated fields and to the
+eager report, and the report's corrected pattern built on first read."""
 
 import math
 import re
 import tracemalloc
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +22,7 @@ from rotalign.correlation import correlate_at_origin, moment_parts
 from rotalign.experiments import draw_trial, random_rotation, run_trials
 from rotalign.fields import (
     Box, LinearVectorField, PiecewiseConstantField, SampledField, UNIT_BOX,
-    cross_moment, l2_norm, normalize, rotate_outer, sample, scale,
+    cross_moment, evaluate_many, l2_norm, rotate_outer, sample, scale,
 )
 import rotalign.correlation
 import rotalign.detector
@@ -34,21 +34,18 @@ from rotalign.detector import (
     detect_moments,
 )
 
-import conftest
 from conftest import (
     angle_feed, carried_bivector, halfway_feed, horn_matrix, outputs,
-    pair_floats, power_read, power_step, random_linear, random_plane,
-    reference_detect, reference_detect_moments, residual_angle,
-    shared_cell_pair, two_halves,
+    pair_floats, piecewise_pairs, power_read, power_step, random_linear,
+    random_plane, reference_detect, reference_detect_moments, residual_angle,
+    shared_cell_pair, trial_loop, trial_loops, two_halves,
 )
-from test_behaviour_lock import piecewise_pairs
 
 
 FIELD_A = two_halves((1.0, 0, 0), (0, 1.0, 0))
 
 
 def field_distance(a, b, pts):
-    from rotalign.fields import evaluate_many
     return float(np.max(np.abs(evaluate_many(a, pts) - evaluate_many(b, pts))))
 
 
@@ -103,17 +100,15 @@ def test_detect_planar_case_is_one_shot():
 # ---------------------------------------------------------------------------
 # the antipodal half-turn and the disturbance
 
-def lopsided_field():
-    # 3:1 parallel-to-perpendicular energy split for the e13 plane
-    return two_halves((math.sqrt(3.0), 0, 0), (0, 1.0, 0))
+# 3:1 parallel-to-perpendicular energy split for the e13 plane
+LOPSIDED = two_halves((math.sqrt(3.0), 0, 0), (0, 1.0, 0))
 
 
 def test_half_turn_default_mode_escapes_the_stall():
     # exact alpha = pi sits outside the convergence guarantee; what the
     # disturbance buys is an exit from the real-valued stall, not recovery
-    v = lopsided_field()
-    pattern = rotate_outer(v, E13, math.pi)
-    report = detect(v, pattern, DetectionConfig(epsilon=1e-6))
+    pattern = rotate_outer(LOPSIDED, E13, math.pi)
+    report = detect(LOPSIDED, pattern, DetectionConfig(epsilon=1e-6))
     # the first correlation is real and negative; the disturbance must fire
     assert report.phi_trace[0] == math.pi / 4
     assert report.converged
@@ -122,9 +117,8 @@ def test_half_turn_default_mode_escapes_the_stall():
 
 def test_near_half_turn_recovers():
     # strictly inside [0, pi) the guarantee applies even close to the edge
-    v = lopsided_field()
-    pattern = rotate_outer(v, E13, 3.1)
-    report = detect(v, pattern, DetectionConfig(epsilon=1e-8))
+    pattern = rotate_outer(LOPSIDED, E13, 3.1)
+    report = detect(LOPSIDED, pattern, DetectionConfig(epsilon=1e-8))
     assert report.converged
     assert math.isclose(report.alpha, 3.1, abs_tol=1e-6)
     assert np.allclose(report.plane.components, E13.components, atol=1e-6)
@@ -132,36 +126,6 @@ def test_near_half_turn_recovers():
 
 # ---------------------------------------------------------------------------
 # random-trial properties
-
-def test_random_trials_converge_and_roundtrip():
-    rng = np.random.default_rng(90903)
-    for _ in range(50):
-        v = LinearVectorField(rng.uniform(-1, 1, (3, 3)))
-        if l2_norm(v) < 1e-3:
-            continue
-        p = random_plane(rng)
-        alpha = rng.uniform(0, math.pi * (1 - 1e-9))
-        pattern = rotate_outer(v, p, alpha)
-        report = detect(v, pattern, DetectionConfig(epsilon=1e-6))
-        assert report.converged
-        assert np.allclose(report.corrected_pattern.matrix, v.matrix, atol=1e-3)
-
-
-def test_residual_sequence_monotone():
-    rng = np.random.default_rng(90904)
-    for _ in range(50):
-        v = normalize(LinearVectorField(rng.uniform(-1, 1, (3, 3))))
-        p = random_plane(rng)
-        alpha = rng.uniform(0, math.pi * (1 - 1e-9))
-        pattern = rotate_outer(v, p, alpha)
-        report = detect(v, pattern, DetectionConfig(epsilon=1e-6))
-        # before the first pass, then after each
-        residuals = [residual_angle(net, p, alpha)
-                     for net in ((1.0, 0.0, 0.0, 0.0), *report.nets)]
-        assert math.isclose(residuals[0], alpha, abs_tol=1e-12)
-        for before, after in zip(residuals, residuals[1:]):
-            assert after <= before + 1e-9
-
 
 def test_detect_recovers_plane_orientation():
     rng = np.random.default_rng(90905)
@@ -173,19 +137,6 @@ def test_detect_recovers_plane_orientation():
         report = detect(v, pattern, DetectionConfig(epsilon=1e-8))
         assert math.isclose(report.alpha, alpha, abs_tol=1e-4)
         assert float(report.plane.components @ p.components) > 1.0 - 1e-6
-
-
-def test_detect_deterministic():
-    rng = np.random.default_rng(90906)
-    v = LinearVectorField(rng.uniform(-1, 1, (3, 3)))
-    pattern = rotate_outer(v, random_plane(rng), 1.3)
-    cfg = DetectionConfig(epsilon=1e-6)
-    a = detect(v, pattern, cfg)
-    b = detect(v, pattern, cfg)
-    assert a.phi_trace == b.phi_trace
-    assert a.alpha == b.alpha
-    assert tuple(a.plane.components) == tuple(b.plane.components)
-    assert np.array_equal(a.corrected_pattern.matrix, b.corrected_pattern.matrix)
 
 
 def test_detect_on_sampled_fields():
@@ -240,16 +191,23 @@ def field_with_singular_values(*values):
     return LinearVectorField(left @ np.diag(values) @ right.T)
 
 
-def test_certified_exit_bounds_the_misfit_of_a_nearly_rank_one_field():
-    # Little energy lies off the dominant value direction, so phi understates
-    # the residual rotation and the bare phi exit leaves about 5 eps of misfit.
-    # The 1 % margin covers the second-order terms the certificate leaves out.
+@pytest.mark.parametrize("field, plane, angle", [
+    # little energy lies off the dominant value direction, so phi understates
+    # the residual rotation and the bare phi exit leaves about 5 eps of misfit
+    pytest.param(field_with_singular_values(1.9, 0.3, 0.2), E13, 1.0,
+                 id="nearly-rank-one"),
+    # every value lies along e3, so tr S I - S is exactly singular: the
+    # rotation about e3 is invisible, and the pseudo-inverse must drop it
+    pytest.param(LinearVectorField(np.outer([0.0, 0.0, 1.0], [0.5, -1.0, 1.5])),
+                 UnitBivector.from_components(1.0, 2.0, 2.0), 1.2, id="rank-one"),
+])
+def test_certified_exit_bounds_the_misfit(field, plane, angle):
+    # the 1 % margin covers the second-order terms the certificate leaves out
     eps = 1e-6
-    v = field_with_singular_values(1.9, 0.3, 0.2)
-    pattern = rotate_outer(v, E13, 1.0)
-    report = detect(v, pattern, DetectionConfig(epsilon=eps))
+    report = detect(field, rotate_outer(field, plane, angle),
+                    DetectionConfig(epsilon=eps))
     assert report.converged
-    assert relative_misfit(report.corrected_pattern, v) <= 1.01 * eps
+    assert relative_misfit(report.corrected_pattern, field) <= 1.01 * eps
 
 
 def test_certified_exit_keeps_the_paper_loop_on_a_well_conditioned_field():
@@ -262,17 +220,6 @@ def test_certified_exit_keeps_the_paper_loop_on_a_well_conditioned_field():
     assert report.phi_trace == trace
     assert report.iterations == len(trace)
     assert np.array_equal(report.corrected_pattern.matrix, corrected.matrix)
-
-
-def test_certified_exit_on_a_rank_one_field():
-    # every value lies along e3, so tr S I - S is exactly singular: the
-    # rotation about e3 is invisible, and the pseudo-inverse must drop it
-    eps = 1e-6
-    v = LinearVectorField(np.outer([0.0, 0.0, 1.0], [0.5, -1.0, 1.5]))
-    pattern = rotate_outer(v, UnitBivector.from_components(1.0, 2.0, 2.0), 1.2)
-    report = detect(v, pattern, DetectionConfig(epsilon=eps))
-    assert report.converged
-    assert relative_misfit(report.corrected_pattern, v) <= 1.01 * eps
 
 
 class RoundedModel:
@@ -495,16 +442,6 @@ def test_detect_moments_recovers_the_rotation_of_k_equal_r_s():
         assert math.isclose(alpha, angle, abs_tol=10 * eps)
 
 
-def test_detect_moments_takes_the_disturbance_on_a_real_valued_k():
-    s = hand_made_s()
-    loop = detect_moments(floats(s), floats(s), DetectionConfig(epsilon=1e-6))
-    assert loop.phi_trace[0] == DISTURBANCE_ANGLE
-    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE)
-    assert np.max(np.abs(np.subtract(loop.nets[0], want))) <= 1e-15
-    assert loop.converged
-    assert rotor_rotation(loop.net)[0] <= 1e-6
-
-
 def test_detect_moments_exits_on_pass_one_when_k_is_within_epsilon():
     s = hand_made_s()
     plane = UnitBivector.from_components(2.0, 1.0, -1.0)
@@ -513,15 +450,6 @@ def test_detect_moments_exits_on_pass_one_when_k_is_within_epsilon():
     assert loop.converged and loop.iterations == 1
     assert 0.0 < loop.phi_trace[0] <= 1e-6
     assert residual_angle(loop.net, plane, 1e-8) < 1e-8
-
-
-def test_detect_moments_rejects_a_zero_or_non_finite_s():
-    config = DetectionConfig(epsilon=1e-3)
-    with pytest.raises(ValueError, match="zero field"):
-        detect_moments(floats(np.eye(3)), [0.0] * 9, config)
-    with pytest.raises(ValueError, match="not finite"):
-        detect_moments(floats(np.eye(3)), [math.inf, 0, 0, 0, 1, 0, 0, 0, 1],
-                       config)
 
 
 class NoNumpy:
@@ -555,14 +483,17 @@ def test_detect_moments_uses_no_numpy(monkeypatch):
 # ---------------------------------------------------------------------------
 # the pass on float tuples
 
+def field_trial_moments(index, epsilon):
+    """K and S, nine floats each, of seed-0 trial index read off fields: the
+    trial's field and its copy turned by rotate_outer, through cross_moment."""
+    spec = draw_trial(0, index, epsilon)
+    pattern = rotate_outer(spec.field, spec.plane, spec.angle)
+    return floats(cross_moment(pattern, spec.field)), self_moment(spec.field)
+
+
 def seeded_moment_inputs():
     """(K, S) of seeded linear trials and piecewise pairs, and a real K."""
-    cases = []
-    for index in range(20):
-        spec = draw_trial(0, index, 1e-6)
-        pattern = rotate_outer(spec.field, spec.plane, spec.angle)
-        cases.append((floats(cross_moment(pattern, spec.field)),
-                      self_moment(spec.field)))
+    cases = [field_trial_moments(index, 1e-6) for index in range(20)]
     rng = np.random.default_rng(35)
     for _ in range(5):
         reference, pattern = shared_cell_pair(rng)
@@ -571,28 +502,6 @@ def seeded_moment_inputs():
     s = floats(hand_made_s())
     cases.append((s, s))  # real-valued: the disturbance pass
     return cases
-
-
-def test_detect_moments_builds_no_plane_or_rotor(monkeypatch):
-    cases = seeded_moment_inputs()
-    built = []
-
-    def counting(init):
-        def counted(self, *args):
-            built.append(type(self).__name__)
-            init(self, *args)
-        return counted
-
-    monkeypatch.setattr(UnitBivector, "__init__", counting(UnitBivector.__init__))
-    config = DetectionConfig(epsilon=1e-6)
-    loops = [detect_moments(k, s, config) for k, s in cases]
-    assert all(loop.converged for loop in loops)
-    assert loops[-1].phi_trace[0] == DISTURBANCE_ANGLE
-    assert sum(loop.iterations for loop in loops) > 10 * len(loops)
-    assert built == []
-    # the count sees every construction: reading the net's plane builds one
-    rotor_rotation(loops[0].net)
-    assert built == ["UnitBivector"]
 
 
 def counted(monkeypatch, module, names, calls=None):
@@ -605,42 +514,17 @@ def counted(monkeypatch, module, names, calls=None):
     return calls
 
 
-def test_a_common_pass_takes_no_cos_or_sin(monkeypatch):
-    # only the disturbance and the passes within epsilon feed an explicit
-    # angle, and each of those passes calls cos and sin once for its feed.
-    # The reference loop, bit for bit the same, counts them by its
-    # angle_feed calls.  The first read of nets replays the passes with the
-    # same calls; a second read makes none.
-    trig = counted(monkeypatch, math, ("cos", "sin"))
-    explicit = counted(monkeypatch, conftest, ("angle_feed",))
-    config = DetectionConfig(epsilon=1e-6)
-    for k, s in seeded_moment_inputs():
-        trig.clear()
-        loop = detect_moments(k, s, config)
-        detection = list(trig)
-        trig.clear()
-        nets = loop.nets
-        assert trig == detection
-        trig.clear()
-        outputs(loop)
-        assert loop.nets is nets and trig == []
-        explicit.clear()
-        assert outputs(reference_detect_moments(k, s, config)) == outputs(loop)
-        assert loop.converged and 1 <= len(explicit) <= 2
-        assert loop.iterations > len(explicit)
-        assert detection.count("cos") == detection.count("sin") == len(explicit)
-    assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
-
-
 def test_a_common_pass_calls_no_helper(monkeypatch):
     # an explicit pass calls _explicit_step, then cos and sin once each for
     # its feed; the last pass is a certified exit.  A common pass is written
     # out in the loop and calls none of these, so only the disturbance and
-    # the passes within epsilon take cos and sin.  The reference loop gives
-    # the same detection, bit for bit.
+    # the passes within epsilon take cos and sin.  No pass builds a plane
+    # (UnitBivector.__init__).  The reference loop gives the same detection,
+    # bit for bit.
     calls = counted(monkeypatch, math, ("cos", "sin"))
     counted(monkeypatch, rotalign.detector,
             ("rotor_product", "rotor_rotation"), calls)
+    counted(monkeypatch, UnitBivector, ("__init__",), calls)
     steps = []
 
     def explicit_step(model, *args, f=_explicit_step):
@@ -654,8 +538,9 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
 
     monkeypatch.setattr(rotalign.detector, "_explicit_step", explicit_step)
     config = DetectionConfig(epsilon=1e-6)
-    above, shortened = 0, 0
-    for k, s in seeded_moment_inputs():
+    cases = seeded_moment_inputs()
+    above, shortened, passes = 0, 0, 0
+    for k, s in cases:
         calls.clear()
         steps.clear()
         loop = detect_moments(k, s, config)
@@ -680,48 +565,61 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
                      for (phi, _, _), certified in steps)
         shortened += sum(certified and not stop
                          for (_, _, stop), certified in steps)
-    assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
+        passes += loop.iterations
     # the disturbance, an explicit pass above epsilon with no certificate,
     # and a shortened step, a certified step that does not stop, both occur
-    assert above >= 1 and shortened >= 1
+    assert above >= 1 and shortened >= 1 and passes > 10 * len(cases)
+    # the last case, K = S, is real: pass one takes the disturbance, which
+    # the loop undoes.  The count sees every construction: reading the
+    # net's plane builds one
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE
+    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE)
+    assert np.max(np.abs(np.subtract(loop.nets[0], want))) <= 1e-15
+    calls.clear()
+    assert rotor_rotation(loop.net)[0] <= 1e-6 and calls == ["__init__"]
 
 
-@pytest.mark.parametrize("which, entry, value", [
-    ("K", 0, math.nan), ("K", 5, math.nan), ("K", 1, math.inf),
-    ("K", 8, -math.inf), ("S", 1, math.nan), ("S", 5, math.inf),
-    ("S", 6, -math.inf), ("S", 7, math.nan)])
-def test_detect_moments_rejects_a_non_finite_k_or_s(which, entry, value):
-    # checked once, on entry: no pass checks its rotor, so a NaN in K
-    # would otherwise run every pass and return an angle
-    k, s = seeded_moment_inputs()[0]
-    moments = {"K": list(k), "S": list(s)}
-    moments[which][entry] = value
-    with pytest.raises(ValueError, match=f"^(cross moment|reference self-moment) "
-                                         f"{which} is not finite$"):
-        detect_moments(moments["K"], moments["S"], DetectionConfig(epsilon=1e-6))
+TRIAL_K, TRIAL_S = field_trial_moments(0, 1e-6)
+NOT_PSD = "^reference self-moment S is not positive semidefinite$"
+ZERO = "^cannot detect rotation against a zero field$"
+INFINITE = "^reference field energy is not finite$"
 
 
-def test_detect_moments_checks_tr_s_then_s_then_k():
-    # tr S keeps detect's messages and comes first; S is checked before the
-    # misfit model divides by it (this S would divide by zero there)
-    k, config = [math.nan] * 9, DetectionConfig(epsilon=1e-6)
-    with pytest.raises(ValueError, match="reference field energy is not finite"):
-        detect_moments(k, [math.inf, math.nan, 0, 0, 1, 0, 0, 0, 1], config)
-    with pytest.raises(ValueError, match="cannot detect rotation against a zero"):
-        detect_moments(k, [0.0, math.nan, 0, 0, 0, 0, 0, 0, 0], config)
-    with pytest.raises(ValueError, match="reference self-moment S is not finite"):
-        detect_moments(k, [0, 0, 0, 0, 1, math.nan, 0, math.nan, 1], config)
-
-
-@pytest.mark.parametrize("diagonal", [(-1.0, -1.0, -1.0), (3.0, -1.0, -1.0),
-                                      (1.0, 1.0, -3e-12)])
-def test_detect_moments_rejects_an_s_that_is_no_self_moment(diagonal):
-    # a negative trace, or a diagonal entry below -1e-12 tr S: no field has
-    # that self-moment
-    k = floats(rotation_matrix(E12, 0.3))
-    with pytest.raises(ValueError, match="^reference self-moment S is not "
-                                         "positive semidefinite$"):
-        detect_moments(k, floats(np.diag(diagonal)), DetectionConfig(epsilon=1e-3))
+@pytest.mark.parametrize("k, s, epsilon, message", [
+    # S's trace and diagonal first: no field has a negative trace, or a
+    # diagonal entry below -1e-12 tr S, as its self-moment
+    *(pytest.param(floats(rotation_matrix(E12, 0.3)), floats(np.diag(diagonal)),
+                   1e-3, NOT_PSD, id=name) for name, diagonal in (
+        ("negative-trace", (-1.0, -1.0, -1.0)),
+        ("negative-diagonal", (3.0, -1.0, -1.0)),
+        ("diagonal-below-the-floor", (1.0, 1.0, -3e-12)))),
+    # then tr S, with detect's messages, before S's other floats: S is
+    # checked before the misfit model divides by it (these S would divide
+    # by zero there), and K last
+    pytest.param(floats(np.eye(3)), [0.0] * 9, 1e-3, ZERO, id="zero-s"),
+    pytest.param(floats(np.eye(3)), [math.inf, 0, 0, 0, 1, 0, 0, 0, 1], 1e-3,
+                 INFINITE, id="infinite-tr-s"),
+    pytest.param([math.nan] * 9, [math.inf, math.nan, 0, 0, 1, 0, 0, 0, 1], 1e-6,
+                 INFINITE, id="infinite-tr-s-before-s"),
+    pytest.param([math.nan] * 9, [0.0, math.nan, 0, 0, 0, 0, 0, 0, 0], 1e-6, ZERO,
+                 id="zero-tr-s-before-s"),
+    pytest.param([math.nan] * 9, [0, 0, 0, 0, 1, math.nan, 0, math.nan, 1], 1e-6,
+                 "^reference self-moment S is not finite$", id="s-before-k"),
+    # a non-finite entry of K or S, checked once, on entry: no pass checks
+    # its rotor, so a NaN in K would otherwise run every pass and return an
+    # angle
+    *(pytest.param(TRIAL_K[:entry] + [value] + TRIAL_K[entry + 1:], TRIAL_S, 1e-6,
+                   "^cross moment K is not finite$", id=f"K-{entry}-{value}")
+      for entry, value in ((0, math.nan), (5, math.nan), (1, math.inf),
+                           (8, -math.inf))),
+    *(pytest.param(TRIAL_K, TRIAL_S[:entry] + [value] + TRIAL_S[entry + 1:], 1e-6,
+                   "^reference self-moment S is not finite$", id=f"S-{entry}-{value}")
+      for entry, value in ((1, math.nan), (5, math.inf), (6, -math.inf),
+                           (7, math.nan))),
+])
+def test_detect_moments_rejects_a_bad_k_or_s(k, s, epsilon, message):
+    with pytest.raises(ValueError, match=message):
+        detect_moments(k, s, DetectionConfig(epsilon=epsilon))
 
 
 def test_detect_moments_allows_rounding_below_zero_on_the_diagonal():
@@ -740,11 +638,8 @@ def reference_cases():
     cases = []
     for epsilon in (0.1, 0.01, 0.001, 1e-6):
         config = DetectionConfig(epsilon=epsilon)
-        for index in range(150):
-            spec = draw_trial(0, index, epsilon)
-            pattern = rotate_outer(spec.field, spec.plane, spec.angle)
-            cases.append((floats(cross_moment(pattern, spec.field)),
-                          self_moment(spec.field), config))
+        cases += [(*field_trial_moments(index, epsilon), config)
+                  for index in range(150)]
     config = DetectionConfig(epsilon=1e-6)
     rng = np.random.default_rng(37)
     for _ in range(20):
@@ -860,7 +755,7 @@ def test_a_detections_memory_does_not_grow_with_its_passes():
     # a pass records nothing: seed-0 trial 1627 does not converge at 1e-6,
     # and 1000 of its passes peak within 1 KB of 10 (2.1 and 1.5 KB
     # measured; a 4-tuple and a float kept per pass would add over 100 KB)
-    k, s = map(floats, trial_moments(1627, 1e-6))
+    k, s, _, _ = trial_loop(1627, 1e-6)
     peaks = []
     tracemalloc.start()
     try:
@@ -918,24 +813,6 @@ def test_nets_and_phi_trace_replay_the_loop_at_its_edges(monkeypatch):
             ("real fold", 2, False), ("pass-one exit", 1, True)} <= seen
 
 
-def test_a_reports_replay_is_its_loops():
-    # a report replays its own passes, from the moments it was given, bit
-    # for bit those of its detect_moments call and of the reference loop
-    rng = np.random.default_rng(40)
-    config = DetectionConfig(epsilon=1e-6)
-    for _ in range(5):
-        reference, pattern = shared_cell_pair(rng, rng.uniform(0.0, math.pi))
-        report = detect(reference, pattern, config)
-        loop = detect_moments(*pair_floats(pattern, reference), config)
-        want = reference_detect(reference, pattern, config)
-        for name in ("nets", "phi_trace"):
-            kept = getattr(report, name)
-            assert bits(kept) == bits(getattr(loop, name)) == bits(getattr(want, name))
-            assert getattr(report, name) is kept
-        assert outputs(report) == outputs(loop) == outputs(want)
-        assert report == detect(reference, pattern, config)
-
-
 # ---------------------------------------------------------------------------
 # failure modes and config
 
@@ -949,58 +826,47 @@ def test_non_convergence_reports_partial_state():
     assert report.phi_trace[-1] > 1e-9
 
 
-@pytest.mark.parametrize("kind", ["piecewise", "linear", "grid"])
+def energy_cases():
+    """(field, the factor that overflows its energy, epsilon) by row name:
+    three fields from one seeded stream, two halves of [-1, 1]^3 and the
+    identity matrix on the unit box."""
+    rng = np.random.default_rng(44)
+    return {
+        "piecewise": (shared_cell_pair(rng)[0], 1e300, 1e-6),
+        "linear": (random_linear(rng), 1e300, 1e-6),
+        "grid": (SampledField(UNIT_BOX, (3, 2, 2), rng.uniform(-1, 1, (12, 3))),
+                 1e300, 1e-6),
+        "two-halves": (FIELD_A, 1e300, 1e-3),
+        "identity": (LinearVectorField(np.eye(3)), 1e308, 1e-3),
+    }
+
+
+@pytest.mark.parametrize("kind", list(energy_cases()))
 def test_detect_checks_the_patterns_energy_then_the_references(kind):
     # the pattern's energy first, then S's: a zero pattern against an
     # overflowing reference names the zero field.  K cannot overflow while
     # both energies are finite, |K_ij| <= sqrt(E_u E_v), so its check comes
-    # last (test_detect_moments_checks_tr_s_then_s_then_k).  A zero field
-    # fires no RuntimeWarning, even with every warning an error
-    rng = np.random.default_rng(44)
-    field = {"piecewise": shared_cell_pair(rng)[0],
-             "linear": random_linear(rng),
-             "grid": SampledField(UNIT_BOX, (3, 2, 2), rng.uniform(-1, 1, (12, 3)))
-             }[kind]
-    zero, huge = scale(field, 0.0), scale(field, 1e300)
-    config = DetectionConfig(epsilon=1e-6)
-    zeroed = "^cannot detect rotation against a zero field$"
+    # last (test_detect_moments_rejects_a_bad_k_or_s).  A zero field fires
+    # no RuntimeWarning, even with every warning an error.  NaN and inf
+    # values never reach detect: the field constructors reject them
+    # (tests/test_fields.py), but finite values can overflow an energy
+    field, overflow, epsilon = energy_cases()[kind]
+    zero, huge = scale(field, 0.0), scale(field, overflow)
+    config = DetectionConfig(epsilon=epsilon)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for reference, pattern in ((zero, zero), (field, zero), (zero, field)):
-            with pytest.raises(ValueError, match=zeroed):
+            with pytest.raises(ValueError, match=ZERO):
                 detect(reference, pattern, config)
     with np.errstate(all="ignore"):
         for reference, pattern, message in (
                 (huge, huge, "^pattern field energy is not finite$"),
+                (field, huge, "^pattern field energy is not finite$"),
                 (zero, huge, "^pattern field energy is not finite$"),
-                (huge, zero, zeroed),
-                (huge, field, "^reference field energy is not finite$")):
+                (huge, zero, ZERO),
+                (huge, field, INFINITE)):
             with pytest.raises(ValueError, match=message):
                 detect(reference, pattern, config)
-
-
-def test_detect_rejects_zero_fields():
-    with pytest.raises(ValueError):
-        detect(scale(FIELD_A, 0.0), FIELD_A, DetectionConfig(epsilon=1e-3))
-    with pytest.raises(ValueError):
-        detect(FIELD_A, scale(FIELD_A, 0.0), DetectionConfig(epsilon=1e-3))
-
-
-# NaN and inf values never reach detect: the field constructors reject them
-# (tests/test_fields.py).  Finite values can still overflow an energy.
-
-def test_detect_rejects_non_finite_patterns():
-    with np.errstate(all="ignore"), \
-            pytest.raises(ValueError, match="pattern field energy is not finite"):
-        detect(LinearVectorField(np.eye(3)), LinearVectorField(1e308 * np.eye(3)),
-               DetectionConfig(epsilon=1e-3))
-
-
-def test_detect_rejects_non_finite_references():
-    with np.errstate(all="ignore"), \
-            pytest.raises(ValueError, match="reference field energy is not finite"):
-        detect(LinearVectorField(1e308 * np.eye(3)), LinearVectorField(np.eye(3)),
-               DetectionConfig(epsilon=1e-3))
 
 
 # The three known failure modes (ROADMAP items 2 and 3).  Each test asserts
@@ -1065,15 +931,6 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # checks that hold however the last bits of a pass move
 
-def trial_moments(index, epsilon):
-    """K and S of seed-0 trial index, as 3x3 arrays computed as run_trial
-    computes them."""
-    spec = draw_trial(0, index, epsilon)
-    a = spec.field.matrix
-    s = a @ spec.field.box.second_moment_matrix() @ a.T
-    return rotation_matrix(spec.plane, spec.angle) @ s, s
-
-
 def test_detection_is_equivariant_under_a_global_rotation():
     # turning both fields by Q turns K and S into Q K Q^T and Q S Q^T, and
     # the generating rotation's normal n into Q n.  The disturbance plane
@@ -1082,13 +939,12 @@ def test_detection_is_equivariant_under_a_global_rotation():
     real_first = 0
     for epsilon, n in ((0.1, 300), (1e-3, 300), (1e-6, 100)):
         config = DetectionConfig(epsilon=epsilon)
-        for index in range(n):
-            k, s = trial_moments(index, epsilon)
-            if argument(*moment_parts(floats(k)))[2]:
+        for index, (k, s, want, _) in enumerate(trial_loops(range(n), epsilon)):
+            if argument(*moment_parts(k))[2]:
                 real_first += 1
                 continue
             q = rotation_matrix(*random_rotation(np.random.default_rng(10000 + index)))
-            want = detect_moments(floats(k), floats(s), config)
+            k, s = np.reshape(k, (3, 3)), np.reshape(s, (3, 3))
             got = detect_moments(floats(q @ k @ q.T), floats(q @ s @ q.T), config)
             assert (got.iterations, got.converged) == (want.iterations,
                                                        want.converged)
@@ -1104,13 +960,12 @@ def test_the_paper_steps_shrink_phi_by_the_rate_of_s():
     # (S / tr S) omega, so over a long tail phi falls by
     # rho = lambda_max(S) / tr S a pass: the slow failure mode's rate, read
     # on seed-0 trials with rho 0.975-0.986 at eps = 1e-6
-    config = DetectionConfig(epsilon=1e-6)
     for index in (25, 28, 338, 557):
-        k, s = trial_moments(index, 1e-6)
-        loop = detect_moments(floats(k), floats(s), config)
+        _, s, loop, _ = trial_loop(index, 1e-6)
         tail = loop.phi_trace[len(loop.phi_trace) // 2:]
         ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 1e-5 and b > 1e-5]
         assert len(ratios) >= 100
+        s = np.reshape(s, (3, 3))
         rho = np.linalg.eigvalsh(s)[-1] / np.trace(s)
         assert abs(np.median(ratios) - rho) <= 1e-6
 
@@ -1121,13 +976,12 @@ def test_a_half_turn_side_step_is_exact_at_extreme_scales(k):
     # r + tr K as |B| (|B| / (r - tr K)).  Its moments are scaled by 2^16
     # on top of 2^500, or by 2^-16 on top of 2^-500: there |B|^2 would
     # overflow, or fall below 2^-1022 and lose bits; this form does neither
-    k0, s0 = map(floats, trial_moments(0, 1e-6))
-    config = DetectionConfig(epsilon=1e-6)
-    want = detect_moments(k0, s0, config)
+    k0, s0, want, _ = trial_loop(0, 1e-6)
     sc, biv = moment_parts(k0)
     assert sc < 0.0 and want.phi_trace[0] == math.atan2(math.hypot(*biv), sc)
     scale = 2.0 ** (k + math.copysign(16, k))
-    got = detect_moments([x * scale for x in k0], [x * scale for x in s0], config)
+    got = detect_moments([x * scale for x in k0], [x * scale for x in s0],
+                         DetectionConfig(epsilon=1e-6))
     assert (got.phi_trace, got.nets, got.net) == (want.phi_trace, want.nets,
                                                   want.net)
     # detections compare by their outputs, not by the moments they keep
@@ -1147,9 +1001,7 @@ def test_the_net_rotor_keeps_unit_length():
         assert (report.net, report.nets) == (loop.net, loop.nets)
         loops.append(report)
     for epsilon in (0.1, 1e-3, 1e-6):
-        config = DetectionConfig(epsilon=epsilon)
-        loops += [detect_moments(*map(floats, trial_moments(index, epsilon)),
-                                 config) for index in range(300)]
+        loops += [loop for _, _, loop, _ in trial_loops(range(300), epsilon)]
     for loop in loops:
         assert loop.net == loop.nets[-1]
         assert len(loop.nets) == loop.iterations
@@ -1186,10 +1038,8 @@ def test_a_common_pass_is_a_shifted_power_step_on_horns_n():
               detect(reference, pattern, config), 1e-6)
              for reference, pattern in piecewise_pairs()]
     for epsilon in (0.1, 1e-3, 1e-6):
-        config = DetectionConfig(epsilon=epsilon)
-        for index in range(300):
-            k, s = map(floats, trial_moments(index, epsilon))
-            cases.append((k, detect_moments(k, s, config), epsilon))
+        cases += [(k, loop, epsilon) for k, _, loop, _ in trial_loops(range(300),
+                                                                      epsilon)]
     rtol, common, unclear = ZERO_BIVECTOR_RTOL, 0, 0
     for k, loop, epsilon in cases:
         n = numpy_horn_matrix(k)
@@ -1350,7 +1200,8 @@ def test_a_power_step_is_exact_under_power_of_two_scaling(k):
 
 
 # ---------------------------------------------------------------------------
-# the moment-matrix loop against the paper's loop on rotated fields
+# a report against the paper's loop on rotated fields, and against the
+# eager report bit for bit
 
 def field_form_detection(reference, pattern, config):
     """The paper's loop as written: every pass correlates the rotated pattern
@@ -1382,29 +1233,63 @@ def field_values(field):
     return field.data
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def layout(field):
+    """Where a field's values sit: its cell corners as bytes, a grid's box
+    and resolution, or a linear field's box."""
+    if isinstance(field, PiecewiseConstantField):
+        return bits(field.low), bits(field.high)
+    if isinstance(field, SampledField):
+        return field.box, field.resolution
+    return field.box
+
+
 def assert_same_detection(reference, pattern, epsilon):
+    """detect's report against reference_detect, which computes every output
+    before it returns, bit for bit, and against field_form_detection, the
+    paper's loop on fields, to 1e-12.  The report replays its own passes,
+    from the moments it was given, bit for bit those of its detect_moments
+    call, and a second read of nets or phi_trace returns the first's."""
     config = DetectionConfig(epsilon=epsilon)
-    report = detect(reference, pattern, config)
-    alpha, plane, corrected, trace, converged = field_form_detection(
+    got = detect(reference, pattern, config)
+    loop = detect_moments(*pair_floats(pattern, reference), config)
+    want = reference_detect(reference, pattern, config)
+    read = {name: getattr(got, name) for name in ("net", "phi_trace", "nets", "alpha")}
+    for name, value in read.items():
+        assert bits(value) == bits(getattr(want, name)), name
+    for name in ("nets", "phi_trace"):
+        assert bits(getattr(loop, name)) == bits(read[name]), name
+        assert getattr(got, name) is read[name]
+    assert outputs(got) == outputs(loop) == outputs(want)
+    assert got == detect(reference, pattern, config)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert bits(got.plane.components) == bits(want.plane.components)
+    corrected = got.corrected_pattern
+    assert type(corrected) is type(want.corrected_pattern)
+    assert layout(corrected) == layout(want.corrected_pattern)
+    assert bits(field_values(corrected)) == bits(field_values(want.corrected_pattern))
+
+    alpha, plane, paper_corrected, trace, converged = field_form_detection(
         reference, pattern, config)
-    assert report.iterations == len(trace)
-    assert report.converged == converged
-    assert np.max(np.abs(np.subtract(report.phi_trace, trace))) <= 1e-12
-    assert abs(report.alpha - alpha) <= 1e-12
-    assert np.max(np.abs(report.plane.components - plane.components)) <= 1e-12
-    assert np.max(np.abs(field_values(report.corrected_pattern) -
-                         field_values(corrected))) <= 1e-12
+    assert got.iterations == len(trace)
+    assert got.converged == converged
+    assert np.max(np.abs(np.subtract(got.phi_trace, trace))) <= 1e-12
+    assert abs(got.alpha - alpha) <= 1e-12
+    assert np.max(np.abs(got.plane.components - plane.components)) <= 1e-12
+    assert np.max(np.abs(field_values(corrected) -
+                         field_values(paper_corrected))) <= 1e-12
 
 
-@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001, 1e-6])
-def test_moment_loop_matches_field_loop_on_seeded_linear_trials(epsilon):
+def seeded_linear_pairs(epsilon):
     for index in range(50):
         spec = draw_trial(0, index, epsilon)
-        assert_same_detection(
-            spec.field, rotate_outer(spec.field, spec.plane, spec.angle), epsilon)
+        yield spec.field, rotate_outer(spec.field, spec.plane, spec.angle), epsilon
 
 
-def test_moment_loop_matches_field_loop_on_piecewise_pairs():
+def regular_cell_pairs():
     rng = np.random.default_rng(31)
     edges = [np.linspace(-1.0, 1.0, n + 1) for n in (3, 3, 2)]
     boxes = [Box((edges[0][i], edges[1][j], edges[2][k]),
@@ -1415,21 +1300,47 @@ def test_moment_loop_matches_field_loop_on_piecewise_pairs():
             (box, rng.uniform(-1.0, 1.0, 3)) for box in boxes))
         pattern = rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)),
                                rng.uniform(0.0, math.pi * (1 - 1e-9)))
-        assert_same_detection(v, pattern, 1e-6)
+        yield v, pattern, 1e-6
 
 
-def test_moment_loop_matches_field_loop_on_grids():
+def grid_and_mixed_pairs():
     rng = np.random.default_rng(32)
     for _ in range(3):
         v = SampledField(UNIT_BOX, (5, 4, 3), rng.uniform(-1.0, 1.0, (60, 3)))
         pattern = rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)),
                                rng.uniform(0.0, 3.0))
-        assert_same_detection(v, pattern, 1e-6)
+        yield v, pattern, 1e-6
     # mixed pair: a linear reference against its rotated copy sampled on a grid
     lin = LinearVectorField(rng.uniform(-1.0, 1.0, (3, 3)))
     plane = UnitBivector.from_normal(rng.standard_normal(3))
-    pattern = sample(rotate_outer(lin, plane, 1.7), UNIT_BOX, (6, 6, 6))
-    assert_same_detection(lin, pattern, 1e-6)
+    yield lin, sample(rotate_outer(lin, plane, 1.7), UNIT_BOX, (6, 6, 6)), 1e-6
+
+
+def shared_cell_pairs(seed, n):
+    """n seeded shared-cell pairs at 1e-6; returns the stream, to go on."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield *shared_cell_pair(rng, rng.uniform(0.0, math.pi)), 1e-6
+    return rng
+
+
+def shared_cell_and_grid_pairs():
+    rng = yield from shared_cell_pairs(38, 20)
+    v = SampledField(UNIT_BOX, (6, 5, 4), rng.uniform(-1.0, 1.0, (120, 3)))
+    yield v, rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)), 2.4), 1e-6
+
+
+@pytest.mark.parametrize("pairs", [
+    *(pytest.param(partial(seeded_linear_pairs, epsilon), id=f"linear-{epsilon}")
+      for epsilon in (0.1, 0.01, 0.001, 1e-6)),
+    pytest.param(regular_cell_pairs, id="regular-cells"),
+    pytest.param(grid_and_mixed_pairs, id="grids-and-mixed"),
+    pytest.param(shared_cell_and_grid_pairs, id="shared-cells-and-grid"),
+    pytest.param(partial(shared_cell_pairs, 40, 5), id="shared-cells"),
+])
+def test_report_matches_the_eager_report_and_the_field_loop(pairs):
+    for reference, pattern, epsilon in pairs():
+        assert_same_detection(reference, pattern, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -1519,55 +1430,7 @@ def test_piecewise_field_is_read_only():
 
 
 # ---------------------------------------------------------------------------
-# the report: corrected_pattern built on first read, bit for bit
-
-def bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
-def layout(field):
-    """Where a field's values sit: its cell corners as bytes, a grid's box
-    and resolution, or a linear field's box."""
-    if isinstance(field, PiecewiseConstantField):
-        return bits(field.low), bits(field.high)
-    if isinstance(field, SampledField):
-        return field.box, field.resolution
-    return field.box
-
-
-def assert_same_report(reference, pattern, config):
-    got = detect(reference, pattern, config)
-    want = reference_detect(reference, pattern, config)
-    for name in ("net", "phi_trace", "nets", "alpha"):
-        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-    assert (got.iterations, got.converged) == (want.iterations, want.converged)
-    assert bits(got.plane.components) == bits(want.plane.components)
-    corrected = got.corrected_pattern
-    assert type(corrected) is type(want.corrected_pattern)
-    assert layout(corrected) == layout(want.corrected_pattern)
-    assert bits(field_values(corrected)) == bits(field_values(want.corrected_pattern))
-
-
-@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001, 1e-6])
-def test_report_matches_the_eager_report_on_seeded_linear_trials(epsilon):
-    config = DetectionConfig(epsilon=epsilon)
-    for index in range(50):
-        spec = draw_trial(0, index, epsilon)
-        assert_same_report(spec.field,
-                           rotate_outer(spec.field, spec.plane, spec.angle), config)
-
-
-def test_report_matches_the_eager_report_on_piecewise_and_grid_pairs():
-    rng = np.random.default_rng(38)
-    config = DetectionConfig(epsilon=1e-6)
-    for _ in range(20):
-        assert_same_report(*shared_cell_pair(rng, rng.uniform(0.0, math.pi)),
-                           config)
-    v = SampledField(UNIT_BOX, (6, 5, 4), rng.uniform(-1.0, 1.0, (120, 3)))
-    pattern = rotate_outer(v, UnitBivector.from_normal(rng.standard_normal(3)),
-                           2.4)
-    assert_same_report(v, pattern, config)
-
+# the report: corrected_pattern built on first read
 
 def test_corrected_pattern_is_built_on_first_read(monkeypatch):
     rotations = counted(monkeypatch, rotalign.detector, ("rotate_outer",))
@@ -1584,23 +1447,13 @@ def test_corrected_pattern_is_built_on_first_read(monkeypatch):
 # ---------------------------------------------------------------------------
 # residual_angle
 
-def test_residual_angle_examples():
-    rng = np.random.default_rng(90908)
-    p = random_plane(rng)
-    alpha = 1.234
-    assert math.isclose(residual_angle((1.0, 0.0, 0.0, 0.0), p, alpha), alpha,
-                        abs_tol=1e-12)
-    full = rotation_rotor(-p, alpha)
-    assert residual_angle(full, p, alpha) <= 1e-12
-    half = rotation_rotor(-p, alpha / 2)
-    assert math.isclose(residual_angle(half, p, alpha), alpha / 2,
-                        abs_tol=1e-12)
-
-
-def test_residual_angle_folds_beyond_pi():
-    rng = np.random.default_rng(90909)
-    p = random_plane(rng)
+@pytest.mark.parametrize("seed, net, alpha, want", [
+    (90908, lambda p: (1.0, 0.0, 0.0, 0.0), 1.234, 1.234),
+    (90908, lambda p: rotation_rotor(-p, 1.234), 1.234, 0.0),
+    (90908, lambda p: rotation_rotor(-p, 1.234 / 2), 1.234, 1.234 / 2),
     # over-correcting in the wrong direction past pi wraps back
-    wrong = rotation_rotor(p, 2.0)
-    got = residual_angle(wrong, p, 2.0)
-    assert math.isclose(got, 2 * math.pi - 4.0, abs_tol=1e-12)
+    (90909, lambda p: rotation_rotor(p, 2.0), 2.0, 2 * math.pi - 4.0),
+], ids=["no-correction", "full", "half", "past-pi"])
+def test_residual_angle(seed, net, alpha, want):
+    p = random_plane(np.random.default_rng(seed))
+    assert math.isclose(residual_angle(net(p), p, alpha), want, abs_tol=1e-12)

@@ -31,14 +31,6 @@ def test_trial_generator_is_positional():
     assert not np.array_equal(a, c)
 
 
-def test_draw_trial_deterministic():
-    a = draw_trial(42, 3, 1e-3)
-    b = draw_trial(42, 3, 1e-3)
-    assert np.array_equal(a.field.matrix, b.field.matrix)
-    assert a.angle == b.angle
-    assert tuple(a.plane.components) == tuple(b.plane.components)
-
-
 def test_draw_trial_matches_a_recorded_trial():
     spec = draw_trial(0, 0, 0.1)
     assert spec.field.matrix.tolist() == [
@@ -60,39 +52,25 @@ def test_random_field_entries_in_range():
         assert np.all(np.abs(f.matrix) <= 1.0)
 
 
-def test_random_field_mean_concentration():
-    rng = trial_generator(2, 0)
-    total = np.zeros((3, 3))
-    n = 100_000
-    draws = rng.uniform(-1.0, 1.0, (n, 3, 3))  # same distribution, batched
-    total = draws.mean(axis=0)
-    assert np.all(np.abs(total) < 0.02)
+@pytest.mark.parametrize("seed, n, draw", [
+    (2, 20_000, lambda rng: random_linear_field(rng).matrix),
+    (4, 100_000, lambda rng: random_rotation(rng)[0].normal()),
+], ids=["field", "rotation-normal"])
+def test_draws_concentrate_about_a_zero_mean(seed, n, draw):
+    rng = trial_generator(seed, 0)
+    assert np.all(np.abs(np.mean([draw(rng) for _ in range(n)], axis=0)) < 0.02)
 
 
-def test_random_rotation_plane_is_unit():
-    rng = trial_generator(3, 0)
-    for _ in range(200):
-        plane, angle = random_rotation(rng)
-        assert math.isclose(float(np.linalg.norm(plane.components)), 1.0,
-                            abs_tol=1e-12)
-        assert 0.0 <= angle < ANGLE_CAP
-
-
-def test_random_rotation_draws_python_floats():
-    rng = trial_generator(3, 1)
-    for _ in range(20):
+@pytest.mark.parametrize("index, n", [(0, 200), (1, 20)])
+def test_random_rotation_draws_floats_a_unit_plane_and_an_angle_below_the_cap(
+        index, n):
+    rng = trial_generator(3, index)
+    for _ in range(n):
         plane, angle = random_rotation(rng)
         assert all(type(c) is float for c in (*plane, angle))
-
-
-def test_random_rotation_normal_mean_concentration():
-    rng = trial_generator(4, 0)
-    n = 100_000
-    acc = np.zeros(3)
-    for _ in range(n):
-        plane, _ = random_rotation(rng)
-        acc += plane.normal()
-    assert np.all(np.abs(acc / n) < 0.02)
+        assert math.isclose(float(np.linalg.norm(plane.components)), 1.0,
+                            abs_tol=1e-12)
+        assert 0.0 <= angle < ANGLE_CAP < math.pi
 
 
 def test_random_rotation_angle_uniform():
@@ -153,12 +131,6 @@ def test_single_trial_matches_aggregate():
     assert stats.max_error == err
     assert stats.average_iterations == float(iters)
     assert converged
-
-
-def test_angle_cap_strictly_below_pi():
-    assert ANGLE_CAP < math.pi
-    for i in range(100):
-        assert draw_trial(17, i, 0.1).angle < math.pi
 
 
 def field_path_trial(spec: TrialSpec, max_iterations: int = 1000):

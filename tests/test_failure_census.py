@@ -33,66 +33,47 @@ checkout of the version to count against):
 import json
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import horn_matrix
-from rotalign import experiments
-from rotalign.detector import detect_moments
-from rotalign.experiments import draw_trial, run_trial
+from conftest import horn_matrix, trial_loop, trial_loops
 
 CENSUS = Path(__file__).parent / "data" / "failure_census.json"
-MASTER_SEED = 0
 TRIALS = {0.1: 10_000, 0.01: 10_000, 0.001: 10_000, 1e-6: 1000}
 ERROR_FACTOR = 10.0
 
 
-def census(epsilon: float) -> dict[str, list[int]]:
-    """The false-exit and unconverged trial ids at one tolerance."""
+def census(epsilon: float, sweep) -> dict[str, list[int]]:
+    """The false-exit and unconverged trial ids of a sweep, trial_loops of
+    trials 0, 1, 2, ... at epsilon."""
     false_exits, unconverged = [], []
-    for i in range(TRIALS[epsilon]):
-        err, _, converged = run_trial(draw_trial(MASTER_SEED, i, epsilon))
-        if not converged:
+    for i, (_, _, loop, error) in enumerate(sweep):
+        if not loop.converged:
             unconverged.append(i)
-        elif err > ERROR_FACTOR * epsilon:
+        elif error > ERROR_FACTOR * epsilon:
             false_exits.append(i)
     return {"false_exits": false_exits, "unconverged": unconverged}
 
 
 def write_census(path=CENSUS) -> None:
-    sets = {repr(eps): census(eps) for eps in TRIALS}
+    sets = {repr(eps): census(eps, trial_loops(range(n), eps))
+            for eps, n in TRIALS.items()}
     lines = [f'  "{key}": {json.dumps(rows)}' for key, rows in sets.items()]
     path.parent.mkdir(exist_ok=True)
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
-@pytest.mark.parametrize("epsilon", TRIALS)
-def test_failure_census_matches_the_record(epsilon):
-    assert census(epsilon) == json.loads(CENSUS.read_text())[repr(epsilon)]
+@pytest.fixture(scope="module")
+def sweep(epsilon):
+    """trial_loops of the census's seed-0 trials at epsilon, which the tests
+    parametrize with module scope: one sweep per tolerance, held in turn."""
+    return trial_loops(range(TRIALS[epsilon]), epsilon)
 
 
-def trial_loops(indices, epsilon: float,
-                master_seed: int = MASTER_SEED) -> list:
-    """(K0, S, loop) of the detect_moments call run_trial makes on each
-    trial of indices (seed 0 unless master_seed says), K0 and S as nine
-    floats."""
-    calls = []
-
-    def record(k, s, config):
-        calls.append((k, s, detect_moments(k, s, config)))
-        return calls[-1][2]
-
-    with mock.patch.object(experiments, "detect_moments", record):
-        for index in indices:
-            run_trial(draw_trial(master_seed, index, epsilon))
-    return calls
-
-
-def trial_loop(index: int, epsilon: float, master_seed: int = MASTER_SEED):
-    """trial_loops of the one trial index."""
-    return trial_loops((index,), epsilon, master_seed)[0]
+@pytest.mark.parametrize("epsilon", TRIALS, scope="module")
+def test_failure_census_matches_the_record(epsilon, sweep):
+    assert census(epsilon, sweep) == json.loads(CENSUS.read_text())[repr(epsilon)]
 
 
 # Least |<net, v2>| over each tolerance's listed false exits; measured
@@ -100,19 +81,19 @@ def trial_loop(index: int, epsilon: float, master_seed: int = MASTER_SEED):
 V2_OVERLAP = {0.1: 0.97, 0.01: 0.999, 0.001: 0.999}
 
 
-@pytest.mark.parametrize("epsilon", V2_OVERLAP)
-def test_each_false_exit_ends_on_ns_second_eigenvector(epsilon):
+@pytest.mark.parametrize("epsilon", V2_OVERLAP, scope="module")
+def test_each_false_exit_ends_on_ns_second_eigenvector(epsilon, sweep):
     for index in json.loads(CENSUS.read_text())[repr(epsilon)]["false_exits"]:
-        k, _, loop = trial_loop(index, epsilon)
+        k, _, loop, _ = sweep[index]
         v2 = np.linalg.eigh(np.array(horn_matrix(k)))[1][:, -2]
         assert abs(np.dot(loop.net, v2)) >= V2_OVERLAP[epsilon], f"trial {index}"
 
 
-def test_n_of_an_exact_copy_has_the_spectrum_of_s():
+@pytest.mark.parametrize("epsilon", [0.1], scope="module")
+def test_n_of_an_exact_copy_has_the_spectrum_of_s(sweep):
     # N of K0 = R S has the eigenvalues tr S and 2 s_i - tr S, whatever R;
     # the largest gap measured over these 200 trials is 1.5e-15 tr S
-    for index in range(200):
-        k, s, _ = trial_loop(index, 0.1)
+    for index, (k, s, _, _) in enumerate(sweep[:200]):
         s = np.reshape(s, (3, 3))
         tr = np.trace(s)
         want = np.sort(np.append(2.0 * np.linalg.eigvalsh(s) - tr, tr))
@@ -120,8 +101,8 @@ def test_n_of_an_exact_copy_has_the_spectrum_of_s():
         assert np.max(np.abs(got - want)) <= 1e-14 * tr, f"trial {index}"
 
 
-@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001])
-def test_tr_rk_does_not_fall_on_a_pass_below_0_6_rad(epsilon):
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001], scope="module")
+def test_tr_rk_does_not_fall_on_a_pass_below_0_6_rad(sweep):
     # tr(R K0) = r^T N r, before and after each pass of seed-0 trials
     # 0-9999, read off the replayed nets.  It falls on some pass of 46
     # trials at each tolerance (197, 231, 313, 703, ...), by up to 0.46
@@ -129,8 +110,7 @@ def test_tr_rk_does_not_fall_on_a_pass_below_0_6_rad(epsilon):
     # with phi < 0.6 rad it rises, by at least 3.6e-9 tr S (measured).  The
     # bound below zero only allows for the rounding of the numpy sums
     falls = set()
-    for index, (k, s, loop) in enumerate(trial_loops(range(TRIALS[epsilon]),
-                                                     epsilon)):
+    for index, (k, s, loop, _) in enumerate(sweep):
         r = np.array(((1.0, 0.0, 0.0, 0.0), *loop.nets))
         rise = np.diff(np.einsum("ij,jk,ik->i", r, np.array(horn_matrix(k)), r))
         rise /= s[0] + s[4] + s[8]
@@ -147,7 +127,7 @@ def test_the_slow_trial_falls_at_the_rate_of_s():
     # rho = lambda_max(S) / tr S = (lambda_1 + lambda_2) / (2 lambda_1), for
     # N's two top eigenvalues.  Its 100-pass ratio at pass 1000, read off
     # the replayed trace, is within 1.5e-7 of rho (measured)
-    _, s, loop = trial_loop(1627, 1e-6)
+    _, s, loop, _ = trial_loop(1627, 1e-6)
     assert not loop.converged and loop.iterations == 1000
     phi = loop.phi_trace
     s = np.reshape(s, (3, 3))
@@ -156,7 +136,7 @@ def test_the_slow_trial_falls_at_the_rate_of_s():
 
 
 @pytest.mark.parametrize("index, epsilon, master_seed",
-                         [(1627, 1e-6, MASTER_SEED), (0, 1e-3, 6914897348323)])
+                         [(1627, 1e-6, 0), (0, 1e-3, 6914897348323)])
 def test_a_slow_trial_reads_the_two_mode_formula(index, epsilon, master_seed):
     # both slow trials run their 1000 passes in the plane of N's top two
     # eigenvectors v1, v2: with q = cos(beta) v1 + sin(beta) v2 the net
@@ -164,7 +144,7 @@ def test_a_slow_trial_reads_the_two_mode_formula(index, epsilon, master_seed):
     # tr K = q^T N q (|sin 2 beta|: an eigenvector's sign is arbitrary).
     # From pass 11 on, the relative gap is at most 1.0e-11 and 2.3e-13, and
     # q's component off the plane at most 2.4e-16 (measured)
-    _, _, loop = trial_loop(index, epsilon, master_seed)
+    _, _, loop, _ = trial_loop(index, epsilon, master_seed)
     assert not loop.converged and loop.iterations == 1000
     n = np.zeros((4, 4))
     n[np.triu_indices(4)] = loop.horn

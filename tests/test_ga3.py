@@ -21,7 +21,7 @@ from rotalign.ga3 import (
 
 from rotalign.fields import LinearVectorField, rotate_outer
 
-from conftest import mv, oracle_product, random_plane
+from conftest import close_to, mv, oracle_product, random_plane
 
 
 def random_mv(rng):
@@ -45,11 +45,11 @@ def test_product_table_matches_matrix_oracle():
 
 
 def test_product_examples():
-    assert (E1 * E1).close_to(ONE)
-    assert (E1 * E2).close_to(mv(e12=1))
-    assert (E2 * E1).close_to(mv(e12=-1))
-    assert ((E1 + E2) * E1).close_to(mv(s=1, e12=-1))
-    assert (E3 * E1).close_to(mv(e13=-1))
+    assert close_to(E1 * E1, ONE)
+    assert close_to(E1 * E2, mv(e12=1))
+    assert close_to(E2 * E1, mv(e12=-1))
+    assert close_to((E1 + E2) * E1, mv(s=1, e12=-1))
+    assert close_to(E3 * E1, mv(e13=-1))
 
 
 def test_product_random_against_oracle():
@@ -75,18 +75,18 @@ def test_product_associative_and_distributive():
 def test_scalar_multiplication_commutes():
     rng = np.random.default_rng(2203)
     a = random_mv(rng)
-    assert (2.5 * a).close_to(a * 2.5)
-    assert (a * Multivector.from_scalar(2.5)).close_to(2.5 * a)
+    assert close_to(2.5 * a, a * 2.5)
+    assert close_to(a * Multivector.from_scalar(2.5), 2.5 * a)
 
 
 # ---------------------------------------------------------------------------
 # reverse and grade
 
 def test_reverse_examples():
-    assert mv(e12=1).reverse().close_to(mv(e12=-1))
-    assert mv(e123=1).reverse().close_to(mv(e123=-1))
-    assert E1.reverse().close_to(E1)
-    assert ONE.reverse().close_to(ONE)
+    assert close_to(mv(e12=1).reverse(), mv(e12=-1))
+    assert close_to(mv(e123=1).reverse(), mv(e123=-1))
+    assert close_to(E1.reverse(), E1)
+    assert close_to(ONE.reverse(), ONE)
 
 
 def test_reverse_is_antiautomorphism():
@@ -100,17 +100,17 @@ def test_reverse_is_antiautomorphism():
 def test_reverse_involution():
     rng = np.random.default_rng(2205)
     a = random_mv(rng)
-    assert a.reverse().reverse().close_to(a)
+    assert close_to(a.reverse().reverse(), a)
 
 
 def test_grade_projection():
     a = mv(s=1, e1=2, e12=3, e123=4)
-    assert a.grade(0).close_to(mv(s=1))
-    assert a.grade(1).close_to(mv(e1=2))
-    assert a.grade(2).close_to(mv(e12=3))
-    assert a.grade(3).close_to(mv(e123=4))
+    assert close_to(a.grade(0), mv(s=1))
+    assert close_to(a.grade(1), mv(e1=2))
+    assert close_to(a.grade(2), mv(e12=3))
+    assert close_to(a.grade(3), mv(e123=4))
     total = a.grade(0) + a.grade(1) + a.grade(2) + a.grade(3)
-    assert total.close_to(a)
+    assert close_to(total, a)
 
 
 def test_grade_out_of_range():
@@ -267,13 +267,13 @@ def test_exp_bivector_examples():
     for r in (exp_bivector(E23, 0.4), rotation_rotor((0.6, 0.0, 0.8), 1.0)):
         assert type(r) is tuple and len(r) == 4
         assert all(type(c) is float for c in r)
-        assert Multivector.from_even(r).close_to(
-            mv(s=r[0], e12=r[1], e13=r[2], e23=r[3]), tol=0.0)
+        assert close_to(Multivector.from_even(r),
+                        mv(s=r[0], e12=r[1], e13=r[2], e23=r[3]), tol=0.0)
     r = Multivector.from_even(exp_bivector(E12, math.pi / 2))
-    assert r.close_to(mv(e12=1), tol=1e-15)
+    assert close_to(r, mv(e12=1), tol=1e-15)
     r = Multivector.from_even(exp_bivector(E13, -math.pi / 4))
     scaled = math.sqrt(32.0) * r
-    assert scaled.close_to(mv(s=4, e13=-4), tol=1e-12)
+    assert close_to(scaled, mv(s=4, e13=-4), tol=1e-12)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -291,11 +291,11 @@ def test_exp_bivector_adds_angles(a, b):
 
 def test_sandwich_examples():
     # rotating by pi/2 in the e13 plane sends e1 to e3 and e3 to -e1
-    assert sandwich(E13, math.pi / 2, E1).close_to(E3, tol=1e-12)
-    assert sandwich(E13, math.pi / 2, E3).close_to(-E1, tol=1e-12)
-    assert sandwich(E13, math.pi / 2, E2).close_to(E2, tol=1e-12)
-    assert sandwich(E12, 1.234, E3).close_to(E3, tol=1e-12)
-    assert sandwich(E12, math.pi, E1).close_to(-E1, tol=1e-12)
+    assert close_to(sandwich(E13, math.pi / 2, E1), E3, tol=1e-12)
+    assert close_to(sandwich(E13, math.pi / 2, E3), -E1, tol=1e-12)
+    assert close_to(sandwich(E13, math.pi / 2, E2), E2, tol=1e-12)
+    assert close_to(sandwich(E12, 1.234, E3), E3, tol=1e-12)
+    assert close_to(sandwich(E12, math.pi, E1), -E1, tol=1e-12)
 
 
 def test_sandwich_rejects_non_vectors():

@@ -1,8 +1,9 @@
 """Every name a module of the package, of its tests or of perfbench imports
 is used in that module, every name it lists in __all__ is bound in it,
 every function of tests/conftest.py is read by a test and bound by no test
-module under the same name, and every public name the package defines is
-part of the product.
+module under the same name or imported from another test module, every
+helper a test module defines is read in it, and every public name the
+package defines is part of the product.
 
 A stdlib ast check: an import binds a name, and the module must read that
 name somewhere or list it in __all__.  __future__ imports are exempt.  A
@@ -11,11 +12,15 @@ def, a class or an assignment, or `from module import *` fails on it.  A
 conftest function or fixture must be reached from a test module, as a name,
 an attribute or a fixture argument, directly or through conftest functions
 that are; pytest hooks are exempt.  A test module's top-level def, class
-or assignment must not take a conftest function's name.  A public
-top-level name of the package (a def, class or assignment not starting
-with "_") must be read by another top-level statement of the package, be
-listed in an __all__, or be named in backticks in the README's "Library
-tour"; a function only tests call belongs in tests/conftest.py.
+or assignment must not take a conftest function's name.  A helper that
+test modules share lives in conftest.py: no module of tests/ imports from
+a test_*.py module.  A test module's top-level def, class or assignment
+that is not a test must be read by another of its top-level statements,
+as a name, an attribute or a fixture argument.  A public top-level name
+of the package (a def, class or assignment not starting with "_") must be
+read by another top-level statement of the package, be listed in an
+__all__, or be named in backticks in the README's "Library tour"; a
+function only tests call belongs in tests/conftest.py.
 """
 
 import ast
@@ -163,6 +168,60 @@ def test_no_test_module_redefines_a_conftest_function():
     conftest = (tests / "conftest.py").read_text()
     assert [f"{p.name}:{name}" for p in sorted(tests.glob("test_*.py"))
             for name in redefined_helpers(conftest, p.read_text())] == []
+
+
+def imported_test_modules(source: str, test_modules: set[str]) -> list[str]:
+    """The modules of test_modules that source imports, or imports from."""
+    nodes = list(ast.walk(ast.parse(source)))
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in nodes
+                 if isinstance(n, ast.ImportFrom) and not n.level}
+    return sorted({name.split(".")[0] for name in imported if name} & test_modules)
+
+
+def test_the_check_finds_an_import_from_a_test_module():
+    source = ("import conftest, test_cli as cli\nfrom rotalign import fields\n"
+              "def helper():\n    from test_fields.sub import FIELD_A\n")
+    assert imported_test_modules(source, {"test_cli", "test_fields", "test_ga3"}) == [
+        "test_cli", "test_fields"]
+
+
+def test_no_test_module_imports_from_another():
+    tests = ROOT / "tests"
+    names = {p.stem for p in tests.glob("test_*.py")}
+    assert [f"{p.name}:{name}" for p in sorted(tests.glob("*.py"))
+            for name in imported_test_modules(p.read_text(), names)] == []
+
+
+def unread_module_helpers(source: str) -> list[str]:
+    """The names a module's top-level statements bind, tests aside, that no
+    other of its top-level statements reads."""
+    body = ast.parse(source).body
+    reads = [(node, loaded_names(node) | {a.arg for a in ast.walk(node)
+                                          if isinstance(a, ast.arg)})
+             for node in body]
+    return sorted(name for node in body for name in defined_names(node)
+                  if not name.startswith("test_")
+                  and not any(name in names for other, names in reads
+                              if other is not node))
+
+
+def test_the_check_finds_an_unread_module_helper():
+    # a local of the same name, or a name bound by the statement that reads
+    # it, does not read a helper
+    source = ("LIMIT, (PAIR, SPARE) = 3, (1, 2)\nORPHAN = 4\nclass Model: pass\n"
+              "def helper(): return LIMIT\ndef recursive(): return recursive()\n"
+              "def table(): return Model()\ndef spare_fixture(): return 1\n"
+              "def test_x(table): helper(), np.PAIR\n"
+              "def test_y():\n    ORPHAN = 5\n")
+    assert unread_module_helpers(source) == [
+        "ORPHAN", "SPARE", "recursive", "spare_fixture"]
+
+
+def test_every_helper_of_a_test_module_is_read_in_it():
+    assert [f"{p.name}:{name}"
+            for p in sorted((ROOT / "tests").glob("test_*.py"))
+            for name in unread_module_helpers(p.read_text())] == []
 
 
 def defined_names(node) -> set[str]:
