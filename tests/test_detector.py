@@ -442,6 +442,16 @@ def test_detect_moments_recovers_the_rotation_of_k_equal_r_s():
         assert math.isclose(alpha, angle, abs_tol=10 * eps)
 
 
+def test_detect_moments_takes_the_disturbance_on_a_real_valued_k():
+    s = hand_made_s()
+    loop = detect_moments(floats(s), floats(s), DetectionConfig(epsilon=1e-6))
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE
+    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE)
+    assert np.max(np.abs(np.subtract(loop.nets[0], want))) <= 1e-15
+    assert loop.converged
+    assert rotor_rotation(loop.net)[0] <= 1e-6
+
+
 def test_detect_moments_exits_on_pass_one_when_k_is_within_epsilon():
     s = hand_made_s()
     plane = UnitBivector.from_components(2.0, 1.0, -1.0)
@@ -504,6 +514,20 @@ def seeded_moment_inputs():
     return cases
 
 
+def test_detect_moments_builds_no_plane_or_rotor(monkeypatch):
+    cases = seeded_moment_inputs()
+    built = counted(monkeypatch, UnitBivector, ("__init__",))
+    config = DetectionConfig(epsilon=1e-6)
+    loops = [detect_moments(k, s, config) for k, s in cases]
+    assert all(loop.converged for loop in loops)
+    assert loops[-1].phi_trace[0] == DISTURBANCE_ANGLE
+    assert sum(loop.iterations for loop in loops) > 10 * len(loops)
+    assert built == []
+    # the count sees every construction: reading the net's plane builds one
+    rotor_rotation(loops[0].net)
+    assert built == ["__init__"]
+
+
 def counted(monkeypatch, module, names, calls=None):
     """Replace each named function of module by a wrapper that records its
     name in calls, a new list unless given, on every call; returns calls."""
@@ -518,13 +542,11 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
     # an explicit pass calls _explicit_step, then cos and sin once each for
     # its feed; the last pass is a certified exit.  A common pass is written
     # out in the loop and calls none of these, so only the disturbance and
-    # the passes within epsilon take cos and sin.  No pass builds a plane
-    # (UnitBivector.__init__).  The reference loop gives the same detection,
-    # bit for bit.
+    # the passes within epsilon take cos and sin.  The reference loop gives
+    # the same detection, bit for bit.
     calls = counted(monkeypatch, math, ("cos", "sin"))
     counted(monkeypatch, rotalign.detector,
             ("rotor_product", "rotor_rotation"), calls)
-    counted(monkeypatch, UnitBivector, ("__init__",), calls)
     steps = []
 
     def explicit_step(model, *args, f=_explicit_step):
@@ -538,9 +560,8 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
 
     monkeypatch.setattr(rotalign.detector, "_explicit_step", explicit_step)
     config = DetectionConfig(epsilon=1e-6)
-    cases = seeded_moment_inputs()
-    above, shortened, passes = 0, 0, 0
-    for k, s in cases:
+    above, shortened = 0, 0
+    for k, s in seeded_moment_inputs():
         calls.clear()
         steps.clear()
         loop = detect_moments(k, s, config)
@@ -565,18 +586,10 @@ def test_a_common_pass_calls_no_helper(monkeypatch):
                      for (phi, _, _), certified in steps)
         shortened += sum(certified and not stop
                          for (_, _, stop), certified in steps)
-        passes += loop.iterations
+    assert loop.phi_trace[0] == DISTURBANCE_ANGLE  # the last case is real
     # the disturbance, an explicit pass above epsilon with no certificate,
     # and a shortened step, a certified step that does not stop, both occur
-    assert above >= 1 and shortened >= 1 and passes > 10 * len(cases)
-    # the last case, K = S, is real: pass one takes the disturbance, which
-    # the loop undoes.  The count sees every construction: reading the
-    # net's plane builds one
-    assert loop.phi_trace[0] == DISTURBANCE_ANGLE
-    want = rotation_rotor(DISTURBANCE_PLANE, DISTURBANCE_ANGLE)
-    assert np.max(np.abs(np.subtract(loop.nets[0], want))) <= 1e-15
-    calls.clear()
-    assert rotor_rotation(loop.net)[0] <= 1e-6 and calls == ["__init__"]
+    assert above >= 1 and shortened >= 1
 
 
 TRIAL_K, TRIAL_S = field_trial_moments(0, 1e-6)
@@ -828,8 +841,7 @@ def test_non_convergence_reports_partial_state():
 
 def energy_cases():
     """(field, the factor that overflows its energy, epsilon) by row name:
-    three fields from one seeded stream, two halves of [-1, 1]^3 and the
-    identity matrix on the unit box."""
+    three fields from one seeded stream and two halves of [-1, 1]^3."""
     rng = np.random.default_rng(44)
     return {
         "piecewise": (shared_cell_pair(rng)[0], 1e300, 1e-6),
@@ -837,7 +849,6 @@ def energy_cases():
         "grid": (SampledField(UNIT_BOX, (3, 2, 2), rng.uniform(-1, 1, (12, 3))),
                  1e300, 1e-6),
         "two-halves": (FIELD_A, 1e300, 1e-3),
-        "identity": (LinearVectorField(np.eye(3)), 1e308, 1e-3),
     }
 
 
@@ -867,6 +878,19 @@ def test_detect_checks_the_patterns_energy_then_the_references(kind):
                 (huge, field, INFINITE)):
             with pytest.raises(ValueError, match=message):
                 detect(reference, pattern, config)
+
+
+def test_detect_rejects_non_finite_patterns():
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="^pattern field energy is not finite$"):
+        detect(LinearVectorField(np.eye(3)), LinearVectorField(1e308 * np.eye(3)),
+               DetectionConfig(epsilon=1e-3))
+
+
+def test_detect_rejects_non_finite_references():
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=INFINITE):
+        detect(LinearVectorField(1e308 * np.eye(3)), LinearVectorField(np.eye(3)),
+               DetectionConfig(epsilon=1e-3))
 
 
 # The three known failure modes (ROADMAP items 2 and 3).  Each test asserts
@@ -1247,12 +1271,11 @@ def layout(field):
     return field.box
 
 
-def assert_same_detection(reference, pattern, epsilon):
+def assert_same_report(reference, pattern, epsilon):
     """detect's report against reference_detect, which computes every output
-    before it returns, bit for bit, and against field_form_detection, the
-    paper's loop on fields, to 1e-12.  The report replays its own passes,
-    from the moments it was given, bit for bit those of its detect_moments
-    call, and a second read of nets or phi_trace returns the first's."""
+    before it returns, bit for bit.  The report replays its own passes, from
+    the moments it was given, bit for bit those of its detect_moments call,
+    and a second read of nets or phi_trace returns the first's."""
     config = DetectionConfig(epsilon=epsilon)
     got = detect(reference, pattern, config)
     loop = detect_moments(*pair_floats(pattern, reference), config)
@@ -1272,21 +1295,39 @@ def assert_same_detection(reference, pattern, epsilon):
     assert layout(corrected) == layout(want.corrected_pattern)
     assert bits(field_values(corrected)) == bits(field_values(want.corrected_pattern))
 
-    alpha, plane, paper_corrected, trace, converged = field_form_detection(
+
+def assert_same_detection(reference, pattern, epsilon):
+    """detect's report against field_form_detection, the paper's loop on
+    fields, to 1e-12."""
+    config = DetectionConfig(epsilon=epsilon)
+    got = detect(reference, pattern, config)
+    alpha, plane, corrected, trace, converged = field_form_detection(
         reference, pattern, config)
     assert got.iterations == len(trace)
     assert got.converged == converged
     assert np.max(np.abs(np.subtract(got.phi_trace, trace))) <= 1e-12
     assert abs(got.alpha - alpha) <= 1e-12
     assert np.max(np.abs(got.plane.components - plane.components)) <= 1e-12
-    assert np.max(np.abs(field_values(corrected) -
-                         field_values(paper_corrected))) <= 1e-12
+    assert np.max(np.abs(field_values(got.corrected_pattern) -
+                         field_values(corrected))) <= 1e-12
 
 
 def seeded_linear_pairs(epsilon):
     for index in range(50):
         spec = draw_trial(0, index, epsilon)
         yield spec.field, rotate_outer(spec.field, spec.plane, spec.angle), epsilon
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001, 1e-6])
+def test_moment_loop_matches_field_loop_on_seeded_linear_trials(epsilon):
+    for pair in seeded_linear_pairs(epsilon):
+        assert_same_detection(*pair)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.01, 0.001, 1e-6])
+def test_report_matches_the_eager_report_on_seeded_linear_trials(epsilon):
+    for pair in seeded_linear_pairs(epsilon):
+        assert_same_report(*pair)
 
 
 def regular_cell_pairs():
@@ -1331,16 +1372,15 @@ def shared_cell_and_grid_pairs():
 
 
 @pytest.mark.parametrize("pairs", [
-    *(pytest.param(partial(seeded_linear_pairs, epsilon), id=f"linear-{epsilon}")
-      for epsilon in (0.1, 0.01, 0.001, 1e-6)),
     pytest.param(regular_cell_pairs, id="regular-cells"),
     pytest.param(grid_and_mixed_pairs, id="grids-and-mixed"),
     pytest.param(shared_cell_and_grid_pairs, id="shared-cells-and-grid"),
     pytest.param(partial(shared_cell_pairs, 40, 5), id="shared-cells"),
 ])
 def test_report_matches_the_eager_report_and_the_field_loop(pairs):
-    for reference, pattern, epsilon in pairs():
-        assert_same_detection(reference, pattern, epsilon)
+    for pair in pairs():
+        assert_same_report(*pair)
+        assert_same_detection(*pair)
 
 
 # ---------------------------------------------------------------------------
